@@ -2,8 +2,8 @@
 
 The numba lane is used when numba imports successfully and the environment
 variable ``KCONTRACT_NO_NUMBA`` is unset (or set to ``0``).  Both lanes run
-the same algorithms so results agree to rounding; ``benchmarks/bench_kernels.py``
-compares their throughput.
+the same algorithms so results agree to rounding; performance is measured
+with the benchmark described in ``perfbench/README.md``.
 """
 
 from __future__ import annotations

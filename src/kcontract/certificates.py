@@ -22,13 +22,13 @@ measure.  Grid sampling never proves anything and is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .compounds import add_compound, add_compound_interval
-from .indexing import BlockPermutation, _sequences, block_range, build_permutation
+from .compounds import add_compound, add_compound_interval, lift_diagonal_scaling
+from .indexing import BlockPermutation, block_range, build_permutation
 from .measures import (
     L1,
     L2,
@@ -36,6 +36,7 @@ from .measures import (
     HierarchicNormSpec,
     MeasureKind,
     compound_measure,
+    compound_measures,
     hierarchic_measure_bounds,
     induced_norm,
     interval_measure_upper,
@@ -46,6 +47,9 @@ from .systems import Box, EntryBounds, FeedbackModel, SeriesModel, SystemModel
 #: A condition passes only when its bound is at most -PASS_THRESHOLD, so a
 #: certificate never rests on floating-point noise.
 PASS_THRESHOLD = 1e-9
+
+#: Bytes of stacked sample Jacobians a grid certificate holds at once.
+GRID_BATCH_BYTES = 1 << 24
 
 
 @dataclass
@@ -118,15 +122,6 @@ def _passes(bound: float) -> bool:
     return bound <= -PASS_THRESHOLD
 
 
-def lift_diagonal_scaling(s, k: int) -> np.ndarray:
-    """Compound-space diagonal induced by a positive diagonal state scaling:
-    the entry for an increasing sequence is the product of its factors."""
-    s = np.asarray(s, dtype=np.float64).ravel()
-    if np.any(s <= 0):
-        raise ValueError("state scaling must be positive")
-    return np.array([prod(s[v - 1] for v in seq) for seq in _sequences(k, s.size)])
-
-
 def _analytic_scale_vector(kind: MeasureKind, n: int, k: int) -> Optional[np.ndarray]:
     if kind.scaling is None:
         return None
@@ -182,7 +177,7 @@ def _best_condition(index, candidates, evaluate) -> tuple[ConditionRecord, Measu
     """First passing measure wins; otherwise report the least-bad attempt."""
     best = None
     for cand in candidates:
-        bound = evaluate(cand)
+        bound = float(evaluate(cand))
         if best is None or bound < best[0]:
             best = (bound, cand)
         if _passes(bound):
@@ -197,6 +192,31 @@ def _grid_samples(domain: Optional[Box], grid_points: int, time_grid) -> tuple[l
         raise ValueError("grid sampling needs a finite box domain")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
     return list(domain.grid(grid_points)), times
+
+
+def _sampled_measures(jacobian, samples: list, dim: int, keys) -> dict:
+    """Per-sample compound measures of sampled Jacobians, for grid certificates.
+
+    Returns, for every (order, kind) in ``keys``, the array of
+    mu_kind(J(*s)^[order]) over ``samples``.  Each sample's Jacobian is
+    evaluated once whatever the number of keys; Jacobians are stacked at most
+    GRID_BATCH_BYTES at a time, and each key takes one batched closed-form
+    call per stack.
+    """
+    out = {key: np.empty(len(samples)) for key in keys}
+    step = max(1, GRID_BATCH_BYTES // (8 * dim * dim))
+    for lo in range(0, len(samples), step):
+        chunk = samples[lo : lo + step]
+        stack = np.empty((len(chunk), dim, dim))
+        for pos, s in enumerate(chunk):
+            # copied at once: a Jacobian may reuse its output buffer
+            j = jacobian(*s)
+            if np.shape(j) != (dim, dim):
+                raise ValueError(f"Jacobian has shape {np.shape(j)}, expected {(dim, dim)}")
+            stack[pos] = j
+        for (order, kind), values in out.items():
+            values[lo : lo + step] = compound_measures(stack, order, kind)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +264,10 @@ def certify_k_contraction(
     if method != "grid":
         raise ValueError(f"unknown certification method {method!r}")
     points, times = _grid_samples(sys.domain, grid_points, time_grid)
-
-    def sampled_max(c: MeasureKind) -> float:
-        return max(
-            compound_measure(sys.jacobian(t, x), k, c) for t in times for x in points
-        )
-
-    cond, _ = _best_condition(k, _candidate_kinds(kind, True), sampled_max)
+    candidates = _candidate_kinds(kind, True)
+    samples = [(t, x) for t in times for x in points]
+    values = _sampled_measures(sys.jacobian, samples, n, [(k, c) for c in candidates])
+    cond, _ = _best_condition(k, candidates, lambda c: values[k, c].max())
     verdict = "inconclusive" if cond.passed else "fail"
     notes = ["sampled (not a proof): bound is the maximum over sampled domain points"]
     return CertificateReport(
@@ -347,6 +364,9 @@ def certify_series(
     idxs = list(range(i1, i2 + 1))
     fixed = _normalize_kinds(per_i_kinds, len(idxs))
 
+    def candidates(pos):
+        return _candidate_kinds(fixed[pos] if fixed else None, exact_ok)
+
     if method == "analytic":
         b1, b2 = model.sub1.entry_bounds, model.sub2_bounds
         if b1 is None or b2 is None:
@@ -370,28 +390,18 @@ def certify_series(
         pts1, times = _grid_samples(sub1_domain, grid_points, time_grid)
         pts2, _ = _grid_samples(sub2_domain, grid_points, time_grid)
         exact_ok = True
+        pairs = [(i, c) for pos, i in enumerate(idxs) for c in candidates(pos)]
+        worst = _series_grid_maxima(model, k, times, pts1, pts2, pairs)
 
         def make_eval(i):
-            def value(c):
-                worst = -np.inf
-                for t in times:
-                    for x1 in pts1:
-                        m1 = compound_measure(model.sub1.jacobian(t, x1), k - i, c)
-                        for x2 in pts2:
-                            m2 = compound_measure(model.j22(t, x1, x2), i, c)
-                            worst = max(worst, m1 + m2)
-                return worst
-
-            return value
+            return lambda c: worst[i, c]
 
         method_label = f"grid-sampling({grid_points})"
 
     conditions = []
     used_kinds = []
     for pos, i in enumerate(idxs):
-        cond, kind = _best_condition(
-            i, _candidate_kinds(fixed[pos] if fixed else None, exact_ok), make_eval(i)
-        )
+        cond, kind = _best_condition(i, candidates(pos), make_eval(i))
         conditions.append(cond)
         used_kinds.append(kind)
 
@@ -417,6 +427,28 @@ def certify_series(
     return CertificateReport(
         verdict, k, conditions, method_label, model.name, epsilon_star=eps, rate=rate, notes=notes
     )
+
+
+def _series_grid_maxima(model: SeriesModel, k: int, times, pts1, pts2, conditions) -> dict:
+    """max over (t, x1, x2) of mu_c(J11^[k-i]) + mu_c(J22^[i]) per (i, c).
+
+    J11 is sampled once per (t, x1) and J22 once per (t, x1, x2).  The
+    product grid is walked a block of (t, x1) rows at a time, so the stacked
+    J22 samples stay within GRID_BATCH_BYTES.
+    """
+    rows = [(t, x1) for t in times for x1 in pts1]
+    keys1 = {(k - i, c) for i, c in conditions}
+    m1 = _sampled_measures(model.sub1.jacobian, rows, model.dim1, keys1)
+    per_row = len(pts2)
+    step = max(1, GRID_BATCH_BYTES // (8 * model.dim2 * model.dim2 * per_row))
+    worst = dict.fromkeys(conditions, -np.inf)
+    for lo in range(0, len(rows), step):
+        block = [(t, x1, x2) for t, x1 in rows[lo : lo + step] for x2 in pts2]
+        m2 = _sampled_measures(model.j22, block, model.dim2, conditions)
+        for i, c in conditions:
+            total = m1[k - i, c][lo : lo + step, None] + m2[i, c].reshape(-1, per_row)
+            worst[i, c] = max(worst[i, c], total.max())
+    return worst
 
 
 def _normalize_kinds(kinds, count: int):
@@ -516,14 +548,12 @@ def certify_skew_feedback(
         method_label = "analytic-bounds"
     elif method == "grid":
         points, times = _grid_samples(pair.domain, grid_points, time_grid)
+        samples = [(t, x) for t in times for x in points]
+        m1 = _sampled_measures(pair.j11, samples, n, [(k - i, L2) for i in idxs])
+        m2 = _sampled_measures(pair.j22, samples, m, [(i, L2) for i in idxs])
 
         def make_eval(i):
-            return lambda _: max(
-                compound_measure(pair.j11(t, x), k - i, L2)
-                + compound_measure(pair.j22(t, x), i, L2)
-                for t in times
-                for x in points
-            )
+            return lambda _: (m1[k - i, L2] + m2[i, L2]).max()
 
         method_label = f"grid-sampling({grid_points})"
     else:
@@ -593,14 +623,15 @@ def certify_exp_input(
     elif method == "grid":
         points, times = _grid_samples(sys.domain, grid_points, time_grid)
         exact_ok = True
+        keys = [(k, c) for c in _candidate_kinds(kind_k, exact_ok)]
+        keys += [(k - 1, c) for c in _candidate_kinds(kind_km1, exact_ok)]
+        values = _sampled_measures(sys.jacobian, [(t, x) for t in times for x in points], n, keys)
 
         def eval_k(c):
-            return max(compound_measure(sys.jacobian(t, x), k, c) for t in times for x in points)
+            return values[k, c].max()
 
         def eval_km1(c):
-            return alpha + max(
-                compound_measure(sys.jacobian(t, x), k - 1, c) for t in times for x in points
-            )
+            return alpha + values[k - 1, c].max()
 
         method_label = f"grid-sampling({grid_points})"
     else:

@@ -367,10 +367,7 @@ def _cmd_simulate(args) -> int:
     if sysm.domain is not None:
         box = sysm.domain
         for rec in records:
-            states = rec.states if rec.states.shape[1] == box.dim else None
-            if states is None:
-                continue
-            if not all(box.contains(s, slack=1e-7) for s in states):
+            if rec.states.shape[1] == box.dim and not box.contains(rec.states, slack=1e-7):
                 in_box = False
     summary = {
         "preset": args.preset or "config",

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._kernels import rk4_fixed, rk45_solve
-from .compounds import add_compound, mult_compound
-from .indexing import check_dimension_guard
+from .compounds import as_matrix, compound_index, mult_compound, require_square
+from .indexing import check_dense_guard, check_dimension_guard
 from .systems import SystemModel
 
 
@@ -87,7 +87,7 @@ def integrate(
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
     if sys.domain is not None and sys.domain.contains(x0, slack=1e-9):
         slack = 1e-7 * max(1.0, float(np.abs(states).max()))
-        if not all(sys.domain.contains(s, slack=slack) for s in states):
+        if not sys.domain.contains(states, slack=slack):
             warnings.warn(f"trajectory of {sys.name} left its declared invariant box")
     return TrajectoryRecord(t_eval, states, system=sys.name)
 
@@ -111,6 +111,8 @@ def variational_flow(
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     r = comb(n, k)
     check_dimension_guard(r)
+    check_dense_guard(trajectory.times.size * r * r, "compound flow")
+    index = compound_index(n, k)
     x0 = trajectory.states[0]
     u0 = np.concatenate([x0, np.eye(n).ravel(), np.eye(r).ravel()])
 
@@ -118,8 +120,8 @@ def variational_flow(
         x = u[:n]
         phi = u[n : n + n * n].reshape(n, n)
         psi = u[n + n * n :].reshape(r, r)
-        j = sys.jacobian(t, x)
-        jk = add_compound(j, k).data
+        j = require_square(as_matrix(sys.jacobian(t, x)))
+        jk = index.additive(j)
         return np.concatenate([sys.f(t, x), (j @ phi).ravel(), (jk @ psi).ravel()])
 
     times = trajectory.times

@@ -17,15 +17,30 @@ import numpy as np
 #: Refuse compound-space dimensions beyond this (desk-scale guard).
 MAX_COMPOUND_DIM = 100_000
 
+#: Refuse dense float64 compound-space arrays larger than this many bytes.
+#: Paths that never form an r x r array (the closed-form compound measures)
+#: are limited by MAX_COMPOUND_DIM alone.
+MAX_DENSE_BYTES = 1 << 29
+
 
 class DimensionGuardError(ValueError):
-    """Raised when a requested compound dimension exceeds MAX_COMPOUND_DIM."""
+    """Raised when a compound dimension exceeds MAX_COMPOUND_DIM or a dense
+    compound-space array would exceed MAX_DENSE_BYTES."""
 
 
 def check_dimension_guard(r: int) -> None:
     if r > MAX_COMPOUND_DIM:
         raise DimensionGuardError(
             f"compound dimension {r} exceeds the supported maximum {MAX_COMPOUND_DIM}"
+        )
+
+
+def check_dense_guard(entries: int, what: str = "compound") -> None:
+    """Refuse a dense float64 allocation of ``entries`` values before it happens."""
+    if 8 * entries > MAX_DENSE_BYTES:
+        raise DimensionGuardError(
+            f"dense {what} of {entries} entries ({8 * entries / 2**30:.1f} GiB) exceeds "
+            f"the supported maximum of {MAX_DENSE_BYTES / 2**30:g} GiB"
         )
 
 

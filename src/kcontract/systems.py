@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .compounds import add_compound_interval, as_matrix, require_square
+from .compounds import add_compound_interval, as_matrix, lift_diagonal_scaling, require_square
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class Box:
         return bool(np.isfinite(self.lo).all() and np.isfinite(self.hi).all())
 
     def contains(self, x, slack: float = 0.0) -> bool:
+        """True when the point x, or every row of a stack of points (..., dim),
+        lies in the box widened by ``slack``; NaN coordinates never do."""
         x = np.asarray(x, dtype=np.float64)
         return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
@@ -141,13 +143,9 @@ class EntryBounds:
         ratio = np.outer(s, 1.0 / s)
         compound = None
         if self.compound is not None:
-            from math import prod
-
-            from .indexing import _sequences
-
             compound = {}
             for k, (clo, chi) in self.compound.items():
-                lift = np.array([prod(s[v - 1] for v in seq) for seq in _sequences(k, self.dim)])
+                lift = lift_diagonal_scaling(s, k)
                 cratio = np.outer(lift, 1.0 / lift)
                 compound[k] = (clo * cratio, chi * cratio)
         return EntryBounds(self.lo * ratio, self.hi * ratio, compound)

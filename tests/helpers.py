@@ -7,7 +7,7 @@ written out longhand.
 """
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,6 +23,77 @@ def brute_mult_compound(m, k):
         for j, c in enumerate(cols):
             out[i, j] = np.linalg.det(m[np.ix_(r, c)])
     return out
+
+
+def _entry_rule(n, k):
+    """Yield (row, col, i, j, sign): entry (row, col) of A^[k] is sign * a[i, j].
+
+    Row sequence alpha meets column sequence beta when beta replaces the s-th
+    element of alpha by some j outside alpha; the sign is (-1)^(s+t) with t
+    the position of j within beta.
+    """
+    seqs = list(itertools.combinations(range(n), k))
+    pos = {s: i for i, s in enumerate(seqs)}
+    for row, alpha in enumerate(seqs):
+        for s, v in enumerate(alpha):
+            for j in range(n):
+                if j in alpha:
+                    continue
+                beta = tuple(sorted(set(alpha) - {v} | {j}))
+                yield row, pos[beta], v, j, 1.0 if (s + beta.index(j)) % 2 == 0 else -1.0
+
+
+def brute_add_compound(a, k):
+    """A^[k] by the entry rule, one entry at a time."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    seqs = list(itertools.combinations(range(n), k))
+    out = np.zeros((len(seqs), len(seqs)))
+    for i, alpha in enumerate(seqs):
+        out[i, i] = sum(a[v, v] for v in alpha)
+    for row, col, i, j, sign in _entry_rule(n, k):
+        out[row, col] = sign * a[i, j]
+    return out
+
+
+def brute_add_compound_interval(lo, hi, k):
+    """Entrywise enclosure of A^[k] over lo <= A <= hi, one entry at a time."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    n = lo.shape[0]
+    seqs = list(itertools.combinations(range(n), k))
+    out_lo, out_hi = np.zeros((len(seqs), len(seqs))), np.zeros((len(seqs), len(seqs)))
+    for i, alpha in enumerate(seqs):
+        out_lo[i, i] = sum(lo[v, v] for v in alpha)
+        out_hi[i, i] = sum(hi[v, v] for v in alpha)
+    for row, col, i, j, sign in _entry_rule(n, k):
+        if sign > 0:
+            out_lo[row, col], out_hi[row, col] = lo[i, j], hi[i, j]
+        else:
+            out_lo[row, col], out_hi[row, col] = -hi[i, j], -lo[i, j]
+    return out_lo, out_hi
+
+
+def brute_lift(s, k):
+    """Product of the scaling factors over each increasing k-sequence."""
+    seqs = itertools.combinations(range(len(s)), k)
+    return np.array([prod(s[v] for v in alpha) for alpha in seqs], dtype=float)
+
+
+def brute_compound_measure(a, k, p):
+    """L1 ('1') or Linf ('inf') measure of A^[k] by its closed form, one
+    sequence at a time: diagonal entries of alpha plus the absolute column
+    [row] mass the indices outside alpha contribute."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    absa, diag = np.abs(a), np.diag(a)
+    best = -np.inf
+    for alpha in itertools.combinations(range(n), k):
+        idx = list(alpha)
+        outside = np.ones(n, dtype=bool)
+        outside[idx] = False
+        block = absa[np.ix_(outside, idx)] if p == "1" else absa[np.ix_(idx, outside)]
+        best = max(best, float(diag[idx].sum() + block.sum()))
+    return best
 
 
 def fd_add_compound(a, k, h1=1e-5, h2=1e-6):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kcontract import certificates
 from kcontract.certificates import (
     PASS_THRESHOLD,
     certify_exp_input,
@@ -382,3 +383,61 @@ def test_pass_threshold_blocks_certification_on_noise():
     borderline = lti(np.array([[-PASS_THRESHOLD / 10.0]]))
     rep = certify_k_contraction(borderline, 1, kind=L1)
     assert rep.verdict == "fail"
+
+
+def _counting(fn, counter, key):
+    def wrapped(*args):
+        counter[key] = counter.get(key, 0) + 1
+        return fn(*args)
+
+    return wrapped
+
+
+def test_grid_certificates_sample_each_jacobian_once():
+    calls = {}
+    sysm = thomas_controlled(D, C_GAIN)
+    sysm.jacobian = _counting(sysm.jacobian, calls, "single")
+    samples = len(sysm.domain.grid(4))
+    certify_k_contraction(sysm, 2, method="grid", grid_points=4, time_grid=[0.0, 1.0])
+    assert calls["single"] == 2 * samples  # once per (t, x), not per candidate kind
+    certify_exp_input(sysm, 0.5, alpha=-1.0, k=2, method="grid", grid_points=4)
+    assert calls["single"] == 3 * samples
+
+    model = _nonlinear_series()
+    model.sub1.jacobian = _counting(model.sub1.jacobian, calls, "j11")
+    model.j22 = _counting(model.j22, calls, "j22")
+    per_block = len(model.sub1.domain.grid(3))
+    certify_series(model, 2, method="grid", grid_points=3)
+    assert calls["j11"] == per_block and calls["j22"] == per_block**2
+
+
+def test_grid_batches_give_the_same_reports(monkeypatch):
+    model = _nonlinear_series()
+    sysm = thomas_controlled(D, C_GAIN)
+
+    def reports():
+        return [
+            certify_series(model, 2, method="grid", grid_points=3, time_grid=[0.0, 0.5]).to_dict(),
+            certify_k_contraction(sysm, 2, method="grid", grid_points=5).to_dict(),
+            certify_exp_input(sysm, 0.5, alpha=-1.0, k=2, method="grid", grid_points=4).to_dict(),
+        ]
+
+    whole = reports()
+    monkeypatch.setattr(certificates, "GRID_BATCH_BYTES", 200)  # a few matrices per batch
+    assert reports() == whole
+
+
+def test_grid_certificate_copies_a_reused_jacobian_buffer():
+    base = thomas_controlled(D, C_GAIN)
+    buffer = np.empty((3, 3))
+
+    def in_place(t, x):
+        buffer[...] = base.jacobian(t, x)
+        return buffer
+
+    reusing = SystemModel(3, base.f, in_place, domain=base.domain, name=base.name)
+    expected = certify_k_contraction(base, 2, kind=L1, method="grid", grid_points=4).to_dict()
+    assert certify_k_contraction(reusing, 2, kind=L1, method="grid", grid_points=4).to_dict() == expected
+    flat = SystemModel(3, base.f, lambda t, x: np.ones(3), domain=base.domain)
+    with pytest.raises(ValueError, match="shape"):
+        certify_k_contraction(flat, 2, kind=L1, method="grid", grid_points=2)

@@ -3,17 +3,30 @@ import pytest
 import scipy.linalg as sla
 
 from kcontract.compounds import (
+    CompoundIndex,
     add_compound,
     add_compound_interval,
     block_diag_add_decompose,
     block_diag_mult_decompose,
+    compound_index,
     kron_product,
     kron_sum,
+    lift_diagonal_scaling,
     mult_compound,
 )
-from kcontract.indexing import DimensionGuardError
+from kcontract.indexing import MAX_DENSE_BYTES, DimensionGuardError, enumerate_sequences
 
-from .helpers import brute_mult_compound, fd_add_compound, triangular4_third_compound, rel_err, sorted_eigs, well_conditioned
+from .helpers import (
+    brute_add_compound,
+    brute_add_compound_interval,
+    brute_lift,
+    brute_mult_compound,
+    fd_add_compound,
+    rel_err,
+    sorted_eigs,
+    triangular4_third_compound,
+    well_conditioned,
+)
 
 
 def test_identity_compound():
@@ -252,3 +265,80 @@ def test_validation_errors():
         mult_compound(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
     with pytest.raises(DimensionGuardError):
         mult_compound(np.eye(50), 25)
+
+
+def _signed_zero_matrix(rng, n):
+    """Random entries with some exact +0.0 and -0.0, so sign-of-zero
+    differences between the table and the entry rule would show."""
+    a = rng.standard_normal((n, n))
+    a[rng.random((n, n)) < 0.2] = 0.0
+    a[rng.random((n, n)) < 0.2] = -0.0
+    return a
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_compound_index_layout():
+    for n in range(0, 8):
+        for k in range(0, n + 1):
+            index = compound_index(n, k)
+            assert index is compound_index(n, k)
+            seqs = [tuple(int(v) + 1 for v in row) for row in index.seqs]
+            assert seqs == (enumerate_sequences(k, n) if k else [()])
+            for row, comp in zip(index.seqs, index.complement):
+                assert sorted(set(row) | set(comp)) == list(range(n))
+                assert list(comp) == sorted(comp)
+            assert np.unique(index.dest).size == index.dest.size == index.r * k * (n - k)
+            assert not np.isin(index.dest, index.diag_dest).any()
+            assert not index.seqs.flags.writeable and not index.sign.flags.writeable
+
+
+def test_add_compound_table_matches_entry_rule_exactly():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for _ in range(3):
+                a = _signed_zero_matrix(rng, n)
+                assert _same_bits(add_compound(a, k).data, brute_add_compound(a, k))
+
+
+def test_add_compound_interval_table_matches_entry_rule_exactly():
+    rng = np.random.default_rng(22)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            lo = _signed_zero_matrix(rng, n)
+            hi = lo + np.where(rng.random((n, n)) < 0.5, 0.0, rng.uniform(0.0, 1.0, (n, n)))
+            got, ref = add_compound_interval(lo, hi, k), brute_add_compound_interval(lo, hi, k)
+            assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+
+def test_lift_table_matches_products_exactly():
+    rng = np.random.default_rng(23)
+    for n in range(1, 8):
+        s = rng.uniform(0.1, 10.0, n)
+        for k in range(0, n + 1):
+            assert _same_bits(lift_diagonal_scaling(s, k), brute_lift(s, k))
+
+
+def test_compound_index_is_built_lazily():
+    index = CompoundIndex(17, 8)
+    assert index.r == 24310 and index.seqs.shape == (24310, 8)
+    assert "_scatter" not in vars(index)  # the closed forms never need it
+
+
+def test_dense_allocation_guard_by_bytes():
+    # r = C(17, 8) = 24310 passes the dimension limit, but r^2 doubles are 4.7 GB
+    assert 8 * 24310**2 > MAX_DENSE_BYTES
+    big = np.eye(17)
+    with pytest.raises(DimensionGuardError, match="exceeds"):
+        add_compound(big, 8)
+    with pytest.raises(DimensionGuardError):
+        add_compound_interval(big, big, 8)
+    with pytest.raises(DimensionGuardError):
+        mult_compound(big, 8)
+    with pytest.raises(DimensionGuardError):
+        block_diag_add_decompose(np.eye(9), np.eye(8), 8)
+    assert add_compound(np.eye(10), 5).data.shape == (252, 252)

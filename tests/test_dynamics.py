@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -13,6 +15,7 @@ from kcontract.dynamics import (
     variational_flow,
     volume_growth_rate,
 )
+from kcontract.indexing import DimensionGuardError
 from kcontract.systems import (
     Box,
     SystemModel,
@@ -66,6 +69,51 @@ def test_escaping_declared_box_warns():
     )
     with pytest.warns(UserWarning, match="invariant box"):
         integrate(growing, [0.5], (0.0, 2.0), n_out=21)
+
+
+def test_box_contains_a_stack_of_states_like_its_rows():
+    box = Box([-1.0, 0.0], [1.0, 2.0])
+    rng = np.random.default_rng(5)
+    for slack in (0.0, 1e-7):
+        for _ in range(50):
+            states = rng.uniform(-1.02, 2.02, (rng.integers(1, 6), 2))
+            if rng.random() < 0.3:
+                states[rng.integers(states.shape[0]), rng.integers(2)] = np.nan
+            expected = all(box.contains(s, slack=slack) for s in states)
+            assert box.contains(states, slack=slack) is expected
+    edge = np.array([[1.0 + 5e-8, 2.0], [-1.0, 0.0]])
+    assert not box.contains(edge) and box.contains(edge, slack=1e-7)
+
+
+def test_staying_in_declared_box_does_not_warn():
+    decaying = SystemModel(
+        state_dim=1,
+        f=lambda t, x: -x,
+        jacobian=lambda t, x: np.array([[-1.0]]),
+        domain=Box([-1.0], [1.0]),
+        name="decayer",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate(decaying, [0.9], (0.0, 2.0), n_out=21)
+
+
+def test_variational_flow_refuses_a_dense_compound_flow_over_budget():
+    n, k = 17, 8  # r = 24310: r x r doubles alone are 4.7 GB
+    rec = TrajectoryRecord(np.array([0.0, 0.1]), np.zeros((2, n)))
+    with pytest.raises(DimensionGuardError):
+        variational_flow(lti(-np.eye(n)), rec, k)
+
+
+def test_variational_flow_rejects_non_finite_jacobian():
+    broken = SystemModel(
+        state_dim=2,
+        f=lambda t, x: -x,
+        jacobian=lambda t, x: np.array([[-1.0, np.inf], [0.0, -1.0]]),
+    )
+    rec = TrajectoryRecord(np.array([0.0, 0.1]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        variational_flow(broken, rec, 2)
 
 
 def test_variational_flow_constant_jacobian():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,35 @@ def test_cli_compound_dimension_guard_exit_3(tmp_path, capsys):
     _write_matrix(f, np.eye(50))
     assert main(["compound", "--input", str(f), "--k", "25"]) == 3
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_cli_add_compound_dense_guard_exit_3(tmp_path, capsys):
+    # r = C(17, 8) passes the dimension limit; the r x r array would not fit
+    f = tmp_path / "eye17.csv"
+    _write_matrix(f, np.eye(17))
+    assert main(["compound", "--input", str(f), "--k", "8", "--kind", "add"]) == 3
+    assert "exceeds" in capsys.readouterr().err
+    assert main(["measure", "--input", str(f), "--kind", "l1", "--k", "8"]) == 0
+    assert float(capsys.readouterr().out) == 8.0
+
+
+def test_cli_simulate_reports_leaving_the_declared_box(tmp_path):
+    bounds = {"lo": [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, 0.0, -1.0]],
+              "hi": [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]}
+    for half_width, inside in ((10.0, True), (0.6, False)):
+        cfg = tmp_path / f"cfg{half_width}.json"
+        cfg.write_text(json.dumps({
+            "system": "bounds", "bounds": bounds, "jacobian_from": {"system": "thomas"},
+            "domain": {"lo": [-half_width] * 3, "hi": [half_width] * 3},
+            "initial_conditions": [[0.1, 0.2, 0.3], [0.5, -0.5, 0.5]],
+            "horizon": 5.0, "n_out": 51,
+        }))
+        out = tmp_path / f"out{half_width}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["in_invariant_box"] is inside
 
 
 def test_cli_measure(tmp_path, capsys):

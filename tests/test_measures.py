@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kcontract.compounds import add_compound, kron_sum
 from kcontract.indexing import block_range
@@ -11,6 +13,7 @@ from kcontract.measures import (
     MeasureKind,
     block_diag_compound_measure,
     compound_measure,
+    compound_measures,
     hierarchic_block_diag_norm,
     hierarchic_measure_bounds,
     hierarchic_operator_norm_upper,
@@ -20,6 +23,8 @@ from kcontract.measures import (
     matrix_measure,
     parse_kind,
 )
+
+from .helpers import brute_compound_measure
 
 KINDS = (L1, L2, LINF)
 
@@ -277,3 +282,51 @@ def test_interval_measure_upper_with_diag_scaling():
     for _ in range(100):
         j = rng.uniform(lo, hi)
         assert matrix_measure(t @ j @ np.linalg.inv(t), L1) <= bound + 1e-12
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KINDS),
+)
+def test_batched_compound_measures_equal_single_calls(nk, batch, seed, kind):
+    n, k = nk
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((batch, n, n)) * np.exp(rng.uniform(-4.0, 4.0, (batch, 1, 1)))
+    single = np.array([compound_measure(m, k, kind) for m in stack])
+    assert np.array_equal(compound_measures(stack, k, kind), single)
+
+
+def test_closed_form_matches_per_sequence_loop_exactly():
+    # 10 x 10 at k = 4: the gathered blocks are long enough for pairwise sums
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((50, 10, 10))
+    for kind in (L1, LINF):
+        ref = np.array([brute_compound_measure(m, 4, kind.p) for m in stack])
+        assert np.array_equal(compound_measures(stack, 4, kind), ref)
+        for n, k in ((3, 2), (6, 3), (7, 1), (7, 7)):
+            small = rng.standard_normal((20, n, n))
+            ref = np.array([brute_compound_measure(m, k, kind.p) for m in small])
+            assert np.array_equal(compound_measures(small, k, kind), ref)
+
+
+def test_compound_measures_validation():
+    with pytest.raises(ValueError, match="square"):
+        compound_measures(np.zeros((2, 3, 4)), 1, L1)
+    with pytest.raises(ValueError, match="non-finite"):
+        compound_measures(np.array([[[np.nan]]]), 1, L1)
+    with pytest.raises(ValueError):
+        compound_measures(np.zeros((2, 3, 3)), 4, L1)
+    assert np.array_equal(compound_measures(np.ones((4, 3, 3)), 0, L2), np.zeros(4))
+    scaled = MeasureKind("1", np.diag([1.0, 2.0, 4.0]))
+    stack = np.random.default_rng(32).standard_normal((5, 3, 3))
+    expected = [matrix_measure(add_compound(m, 2).data, scaled) for m in stack]
+    assert np.array_equal(compound_measures(stack, 2, scaled), expected)
+
+
+def test_closed_form_keeps_the_larger_dimension_limit():
+    # r = C(17, 8) = 24310: too large for a dense compound, fine for the closed forms
+    assert compound_measure(np.eye(17), 8, L1) == 8.0
+    assert compound_measure(np.eye(17), 8, LINF) == 8.0
+    assert compound_measure(np.eye(17), 8, L2) == 8.0
