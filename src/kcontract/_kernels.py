@@ -1,40 +1,12 @@
-"""Hot numeric kernels with a numba lane and a pure-numpy fallback.
+"""Hot numeric kernels: batched minor determinants and the ODE steppers.
 
-The numba lane is used when numba imports successfully and the environment
-variable ``KCONTRACT_NO_NUMBA`` is unset (or set to ``0``).  Both lanes run
-the same algorithms so results agree to rounding; performance is measured
-with the benchmark described in ``perfbench/README.md``.
+Everything here is plain numpy; performance is measured with the benchmark
+described in ``perfbench/README.md``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def use_numba() -> bool:
-    """True when the numba lane is active (checked at call time)."""
-    if not HAS_NUMBA:
-        return False
-    return os.environ.get("KCONTRACT_NO_NUMBA", "0") not in ("1", "true", "yes")
-
 
 # ---------------------------------------------------------------------------
 # Batched minor determinants
@@ -44,12 +16,15 @@ def use_numba() -> bool:
 _CHUNK_BUDGET = 4_000_000
 
 
-def _minor_dets_numpy(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Determinants of all |rows| x |cols| index-selected k x k minors.
 
     ``rows`` has shape (R, k) and ``cols`` (C, k), both 0-based.  Returns an
     (R, C) array with entry (a, b) = det(m[rows[a]][:, cols[b]]).
     """
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    m = np.ascontiguousarray(m, dtype=np.float64)
     nr, k = rows.shape
     nc = cols.shape[0]
     if k == 0:
@@ -80,81 +55,9 @@ def _minor_dets_numpy(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.n
     return out
 
 
-@njit(cache=True)
-def _det_lu(a):
-    """Determinant of a small square scratch matrix, LU with partial pivoting."""
-    n = a.shape[0]
-    det = 1.0
-    for j in range(n):
-        p = j
-        for i in range(j + 1, n):
-            if abs(a[i, j]) > abs(a[p, j]):
-                p = i
-        if p != j:
-            for c in range(n):
-                tmp = a[j, c]
-                a[j, c] = a[p, c]
-                a[p, c] = tmp
-            det = -det
-        piv = a[j, j]
-        if piv == 0.0:
-            return 0.0
-        det *= piv
-        for i in range(j + 1, n):
-            f = a[i, j] / piv
-            for c in range(j + 1, n):
-                a[i, c] -= f * a[j, c]
-    return det
-
-
-@njit(cache=True)
-def _minor_dets_numba(m, rows, cols):
-    nr, k = rows.shape
-    nc = cols.shape[0]
-    out = np.empty((nr, nc))
-    if k == 0:
-        out[:] = 1.0
-        return out
-    scratch = np.empty((k, k))
-    for a in range(nr):
-        for b in range(nc):
-            for i in range(k):
-                for j in range(k):
-                    scratch[i, j] = m[rows[a, i], cols[b, j]]
-            if k == 1:
-                out[a, b] = scratch[0, 0]
-            elif k == 2:
-                out[a, b] = scratch[0, 0] * scratch[1, 1] - scratch[0, 1] * scratch[1, 0]
-            elif k == 3:
-                out[a, b] = (
-                    scratch[0, 0] * (scratch[1, 1] * scratch[2, 2] - scratch[1, 2] * scratch[2, 1])
-                    - scratch[0, 1] * (scratch[1, 0] * scratch[2, 2] - scratch[1, 2] * scratch[2, 0])
-                    + scratch[0, 2] * (scratch[1, 0] * scratch[2, 1] - scratch[1, 1] * scratch[2, 0])
-                )
-            else:
-                out[a, b] = _det_lu(scratch.copy())
-    return out
-
-
-def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Dispatch batched minor determinants to the active lane."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    if use_numba():
-        return _minor_dets_numba(m, rows, cols)
-    return _minor_dets_numpy(m, rows, cols)
-
-
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) adaptive integration
 # ---------------------------------------------------------------------------
-
-# Built-in right-hand sides usable from the numba stepper.
-RHS_THOMAS = 1  # params: d, c          state: (x1, x2, x3)
-RHS_THOMAS_AUG = 2  # params: d, c, alpha, b1, b2, b3   state: (x1..x3, y)
-RHS_LTI = 3  # params: A flattened row-major          state: x
-RHS_REMARK2 = 4  # params: none         state: (x1, x2)
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.zeros((7, 7))
@@ -171,101 +74,13 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
-@njit(cache=True)
-def _rhs_builtin(kind, params, t, x, out):
-    if kind == RHS_THOMAS:
-        d = params[0]
-        c = params[1]
-        out[0] = np.sin(x[1]) - (d + c) * x[0]
-        out[1] = np.sin(x[2]) - (d + c) * x[1]
-        out[2] = np.sin(x[0]) - d * x[2]
-    elif kind == RHS_THOMAS_AUG:
-        d = params[0]
-        c = params[1]
-        alpha = params[2]
-        y = x[3]
-        out[0] = np.sin(x[1]) - (d + c) * x[0] + params[3] * y
-        out[1] = np.sin(x[2]) - (d + c) * x[1] + params[4] * y
-        out[2] = np.sin(x[0]) - d * x[2] + params[5] * y
-        out[3] = alpha * y
-    elif kind == RHS_LTI:
-        n = x.shape[0]
-        for i in range(n):
-            acc = 0.0
-            for j in range(n):
-                acc += params[i * n + j] * x[j]
-            out[i] = acc
-    elif kind == RHS_REMARK2:
-        out[0] = -0.5 * x[0] * x[0] - x[0]
-        out[1] = x[1] * x[0]
+def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
+    """Adaptive Dormand-Prince 5(4) run, sampled exactly at ``t_eval``.
 
-
-@njit(cache=True)
-def _rk45_builtin(kind, params, x0, t_eval, rtol, atol, max_step, a, b5, err_w, c_nodes):
-    n = x0.shape[0]
-    n_out = t_eval.shape[0]
-    states = np.empty((n_out, n))
-    t = t_eval[0]
-    x = x0.copy()
-    states[0] = x
-    k = np.empty((7, n))
-    _rhs_builtin(kind, params, t, x, k[0])
-    # initial step from rhs scale
-    d0 = 0.0
-    d1 = 0.0
-    for i in range(n):
-        sc = atol + rtol * abs(x[i])
-        d0 += (x[i] / sc) ** 2
-        d1 += (k[0, i] / sc) ** 2
-    d0 = np.sqrt(d0 / n)
-    d1 = np.sqrt(d1 / n)
-    h_rec = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    idx = 1
-    xs = np.empty(n)
-    xe = np.empty(n)
-    while idx < n_out:
-        if h_rec < 1e-14 * max(1.0, abs(t)):
-            return 1, states
-        dt_out = t_eval[idx] - t
-        attempt = min(h_rec, max_step)
-        hit_output = attempt >= dt_out
-        h = dt_out if hit_output else attempt
-        for s in range(1, 7):
-            xs[:] = x
-            for j in range(s):
-                if a[s, j] != 0.0:
-                    xs += h * a[s, j] * k[j]
-            _rhs_builtin(kind, params, t + c_nodes[s] * h, xs, k[s])
-        # stage 6 evaluation point is the 5th-order solution itself
-        xnew = x + h * (b5[0] * k[0] + b5[2] * k[2] + b5[3] * k[3] + b5[4] * k[4] + b5[5] * k[5])
-        xe[:] = 0.0
-        for s in range(7):
-            if err_w[s] != 0.0:
-                xe += err_w[s] * k[s]
-        xe *= h
-        err = 0.0
-        for i in range(n):
-            sc = atol + rtol * max(abs(x[i]), abs(xnew[i]))
-            err += (xe[i] / sc) ** 2
-        err = np.sqrt(err / n)
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if err <= 1.0:
-            x = xnew
-            k[0] = k[6]
-            if hit_output:
-                t = t_eval[idx]
-                states[idx] = x
-                idx += 1
-                h_rec = max(h_rec, h * factor)
-            else:
-                t = t + h
-                h_rec = h * factor
-        else:
-            h_rec = h * factor
-    return 0, states
-
-
-def _rk45_python(f, x0, t_eval, rtol, atol, max_step):
+    Returns (status, states); status 0 = ok, 1 = step-size underflow.
+    """
+    t_eval = np.ascontiguousarray(t_eval, dtype=np.float64)
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
     a, b5, err_w, c_nodes = _DP_A, _DP_B5, _DP_E, _DP_C
     n = x0.shape[0]
     n_out = t_eval.shape[0]
@@ -290,6 +105,7 @@ def _rk45_python(f, x0, t_eval, rtol, atol, max_step):
         for s in range(1, 7):
             xs = x + h * (a[s, :s] @ k[:s])
             k[s] = f(t + c_nodes[s] * h, xs)
+        # stage 6 evaluation point is the 5th-order solution itself
         xnew = x + h * (b5[0] * k[0] + b5[2] * k[2] + b5[3] * k[3] + b5[4] * k[4] + b5[5] * k[5])
         xe = h * (err_w @ k)
         sc = atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
@@ -309,26 +125,6 @@ def _rk45_python(f, x0, t_eval, rtol, atol, max_step):
         else:
             h_rec = h * factor
     return 0, states
-
-
-def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, kernel_kind=0, kernel_params=None):
-    """Adaptive Dormand-Prince 5(4) run, sampled exactly at ``t_eval``.
-
-    When the system declares a built-in kernel id and the numba lane is
-    active, stepping happens inside a compiled loop; otherwise the python
-    callback path runs the same scheme.
-    Returns (status, states); status 0 = ok, 1 = step-size underflow.
-    """
-    t_eval = np.ascontiguousarray(t_eval, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if kernel_kind and use_numba():
-        params = np.ascontiguousarray(
-            kernel_params if kernel_params is not None else [], dtype=np.float64
-        )
-        return _rk45_builtin(
-            kernel_kind, params, x0, t_eval, rtol, atol, max_step, _DP_A, _DP_B5, _DP_E, _DP_C
-        )
-    return _rk45_python(f, x0, t_eval, rtol, atol, max_step)
 
 
 def rk4_fixed(f, x0, t_grid, substeps=1):

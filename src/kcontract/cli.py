@@ -9,6 +9,7 @@ certificate, 5 integration failure (partial output written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,7 +39,9 @@ EXIT_INCONCLUSIVE = 4
 EXIT_INTEGRATION = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; each subcommand sets ``run``."""
     p = argparse.ArgumentParser(prog="kcontract", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -48,11 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", choices=("mult", "add"), default="mult")
     c.add_argument("--output")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
+    c.set_defaults(run=_cmd_compound)
 
     m = sub.add_parser("measure", help="matrix measure, optionally of the k-th additive compound")
     m.add_argument("--input", required=True)
     m.add_argument("--kind", default="l2", help="l1, l2 or linf")
     m.add_argument("--k", type=int, default=None)
+    m.set_defaults(run=_cmd_measure)
 
     d = sub.add_parser("decompose", help="block-diagonal compound decomposition of diag(A, B)")
     d.add_argument("--input", nargs=2, required=True, metavar=("A", "B"))
@@ -60,10 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--kind", choices=("mult", "add"), default="mult")
     d.add_argument("--output")
     d.add_argument("--format", choices=("csv", "json"), default="json")
+    d.set_defaults(run=_cmd_decompose)
 
     ce = sub.add_parser("certify", help="run a contraction certificate from a JSON config")
     ce.add_argument("--input", required=True)
     ce.add_argument("--output", help="write the JSON report here")
+    ce.set_defaults(run=_cmd_certify)
 
     si = sub.add_parser("simulate", help="integrate trajectories and summarize")
     si.add_argument("--input", help="JSON config (or use --preset)")
@@ -73,9 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("--horizon", type=float, help="final time override")
     si.add_argument("--grid", type=int, help="number of output samples")
     si.add_argument("--format", choices=("csv", "json"), default="csv")
+    si.set_defaults(run=_cmd_simulate)
 
     v = sub.add_parser("volume", help="volume of the parallelotope spanned by matrix columns")
     v.add_argument("--input", required=True)
+    v.set_defaults(run=_cmd_volume)
     return p
 
 
@@ -366,6 +375,8 @@ def _cmd_simulate(args) -> int:
     in_box = True
     if sysm.domain is not None:
         box = sysm.domain
+        if augmented:  # the records keep only the three Thomas states
+            box = systems.Box(box.lo[:3], box.hi[:3])
         for rec in records:
             if rec.states.shape[1] == box.dim and not box.contains(rec.states, slack=1e-7):
                 in_box = False
@@ -405,19 +416,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
     try:
-        if args.command == "compound":
-            return _cmd_compound(args)
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "volume":
-            return _cmd_volume(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except DimensionGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -1,10 +1,9 @@
 """ODE integration, variational and compound flows, and parallelotope volumes.
 
 The integrator is an adaptive Dormand-Prince 5(4) pair (default tolerances
-1e-10) sampled exactly at the requested output times; built-in systems run
-in the compiled kernel lane when numba is active.  Variational and compound
-flows are co-integrated with a fixed-step RK4 so that repeated runs are
-bit-for-bit reproducible.
+1e-10) sampled exactly at the requested output times.  Variational and
+compound flows are co-integrated with a fixed-step RK4 so that repeated runs
+are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -73,16 +72,7 @@ def integrate(
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
-    status, states = rk45_solve(
-        sys.f,
-        x0,
-        t_eval,
-        rtol,
-        atol,
-        max_step=max_step,
-        kernel_kind=sys.kernel_kind,
-        kernel_params=sys.kernel_params,
-    )
+    status, states = rk45_solve(sys.f, x0, t_eval, rtol, atol, max_step=max_step)
     if status != 0:
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
     if sys.domain is not None and sys.domain.contains(x0, slack=1e-9):

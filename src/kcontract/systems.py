@@ -2,9 +2,8 @@
 
 A SystemModel bundles a vector field, its Jacobian, an optional box domain
 and optional entry-wise Jacobian bounds valid over that domain and all times.
-Built-ins (the Thomas attractor family, a diagonal LTI cascade and a planar
-cooperative system on the positive orthant) also declare a compiled kernel id
-so the integrator can run them inside the numba lane.
+Built-ins are the Thomas attractor family, a diagonal LTI cascade and a
+planar cooperative system on the positive orthant.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .compounds import add_compound_interval, as_matrix, lift_diagonal_scaling, require_square
 
 
@@ -162,8 +160,6 @@ class SystemModel:
     entry_bounds: Optional[EntryBounds] = None
     name: str = "system"
     input_dim: int = 0
-    kernel_kind: int = 0
-    kernel_params: Optional[np.ndarray] = None
     lti_matrix: Optional[np.ndarray] = None
 
     @property
@@ -314,28 +310,50 @@ def thomas(d: float = THOMAS_D) -> SystemModel:
     return thomas_controlled(d, 0.0, name=f"thomas(d={d:g})")
 
 
+def _thomas_terms(x, d: float, c: float) -> tuple:
+    """The three components of the controlled Thomas field at x[:3].
+
+    Returned as scalars so that forced variants add their input component by
+    component, with the same rounding as the unforced field.
+    """
+    return (
+        np.sin(x[1]) - (d + c) * x[0],
+        np.sin(x[2]) - (d + c) * x[1],
+        np.sin(x[0]) - d * x[2],
+    )
+
+
+def _thomas_jacobian(x, d: float, c: float) -> np.ndarray:
+    """The 3x3 Jacobian of the controlled Thomas field at x[:3]."""
+    return np.array(
+        [
+            [-d - c, np.cos(x[1]), 0.0],
+            [0.0, -d - c, np.cos(x[2])],
+            [np.cos(x[0]), 0.0, -d],
+        ]
+    )
+
+
+def _thomas_input(d: float, c: Optional[float], b) -> tuple[float, np.ndarray]:
+    """Resolve the default gain and check the direction b of the input b*exp(alpha*t)."""
+    if c is None:
+        c = thomas_controller_gain(d)
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != 3:
+        raise ValueError("perturbation direction b must have 3 components")
+    return c, b
+
+
 def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None) -> SystemModel:
     """Thomas system under the partial-state feedback -diag(c, c, 0) x."""
     if c is None:
         c = thomas_controller_gain(d)
 
     def f(t, x):
-        return np.array(
-            [
-                np.sin(x[1]) - (d + c) * x[0],
-                np.sin(x[2]) - (d + c) * x[1],
-                np.sin(x[0]) - d * x[2],
-            ]
-        )
+        return np.array(_thomas_terms(x, d, c))
 
     def jac(t, x):
-        return np.array(
-            [
-                [-d - c, np.cos(x[1]), 0.0],
-                [0.0, -d - c, np.cos(x[2])],
-                [np.cos(x[0]), 0.0, -d],
-            ]
-        )
+        return _thomas_jacobian(x, d, c)
 
     return SystemModel(
         state_dim=3,
@@ -344,8 +362,6 @@ def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None)
         domain=invariant_box(d),
         entry_bounds=_thomas_entry_bounds(d, c),
         name=name or f"thomas_controlled(d={d:g}, c={c:g})",
-        kernel_kind=_kernels.RHS_THOMAS,
-        kernel_params=np.array([d, c]),
     )
 
 
@@ -357,33 +373,16 @@ def thomas_perturbed(
 ) -> SystemModel:
     """Controlled Thomas system plus b*exp(alpha*t), as the time-invariant
     augmentation with an extra exponential state y, y(0) = 1."""
-    if c is None:
-        c = thomas_controller_gain(d)
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != 3:
-        raise ValueError("perturbation direction b must have 3 components")
+    c, b = _thomas_input(d, c, b)
 
     def f(t, z):
-        x, y = z[:3], z[3]
-        return np.array(
-            [
-                np.sin(x[1]) - (d + c) * x[0] + b[0] * y,
-                np.sin(x[2]) - (d + c) * x[1] + b[1] * y,
-                np.sin(x[0]) - d * x[2] + b[2] * y,
-                alpha * y,
-            ]
-        )
+        f1, f2, f3 = _thomas_terms(z, d, c)
+        y = z[3]
+        return np.array([f1 + b[0] * y, f2 + b[1] * y, f3 + b[2] * y, alpha * y])
 
     def jac(t, z):
-        x = z[:3]
         out = np.zeros((4, 4))
-        out[:3, :3] = np.array(
-            [
-                [-d - c, np.cos(x[1]), 0.0],
-                [0.0, -d - c, np.cos(x[2])],
-                [np.cos(x[0]), 0.0, -d],
-            ]
-        )
+        out[:3, :3] = _thomas_jacobian(z, d, c)
         out[:3, 3] = b
         out[3, 3] = alpha
         return out
@@ -403,25 +402,15 @@ def thomas_perturbed(
         domain=domain,
         entry_bounds=EntryBounds(lo, hi),
         name=f"thomas_perturbed(d={d:g}, c={c:g}, alpha={alpha:g})",
-        kernel_kind=_kernels.RHS_THOMAS_AUG,
-        kernel_params=np.concatenate([[d, c, alpha], b]),
     )
 
 
 def thomas_perturbed_field(d=THOMAS_D, c=None, alpha=THOMAS_ALPHA, b=THOMAS_B):
     """Time-varying 3-state view of the perturbed closed loop, t -> f(t, x)."""
-    if c is None:
-        c = thomas_controller_gain(d)
-    b = np.asarray(b, dtype=np.float64).ravel()
+    c, b = _thomas_input(d, c, b)
 
     def f(t, x):
-        return np.array(
-            [
-                np.sin(x[1]) - (d + c) * x[0],
-                np.sin(x[2]) - (d + c) * x[1],
-                np.sin(x[0]) - d * x[2],
-            ]
-        ) + b * np.exp(alpha * t)
+        return np.array(_thomas_terms(x, d, c)) + b * np.exp(alpha * t)
 
     return f
 
@@ -443,8 +432,6 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
         jacobian=jac,
         entry_bounds=EntryBounds(a, a),
         name=name or f"lti({n}x{n})",
-        kernel_kind=_kernels.RHS_LTI,
-        kernel_params=a.ravel().copy(),
         lti_matrix=a.copy(),
     )
 
@@ -510,8 +497,6 @@ def remark2() -> SystemModel:
         domain=Box([0.0, 0.0], [np.inf, np.inf]),
         entry_bounds=bounds,
         name="remark2",
-        kernel_kind=_kernels.RHS_REMARK2,
-        kernel_params=np.zeros(0),
     )
 
 

@@ -117,6 +117,17 @@ def cli_cases(tmp: Path) -> dict[str, bytes]:
     out["decompose_add_k3.txt"] = _cli(["decompose", "--input", apath, bpath, "--k", 3,
                                         "--kind", "add", "--output", dest])
     out["decompose_add_k3.json"] = dest.read_bytes()
+
+    # simulate presets: the summary on stdout plus one written file each;
+    # fig2/fig3 run to t = 20 to keep the suite fast
+    for preset, extra, written in (
+        ("fig2", ["--horizon", 20], "traj_03.csv"),
+        ("fig3", ["--horizon", 20], "traj_09.csv"),
+        ("growth", [], "volume.csv"),
+    ):
+        dest = tmp / f"simulate_{preset}"
+        out[f"simulate_{preset}.txt"] = _cli(["simulate", "--preset", preset, "--output", dest, *extra])
+        out[f"simulate_{preset}_{written}"] = (dest / written).read_bytes()
     return out
 
 

@@ -25,6 +25,8 @@ from kcontract.systems import (
     remark2,
     thomas,
     thomas_controlled,
+    thomas_perturbed,
+    thomas_perturbed_field,
 )
 
 from .helpers import well_conditioned
@@ -57,6 +59,28 @@ def test_thomas_trajectory_stays_in_invariant_box():
     box = invariant_box(0.193186)
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 100.0), n_out=1001)
     assert all(box.contains(s, slack=1e-7) for s in rec.states)
+
+
+def test_perturbed_thomas_views_share_one_field_exactly():
+    d, c, alpha, b = 0.2, 0.5, -0.3, np.array([0.1, -0.25, 0.4])
+    augmented = thomas_perturbed(d, c, alpha, b)
+    field = thomas_perturbed_field(d, c, alpha, b)
+    controlled = thomas_controlled(d, c)
+    rng = np.random.default_rng(3)
+    for t, x in zip(rng.uniform(0.0, 50.0, 200), rng.uniform(-6.0, 6.0, (200, 3))):
+        z = np.append(x, np.exp(alpha * t))
+        assert np.array_equal(augmented.f(t, z)[:3], field(t, x))
+        assert augmented.f(t, z)[3] == alpha * z[3]
+        jac = augmented.jacobian(t, z)
+        assert np.array_equal(jac[:3, :3], controlled.jacobian(t, x))
+        assert np.array_equal(jac[:3, 3], b) and jac[3, 3] == alpha and not jac[3, :3].any()
+
+
+@pytest.mark.parametrize("factory", [thomas_perturbed, thomas_perturbed_field])
+@pytest.mark.parametrize("b", [np.ones(2), np.ones(4)])
+def test_perturbed_thomas_requires_a_three_component_input(factory, b):
+    with pytest.raises(ValueError, match="3 components"):
+        factory(b=b)
 
 
 def test_escaping_declared_box_warns():

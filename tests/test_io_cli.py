@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kcontract import matio
-from kcontract.cli import main
+from kcontract.cli import _build_parser, main
 from kcontract.compounds import block_diag_mult_decompose
 from kcontract.dynamics import TrajectoryRecord
 
@@ -117,6 +117,49 @@ def test_cli_simulate_reports_leaving_the_declared_box(tmp_path):
             assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["in_invariant_box"] is inside
+
+
+@pytest.mark.parametrize("start, inside", [([0.5, -0.5, 0.5], True), ([9.0, 9.0, 9.0], False)])
+def test_cli_simulate_checks_the_box_of_the_perturbed_system(tmp_path, start, inside):
+    # the augmented state (x, y) is written as x only; x is checked against
+    # the first three coordinates of the 4-dimensional declared box
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "thomas_perturbed", "initial_conditions": [start],
+                               "horizon": 2.0, "n_out": 21}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["in_invariant_box"] is inside
+
+
+def test_cli_main_gives_fresh_results_on_repeated_calls(tmp_path, capsys):
+    f = tmp_path / "m.csv"
+    _write_matrix(f, np.array([[-2.0, 1.0], [0.5, -3.0]]))
+    calls = [
+        ["measure", "--input", str(f), "--kind", "l1"],
+        ["volume", "--input", str(f)],
+        ["measure", "--input", str(f), "--kind", "wrong"],
+        ["compound", "--input", str(f), "--k", "x"],
+        ["compound", "--input", str(f), "--k", "2", "--kind", "add"],
+        ["measure", "--input", str(f), "--kind", "linf", "--k", "1"],
+        [],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    consecutive = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert consecutive == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 0, 2]
+    assert "invalid int value" in fresh[3][2]
 
 
 def test_cli_measure(tmp_path, capsys):

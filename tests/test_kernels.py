@@ -1,62 +1,8 @@
-"""Parity between the numba lane and the pure-numpy fallback."""
+"""The numpy kernels: fixed-step RK4 order and adaptive-step failure."""
 
 import numpy as np
-import pytest
 
 from kcontract import _kernels
-from kcontract.compounds import mult_compound
-from kcontract.dynamics import integrate
-from kcontract.systems import lti, thomas_controlled, thomas_perturbed
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-
-
-def test_env_flag_disables_numba(monkeypatch):
-    if not _kernels.HAS_NUMBA:
-        assert not _kernels.use_numba()
-        return
-    monkeypatch.delenv("KCONTRACT_NO_NUMBA", raising=False)
-    assert _kernels.use_numba()
-    monkeypatch.setenv("KCONTRACT_NO_NUMBA", "1")
-    assert not _kernels.use_numba()
-
-
-@needs_numba
-def test_minor_determinant_parity(monkeypatch):
-    rng = np.random.default_rng(0)
-    for n, k in [(4, 2), (5, 3), (6, 4), (7, 5)]:
-        m = rng.standard_normal((n, n))
-        monkeypatch.setenv("KCONTRACT_NO_NUMBA", "1")
-        a = mult_compound(m, k).data
-        monkeypatch.delenv("KCONTRACT_NO_NUMBA")
-        b = mult_compound(m, k).data
-        assert np.abs(a - b).max() < 1e-12 * max(1.0, np.abs(a).max())
-
-
-@needs_numba
-def test_rk45_parity_linear(monkeypatch):
-    a = np.array([[-1.0, 2.0], [0.0, -3.0]])
-    sysm = lti(a)
-    monkeypatch.setenv("KCONTRACT_NO_NUMBA", "1")
-    r1 = integrate(sysm, [1.0, -1.0], (0.0, 5.0), n_out=26)
-    monkeypatch.delenv("KCONTRACT_NO_NUMBA")
-    r2 = integrate(sysm, [1.0, -1.0], (0.0, 5.0), n_out=26)
-    assert np.abs(r1.states - r2.states).max() < 1e-9
-
-
-@needs_numba
-def test_rk45_parity_thomas_family(monkeypatch):
-    # short horizons: the controlled system is non-chaotic, low-bit
-    # differences between lanes stay small
-    for sysm, x0 in [
-        (thomas_controlled(), [0.3, -0.2, 0.5]),
-        (thomas_perturbed(), [0.3, -0.2, 0.5, 1.0]),
-    ]:
-        monkeypatch.setenv("KCONTRACT_NO_NUMBA", "1")
-        r1 = integrate(sysm, x0, (0.0, 10.0), n_out=101)
-        monkeypatch.delenv("KCONTRACT_NO_NUMBA")
-        r2 = integrate(sysm, x0, (0.0, 10.0), n_out=101)
-        assert np.abs(r1.states - r2.states).max() < 1e-7
 
 
 def test_rk4_fixed_order():
@@ -70,8 +16,8 @@ def test_rk4_fixed_order():
     assert errs[0] / errs[1] > 10.0
 
 
-def test_rk45_python_reports_underflow():
+def test_rk45_solve_reports_underflow():
     # a field that blows up in finite time forces step collapse
     f = lambda t, x: x * x
-    status, _ = _kernels._rk45_python(f, np.array([1.0]), np.array([0.0, 2.0]), 1e-10, 1e-10, np.inf)
+    status, _ = _kernels.rk45_solve(f, np.array([1.0]), np.array([0.0, 2.0]), 1e-10, 1e-10, np.inf)
     assert status == 1
