@@ -40,6 +40,7 @@ from .dynamics import (
     fit_exponential_rate,
     gram_volume,
     integrate,
+    integrate_many,
     parallelotope_volume,
     variational_flow,
     volume_growth_rate,

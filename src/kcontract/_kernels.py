@@ -1,4 +1,6 @@
-"""Hot numeric kernels: batched minor determinants and the ODE steppers.
+"""Hot numeric kernels: batched minor determinants, the adaptive
+Dormand-Prince stepper that moves many starts in lockstep (vector fields
+called with the states as columns), and fixed-step RK4.
 
 Everything here is plain numpy; performance is measured with the benchmark
 described in ``perfbench/README.md``.
@@ -74,57 +76,126 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
-def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
-    """Adaptive Dormand-Prince 5(4) run, sampled exactly at ``t_eval``.
+#: Row s of the tableau restricted to the s earlier stages, the nodes and the
+#: 5th-order weights as floats: the stepper reads them once per stage.
+_DP_ROWS = tuple(_DP_A[s, :s] for s in range(7))
+_DP_NODES = tuple(_DP_C.tolist())
+_B5 = tuple(_DP_B5.tolist())
 
-    Returns (status, states); status 0 = ok, 1 = step-size underflow.
+
+def _live_layout(x, k):
+    """The live rows' states and stage stack, without the row axis when one
+    row is live, plus the per-stage views k[..., :s, :] and k[..., s, :]."""
+    if x.shape[0] == 1:
+        x, k = x[0], k[0]
+    return x, k, [k[..., :s, :] for s in range(7)], [k[..., s, :] for s in range(7)]
+
+
+def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
+    """Adaptive Dormand-Prince 5(4) runs of B starts in lockstep, each
+    sampled exactly at ``t_eval``.
+
+    ``x0`` is one start, shape (n,), or a stack of starts, shape (B, n).  Each
+    row keeps its own time, step size, accept/reject decision and output
+    index.  ``f`` is called once per stage for all A live rows with the
+    states as columns: ``f(t, x)`` with ``x`` of shape (n, A) and ``t`` of
+    shape (A,), returning (n, A).  While one row is live it gets the 1-D
+    state and a float ``t``.  So a row's result is bitwise the same as its own
+    B = 1 run whenever ``f`` computes each column as it computes a 1-D state.
+
+    Returns (status, states); status 0 = ok, 1 = step-size underflow.  For a
+    1-D ``x0`` the status is an int and ``states`` has shape (n_out, n); for a
+    stack they have shapes (B,) and (B, n_out, n).  A row that underflows is
+    frozen, its samples after the last one reached are undefined, and the
+    other rows go on.
     """
     t_eval = np.ascontiguousarray(t_eval, dtype=np.float64)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    a, b5, err_w, c_nodes = _DP_A, _DP_B5, _DP_E, _DP_C
-    n = x0.shape[0]
-    n_out = t_eval.shape[0]
-    states = np.empty((n_out, n))
-    t = t_eval[0]
-    x = x0.copy()
-    states[0] = x
-    k = np.empty((7, n))
-    k[0] = f(t, x)
+    x0 = np.asarray(x0, dtype=np.float64)
+    x = np.array(x0, ndmin=2)  # states of the live rows, (A, n)
+    n_rows, n = x.shape
+    out_times = t_eval.tolist()
+    n_out = len(out_times)
+    states = np.empty((n_rows, n_out, n))
+    states[:, 0] = x
+    status = np.zeros(n_rows, dtype=np.int64)
+    live = list(range(n_rows))  # the start each live row belongs to
+    t = [out_times[0]] * n_rows
+    idx = [1] * n_rows
+    k = np.empty((n_rows, 7, n))  # stage derivatives of the live rows
+    k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T).T
     scale = atol + rtol * np.abs(x)
-    d0 = np.sqrt(np.mean((x / scale) ** 2))
-    d1 = np.sqrt(np.mean((k[0] / scale) ** 2))
-    h_rec = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    idx = 1
-    while idx < n_out:
-        if h_rec < 1e-14 * max(1.0, abs(t)):
-            return 1, states
-        dt_out = t_eval[idx] - t
-        attempt = min(h_rec, max_step)
-        hit_output = attempt >= dt_out
-        h = dt_out if hit_output else attempt
-        for s in range(1, 7):
-            xs = x + h * (a[s, :s] @ k[:s])
-            k[s] = f(t + c_nodes[s] * h, xs)
-        # stage 6 evaluation point is the 5th-order solution itself
-        xnew = x + h * (b5[0] * k[0] + b5[2] * k[2] + b5[3] * k[3] + b5[4] * k[4] + b5[5] * k[5])
-        xe = h * (err_w @ k)
-        sc = atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
-        err = np.sqrt(np.mean((xe / sc) ** 2))
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if err <= 1.0:
-            x = xnew
-            k[0] = k[6]
-            if hit_output:
-                t = t_eval[idx]
-                states[idx] = x
-                idx += 1
-                h_rec = max(h_rec, h * factor)
-            else:
-                t = t + h
-                h_rec = h * factor
+    d0 = np.sqrt(np.add.reduce((x / scale) ** 2, axis=1) / n).tolist()
+    d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
+    h_rec = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
+    x, k, lead, stage = _live_layout(x, k)
+    while True:
+        # retire finished and underflowed rows; size the next step of the rest
+        h, hit, drop = [], [], []
+        for j, tj in enumerate(t):
+            i = idx[j]
+            if i == n_out or h_rec[j] < 1e-14 * max(1.0, abs(tj)):
+                if i < n_out:
+                    status[live[j]] = 1
+                drop.append(j)
+                continue
+            attempt = min(h_rec[j], max_step)
+            dt_out = out_times[i] - tj
+            hit.append(attempt >= dt_out)
+            h.append(min(attempt, dt_out))
+        n_live = len(h)
+        if n_live == 0:
+            break
+        if drop:
+            keep = [j for j in range(len(t)) if j not in drop]
+            x, k, lead, stage = _live_layout(x[keep], k[keep])
+            live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
+        one = n_live == 1
+        if one:
+            t_now, h_now = t[0], h[0]
+            h_col = h_now
         else:
-            h_rec = h * factor
-    return 0, states
+            t_now, h_now = np.array(t), np.array(h)
+            h_col = h_now[:, None]
+        for s in range(1, 7):
+            xs = x + h_col * (_DP_ROWS[s] @ lead[s])
+            ts = t_now + _DP_NODES[s] * h_now
+            stage[s][...] = f(ts, xs) if one else f(ts, xs.T).T
+        # stage 6 evaluation point is the 5th-order solution itself
+        xnew = x + h_col * (
+            _B5[0] * stage[0] + _B5[2] * stage[2] + _B5[3] * stage[3] + _B5[4] * stage[4]
+            + _B5[5] * stage[5]
+        )
+        xe = h_col * (_DP_E @ k)
+        sc = atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
+        err = np.sqrt(np.add.reduce((xe / sc) ** 2, axis=-1) / n).reshape(-1).tolist()
+        accepted, reached = [], []
+        for j, e in enumerate(err):
+            # the step factor on Python floats: numpy's vectorised pow rounds
+            # differently from the scalar pow
+            factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+            if e <= 1.0:
+                accepted.append(j)
+                if hit[j]:
+                    t[j] = out_times[idx[j]]
+                    reached.append(j)
+                    h_rec[j] = max(h_rec[j], h[j] * factor)
+                else:
+                    t[j] = t[j] + h[j]
+                    h_rec[j] = h[j] * factor
+            else:
+                h_rec[j] = h[j] * factor
+        if len(accepted) == n_live:
+            x = xnew
+            stage[0][...] = stage[6]
+        elif accepted:
+            x[accepted] = xnew[accepted]
+            k[accepted, 0] = k[accepted, 6]
+        for j in reached:
+            states[live[j], idx[j]] = x if one else x[j]
+            idx[j] += 1
+    if x0.ndim == 1:
+        return int(status[0]), states[0]
+    return status, states
 
 
 def rk4_fixed(f, x0, t_grid, substeps=1):

@@ -23,7 +23,7 @@ from .dynamics import (
     IntegrationError,
     TrajectoryRecord,
     detect_equilibrium_convergence,
-    integrate,
+    integrate_many,
     parallelotope_volume,
     volume_growth_rate,
 )
@@ -178,7 +178,7 @@ def _system_from_config(cfg: dict) -> SystemModel:
                 raise ValueError("jacobian_from system dimension does not match bounds")
             f, jac = donor.f, donor.jacobian
         else:
-            f, jac = (lambda t, x: np.zeros(eb.dim)), (lambda t, x: eb.lo)
+            f, jac = (lambda t, x: np.zeros_like(x)), (lambda t, x: eb.lo)
         return SystemModel(
             state_dim=eb.dim,
             f=f,
@@ -340,15 +340,17 @@ def _cmd_simulate(args) -> int:
     n_out = int(cfg.get("n_out", 1001))
     detect_tol = float(cfg.get("detect_tol", 1e-6))
 
-    augmented = sysm.name.startswith("thomas_perturbed")
+    # the augmented perturbed Thomas model: 3-D starts get the exponential
+    # state y(0) = 1, and only the three Thomas states are written
+    augmented = cfg.get("system") == "thomas_perturbed"
+    if augmented and ics.shape[1] == 3:
+        ics = np.hstack([ics, np.ones((ics.shape[0], 1))])
+    runs = integrate_many(sysm, ics, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
     records: list[TrajectoryRecord] = []
     files = []
     failures = 0
-    for idx, x0 in enumerate(ics, start=1):
-        full_x0 = np.concatenate([x0, [1.0]]) if augmented and x0.size == 3 else x0
-        try:
-            rec = integrate(sysm, full_x0, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
-        except IntegrationError:
+    for idx, rec in enumerate(runs, start=1):
+        if rec is None:
             failures += 1
             continue
         if augmented:

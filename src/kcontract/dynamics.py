@@ -1,9 +1,12 @@
 """ODE integration, variational and compound flows, and parallelotope volumes.
 
 The integrator is an adaptive Dormand-Prince 5(4) pair (default tolerances
-1e-10) sampled exactly at the requested output times.  Variational and
-compound flows are co-integrated with a fixed-step RK4 so that repeated runs
-are bit-for-bit reproducible.
+1e-10) sampled exactly at the requested output times.  ``integrate_many``
+moves many starts in lockstep, each with its own step size and step
+control, and calls the vector field once per stage for all of them with the
+states as columns (see ``systems``); every start gets bitwise the result of
+its own ``integrate`` run.  Variational and compound flows are co-integrated
+with a fixed-step RK4 so that repeated runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -59,27 +62,60 @@ def integrate(
     t_eval=None,
     max_step: float = np.inf,
 ) -> TrajectoryRecord:
-    """Integrate the system over ``t_span`` and sample at ``t_eval``.
+    """Integrate the system from one start over ``t_span`` and sample at
+    ``t_eval``: ``integrate_many`` with a single start.
 
-    Escaping a declared invariant box triggers a warning, not a failure.
+    Escaping a declared invariant box triggers a warning, not a failure;
+    a step-size underflow raises ``IntegrationError``.
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.size != sys.state_dim:
-        raise ValueError(f"initial state has dimension {x0.size}, expected {sys.state_dim}")
+    (rec,) = integrate_many(sys, x0[None], t_span, rtol, atol, n_out, t_eval, max_step)
+    if rec is None:
+        raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    return rec
+
+
+def integrate_many(
+    sys: SystemModel,
+    x0s,
+    t_span,
+    rtol: float = 1e-10,
+    atol: float = 1e-10,
+    n_out: int = 1001,
+    t_eval=None,
+    max_step: float = np.inf,
+) -> list[Optional[TrajectoryRecord]]:
+    """Integrate the system from each row of ``x0s`` (shape (B, n)) in
+    lockstep over ``t_span`` and sample at ``t_eval``.
+
+    ``sys.f`` must take states as columns.  Returns one record per start,
+    or None for a start whose step size underflowed; the other starts are
+    not affected by it.  Escaping a declared invariant box triggers a
+    warning, not a failure.
+    """
+    x0s = np.asarray(x0s, dtype=np.float64)
+    if x0s.ndim != 2:
+        raise ValueError("initial states must be a (B, n) stack, one start per row")
+    if x0s.shape[1] != sys.state_dim:
+        raise ValueError(f"initial state has dimension {x0s.shape[1]}, expected {sys.state_dim}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
-    status, states = rk45_solve(sys.f, x0, t_eval, rtol, atol, max_step=max_step)
-    if status != 0:
-        raise IntegrationError(f"step-size underflow while integrating {sys.name}")
-    if sys.domain is not None and sys.domain.contains(x0, slack=1e-9):
-        slack = 1e-7 * max(1.0, float(np.abs(states).max()))
-        if not sys.domain.contains(states, slack=slack):
-            warnings.warn(f"trajectory of {sys.name} left its declared invariant box")
-    return TrajectoryRecord(t_eval, states, system=sys.name)
+    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, max_step=max_step)
+    records: list[Optional[TrajectoryRecord]] = []
+    for x0, failed, path in zip(x0s, status, states):
+        if failed:
+            records.append(None)
+            continue
+        if sys.domain is not None and sys.domain.contains(x0, slack=1e-9):
+            slack = 1e-7 * max(1.0, float(np.abs(path).max()))
+            if not sys.domain.contains(path, slack=slack):
+                warnings.warn(f"trajectory of {sys.name} left its declared invariant box")
+        records.append(TrajectoryRecord(t_eval, path, system=sys.name))
+    return records
 
 
 def variational_flow(

@@ -4,6 +4,12 @@ A SystemModel bundles a vector field, its Jacobian, an optional box domain
 and optional entry-wise Jacobian bounds valid over that domain and all times.
 Built-ins are the Thomas attractor family, a diagonal LTI cascade and a
 planar cooperative system on the positive orthant.
+
+Vector fields take states as columns: ``f(t, x)`` with ``x`` of shape (n,)
+or (n, B) and ``t`` a float or a (B,) array, returning the same shape as
+``x``.  Each built-in field computes every column bitwise as it computes
+that column alone, so the lockstep integrator can advance many starts in
+one call without changing any of them.
 """
 
 from __future__ import annotations
@@ -151,7 +157,12 @@ class EntryBounds:
 
 @dataclass
 class SystemModel:
-    """A (possibly time-varying) ODE system with Jacobian and domain data."""
+    """A (possibly time-varying) ODE system with Jacobian and domain data.
+
+    ``f`` follows the states-as-columns contract of this module; a field that
+    only takes 1-D states still works with ``integrate``, which integrates one
+    start at a time.
+    """
 
     state_dim: int
     f: Callable[[float, np.ndarray], np.ndarray]
@@ -410,7 +421,7 @@ def thomas_perturbed_field(d=THOMAS_D, c=None, alpha=THOMAS_ALPHA, b=THOMAS_B):
     c, b = _thomas_input(d, c, b)
 
     def f(t, x):
-        return np.array(_thomas_terms(x, d, c)) + b * np.exp(alpha * t)
+        return np.array(_thomas_terms(x, d, c)) + np.multiply.outer(b, np.exp(alpha * t))
 
     return f
 
@@ -421,7 +432,9 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
     n = a.shape[0]
 
     def f(t, x):
-        return a @ x
+        # one matrix-vector product per column: a @ x on an (n, B) stack
+        # rounds its columns differently from a @ x on each column
+        return np.matmul(a, x.T[..., None])[..., 0].T
 
     def jac(t, x):
         return a

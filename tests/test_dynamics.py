@@ -6,11 +6,13 @@ import scipy.linalg as sla
 
 from kcontract.compounds import add_compound, mult_compound
 from kcontract.dynamics import (
+    IntegrationError,
     TrajectoryRecord,
     detect_equilibrium_convergence,
     fit_exponential_rate,
     gram_volume,
     integrate,
+    integrate_many,
     parallelotope_volume,
     variational_flow,
     volume_growth_rate,
@@ -21,6 +23,7 @@ from kcontract.systems import (
     SystemModel,
     invariant_box,
     lti,
+    lti_series,
     lti_series_zeta,
     remark2,
     thomas,
@@ -74,6 +77,64 @@ def test_perturbed_thomas_views_share_one_field_exactly():
         jac = augmented.jacobian(t, z)
         assert np.array_equal(jac[:3, :3], controlled.jacobian(t, x))
         assert np.array_equal(jac[:3, 3], b) and jac[3, 3] == alpha and not jac[3, :3].any()
+
+
+def _builtin_systems():
+    from kcontract.cli import _system_from_config
+
+    rng = np.random.default_rng(12)
+    bounds = {"lo": (-np.ones((3, 3))).tolist(), "hi": np.ones((3, 3)).tolist()}
+    series = lti_series(rng.standard_normal((2, 2)), rng.standard_normal((3, 2)),
+                        rng.standard_normal((3, 3)))
+    return {
+        "thomas": thomas(),
+        "thomas_controlled": thomas_controlled(),
+        "thomas_perturbed": thomas_perturbed(),
+        "lti": lti(rng.standard_normal((4, 4))),
+        "lti_series": series.full_system(),
+        "remark2": remark2(),
+        "bounds": _system_from_config({"system": "bounds", "bounds": bounds}),
+        "bounds_jacobian_from": _system_from_config(
+            {"system": "bounds", "bounds": bounds, "jacobian_from": {"system": "thomas"}}
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_builtin_systems()))
+def test_builtin_fields_compute_each_column_as_a_single_state(name):
+    sysm = _builtin_systems()[name]
+    rng = np.random.default_rng(4)
+    for batch in (2, 3, 9):
+        x = rng.uniform(-3.0, 3.0, (sysm.state_dim, batch))
+        t = rng.uniform(0.0, 30.0, batch)
+        columns = sysm.f(t, x)
+        assert columns.shape == x.shape
+        for j in range(batch):
+            assert np.array_equal(columns[:, j], sysm.f(float(t[j]), x[:, j]))
+
+
+def test_perturbed_field_computes_each_column_as_a_single_state():
+    field = thomas_perturbed_field()
+    rng = np.random.default_rng(6)
+    x, t = rng.uniform(-3.0, 3.0, (3, 9)), rng.uniform(0.0, 30.0, 9)
+    columns = field(t, x)
+    for j in range(9):
+        assert np.array_equal(columns[:, j], field(float(t[j]), x[:, j]))
+
+
+def test_integrate_many_gives_each_start_its_integrate_record():
+    sysm = remark2()
+    starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2]]  # x1 = -3 blows up in finite time
+    records = integrate_many(sysm, starts, (0.0, 5.0), n_out=51)
+    assert records[1] is None
+    for start, rec in zip(starts[::2], records[::2]):
+        single = integrate(sysm, start, (0.0, 5.0), n_out=51)
+        assert np.array_equal(rec.times, single.times)
+        assert np.array_equal(rec.states, single.states)
+    with pytest.raises(IntegrationError):
+        integrate(sysm, starts[1], (0.0, 5.0), n_out=51)
+    with pytest.raises(ValueError, match="dimension 3, expected 2"):
+        integrate_many(sysm, [[1.0, 2.0, 3.0]], (0.0, 1.0))
 
 
 @pytest.mark.parametrize("factory", [thomas_perturbed, thomas_perturbed_field])

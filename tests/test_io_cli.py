@@ -278,19 +278,43 @@ def test_cli_simulate_requires_config_or_preset():
     assert main(["simulate"]) == 2
 
 
-def test_cli_simulate_integration_failure_exit_5(tmp_path, monkeypatch):
-    import kcontract.cli as cli_mod
-    from kcontract.dynamics import IntegrationError
+def _simulate_config(tmp_path, name, cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / name
+    return main(["simulate", "--input", str(path), "--output", str(out)]), out
 
-    def boom(*args, **kwargs):
-        raise IntegrationError("forced failure")
 
-    monkeypatch.setattr(cli_mod, "integrate", boom)
-    out = tmp_path / "out"
-    assert main(["simulate", "--preset", "fig2", "--output", str(out)]) == 5
+def test_cli_simulate_integration_failure_exit_5(tmp_path):
+    # remark2 from x1 = -3 blows up in finite time; the other starts decay
+    starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2], [0.1, 2.0]]
+    base = {"system": "remark2", "horizon": 5.0, "n_out": 51}
+    code, out = _simulate_config(tmp_path, "batch", {**base, "initial_conditions": starts})
+    assert code == 5
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["integration_failures"] == 9
-    assert summary["files"] == []
+    assert summary["integration_failures"] == 1
+    assert summary["n_trajectories"] == 3
+    assert summary["files"] == ["traj_01.csv", "traj_03.csv", "traj_04.csv"]
+    assert not (out / "traj_02.csv").exists()
+    for idx in (1, 3, 4):
+        code, alone = _simulate_config(
+            tmp_path, f"alone{idx}", {**base, "initial_conditions": [starts[idx - 1]]}
+        )
+        assert code == 0
+        assert (out / f"traj_{idx:02d}.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["thomas_copy", "thomas_perturbed_copy"])
+def test_cli_simulate_user_bounds_system_is_not_augmented_by_its_name(tmp_path, name):
+    bounds = {"lo": [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, 0.0, -1.0]],
+              "hi": [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]}
+    code, out = _simulate_config(tmp_path, name, {
+        "system": "bounds", "name": name, "bounds": bounds, "jacobian_from": {"system": "thomas"},
+        "initial_conditions": [[0.1, 0.2, 0.3], [0.5, -0.5, 0.5]], "horizon": 2.0, "n_out": 21,
+    })
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["system"] == name and summary["n_trajectories"] == 2
 
 
 def test_cli_outputs_are_byte_identical_across_runs(tmp_path):
