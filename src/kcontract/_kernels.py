@@ -201,8 +201,9 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
 def rk4_fixed(f, x0, t_grid, substeps=1):
     """Classic fixed-step RK4 over ``t_grid`` with ``substeps`` per interval.
 
-    Deterministic workhorse for co-integrating variational and compound
-    flows, where reproducibility matters more than step control.
+    Deterministic workhorse for the state along which variational and
+    compound flows are taken, where reproducibility matters more than step
+    control.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)

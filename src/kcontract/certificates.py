@@ -22,11 +22,13 @@ measure.  Grid sampling never proves anything and is reported as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import indexing
 from .compounds import add_compound, add_compound_interval, lift_diagonal_scaling
 from .indexing import BlockPermutation, block_range, build_permutation
 from .measures import (
@@ -42,14 +44,11 @@ from .measures import (
     interval_measure_upper,
     matrix_measure,
 )
-from .systems import Box, EntryBounds, FeedbackModel, SeriesModel, SystemModel
+from .systems import Box, EntryBounds, FeedbackModel, SeriesModel, SystemModel, jacobian_stack
 
 #: A condition passes only when its bound is at most -PASS_THRESHOLD, so a
 #: certificate never rests on floating-point noise.
 PASS_THRESHOLD = 1e-9
-
-#: Bytes of stacked sample Jacobians a grid certificate holds at once.
-GRID_BATCH_BYTES = 1 << 24
 
 
 @dataclass
@@ -187,33 +186,40 @@ def _best_condition(index, candidates, evaluate) -> tuple[ConditionRecord, Measu
     return rec, kind
 
 
-def _grid_samples(domain: Optional[Box], grid_points: int, time_grid) -> tuple[list, np.ndarray]:
+def _grid_samples(
+    domain: Optional[Box], grid_points: int, time_grid
+) -> tuple[np.ndarray, np.ndarray]:
     if domain is None or not domain.is_finite:
         raise ValueError("grid sampling needs a finite box domain")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
-    return list(domain.grid(grid_points)), times
+    return domain.grid(grid_points), times
 
 
-def _sampled_measures(jacobian, samples: list, dim: int, keys) -> dict:
+def _columns(times, points) -> tuple[np.ndarray, np.ndarray]:
+    """Every (t, x) pair of the times and the points (P, n), time-major, as
+    a (T P,) array of times and the states as columns (n, T P)."""
+    return np.repeat(times, len(points)), np.tile(points.T, len(times))
+
+
+def _sampled_measures(jacobians, samples: tuple, dim: int, keys) -> dict:
     """Per-sample compound measures of sampled Jacobians, for grid certificates.
 
-    Returns, for every (order, kind) in ``keys``, the array of
-    mu_kind(J(*s)^[order]) over ``samples``.  Each sample's Jacobian is
-    evaluated once whatever the number of keys; Jacobians are stacked at most
-    GRID_BATCH_BYTES at a time, and each key takes one batched closed-form
-    call per stack.
+    ``samples`` holds the sample times (S,) and the state arguments as
+    columns, (d, S) each, and ``jacobians(t, *x)`` takes them as
+    ``jacobian_stack`` does.  Returns, for every (order, kind) in ``keys``,
+    the array of mu_kind(J(sample)^[order]) over the samples.  Each sample's
+    Jacobian is evaluated once whatever the number of keys; Jacobians are
+    stacked at most BATCH_BYTES at a time, one ``jacobians`` call per stack,
+    and each key takes one batched closed-form call per stack.
     """
-    out = {key: np.empty(len(samples)) for key in keys}
-    step = max(1, GRID_BATCH_BYTES // (8 * dim * dim))
-    for lo in range(0, len(samples), step):
-        chunk = samples[lo : lo + step]
-        stack = np.empty((len(chunk), dim, dim))
-        for pos, s in enumerate(chunk):
-            # copied at once: a Jacobian may reuse its output buffer
-            j = jacobian(*s)
-            if np.shape(j) != (dim, dim):
-                raise ValueError(f"Jacobian has shape {np.shape(j)}, expected {(dim, dim)}")
-            stack[pos] = j
+    size = samples[0].size
+    out = {key: np.empty(size) for key in keys}
+    step = max(1, indexing.BATCH_BYTES // (8 * dim * dim))
+    for lo in range(0, size, step):
+        stack = np.asarray(jacobians(*(c[..., lo : lo + step] for c in samples)), dtype=np.float64)
+        expected = (min(step, size - lo), dim, dim)
+        if stack.shape != expected:
+            raise ValueError(f"Jacobian stack has shape {stack.shape}, expected {expected}")
         for (order, kind), values in out.items():
             values[lo : lo + step] = compound_measures(stack, order, kind)
     return out
@@ -265,8 +271,8 @@ def certify_k_contraction(
         raise ValueError(f"unknown certification method {method!r}")
     points, times = _grid_samples(sys.domain, grid_points, time_grid)
     candidates = _candidate_kinds(kind, True)
-    samples = [(t, x) for t in times for x in points]
-    values = _sampled_measures(sys.jacobian, samples, n, [(k, c) for c in candidates])
+    keys = [(k, c) for c in candidates]
+    values = _sampled_measures(sys.jacobians, _columns(times, points), n, keys)
     cond, _ = _best_condition(k, candidates, lambda c: values[k, c].max())
     verdict = "inconclusive" if cond.passed else "fail"
     notes = ["sampled (not a proof): bound is the maximum over sampled domain points"]
@@ -434,17 +440,19 @@ def _series_grid_maxima(model: SeriesModel, k: int, times, pts1, pts2, condition
 
     J11 is sampled once per (t, x1) and J22 once per (t, x1, x2).  The
     product grid is walked a block of (t, x1) rows at a time, so the stacked
-    J22 samples stay within GRID_BATCH_BYTES.
+    J22 samples stay within BATCH_BYTES.
     """
-    rows = [(t, x1) for t in times for x1 in pts1]
+    row_t, row_x1 = _columns(times, pts1)
     keys1 = {(k - i, c) for i, c in conditions}
-    m1 = _sampled_measures(model.sub1.jacobian, rows, model.dim1, keys1)
+    m1 = _sampled_measures(model.sub1.jacobians, (row_t, row_x1), model.dim1, keys1)
     per_row = len(pts2)
-    step = max(1, GRID_BATCH_BYTES // (8 * model.dim2 * model.dim2 * per_row))
+    step = max(1, indexing.BATCH_BYTES // (8 * model.dim2 * model.dim2 * per_row))
     worst = dict.fromkeys(conditions, -np.inf)
-    for lo in range(0, len(rows), step):
-        block = [(t, x1, x2) for t, x1 in rows[lo : lo + step] for x2 in pts2]
-        m2 = _sampled_measures(model.j22, block, model.dim2, conditions)
+    j22 = partial(jacobian_stack, model.j22)
+    for lo in range(0, row_t.size, step):
+        t, x1 = row_t[lo : lo + step], row_x1[:, lo : lo + step]
+        block = (np.repeat(t, per_row), np.repeat(x1, per_row, axis=1), np.tile(pts2.T, t.size))
+        m2 = _sampled_measures(j22, block, model.dim2, conditions)
         for i, c in conditions:
             total = m1[k - i, c][lo : lo + step, None] + m2[i, c].reshape(-1, per_row)
             worst[i, c] = max(worst[i, c], total.max())
@@ -548,9 +556,10 @@ def certify_skew_feedback(
         method_label = "analytic-bounds"
     elif method == "grid":
         points, times = _grid_samples(pair.domain, grid_points, time_grid)
-        samples = [(t, x) for t in times for x in points]
-        m1 = _sampled_measures(pair.j11, samples, n, [(k - i, L2) for i in idxs])
-        m2 = _sampled_measures(pair.j22, samples, m, [(i, L2) for i in idxs])
+        samples = _columns(times, points)
+        j11, j22 = partial(jacobian_stack, pair.j11), partial(jacobian_stack, pair.j22)
+        m1 = _sampled_measures(j11, samples, n, [(k - i, L2) for i in idxs])
+        m2 = _sampled_measures(j22, samples, m, [(i, L2) for i in idxs])
 
         def make_eval(i):
             return lambda _: (m1[k - i, L2] + m2[i, L2]).max()
@@ -625,7 +634,7 @@ def certify_exp_input(
         exact_ok = True
         keys = [(k, c) for c in _candidate_kinds(kind_k, exact_ok)]
         keys += [(k - 1, c) for c in _candidate_kinds(kind_km1, exact_ok)]
-        values = _sampled_measures(sys.jacobian, [(t, x) for t in times for x in points], n, keys)
+        values = _sampled_measures(sys.jacobians, _columns(times, points), n, keys)
 
         def eval_k(c):
             return values[k, c].max()

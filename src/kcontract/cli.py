@@ -142,6 +142,21 @@ def _cmd_decompose(args) -> int:
     return EXIT_PASS
 
 
+def _perturbed_params(cfg: dict) -> dict:
+    """d, c, alpha and b of a thomas_perturbed config, defaults filled in:
+    the one resolution that the augmented model and its 3-state view share."""
+    params = {
+        "d": systems.THOMAS_D,
+        "c": None,
+        "alpha": systems.THOMAS_ALPHA,
+        "b": systems.THOMAS_B,
+        **cfg.get("params", {}),
+    }
+    if params["c"] is None:
+        params["c"] = systems.thomas_controller_gain(params["d"])
+    return params
+
+
 def _system_from_config(cfg: dict) -> SystemModel:
     name = cfg.get("system")
     params = cfg.get("params", {})
@@ -150,7 +165,7 @@ def _system_from_config(cfg: dict) -> SystemModel:
     if name == "thomas_controlled":
         return systems.thomas_controlled(**params)
     if name == "thomas_perturbed":
-        return systems.thomas_perturbed(**params)
+        return systems.thomas_perturbed(**_perturbed_params(cfg))
     if name == "remark2":
         return systems.remark2()
     if name == "lti":
@@ -328,7 +343,17 @@ def _cmd_simulate(args) -> int:
         print(matio.dump_json(summary), end="")
         return code
 
-    sysm = _system_from_config(cfg)
+    # the augmented perturbed Thomas model: 3-D starts get the exponential
+    # state y(0) = 1, only the three Thomas states are written, and the
+    # convergence check uses the 3-state field of the same parameters
+    augmented = cfg.get("system") == "thomas_perturbed"
+    if augmented:
+        params = _perturbed_params(cfg)
+        sysm = systems.thomas_perturbed(**params)
+        field = systems.thomas_perturbed_field(**params)
+    else:
+        sysm = _system_from_config(cfg)
+        field = sysm.f
     ics = cfg.get("initial_conditions", "standard9")
     if isinstance(ics, str):
         if ics != "standard9":
@@ -340,9 +365,6 @@ def _cmd_simulate(args) -> int:
     n_out = int(cfg.get("n_out", 1001))
     detect_tol = float(cfg.get("detect_tol", 1e-6))
 
-    # the augmented perturbed Thomas model: 3-D starts get the exponential
-    # state y(0) = 1, and only the three Thomas states are written
-    augmented = cfg.get("system") == "thomas_perturbed"
     if augmented and ics.shape[1] == 3:
         ics = np.hstack([ics, np.ones((ics.shape[0], 1))])
     runs = integrate_many(sysm, ics, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
@@ -361,17 +383,6 @@ def _cmd_simulate(args) -> int:
         (outdir / fname).write_text(text)
         files.append(fname)
 
-    if augmented:
-        p = cfg.get("params", {})
-        d = float(p.get("d", systems.THOMAS_D))
-        field = systems.thomas_perturbed_field(
-            d,
-            p.get("c"),
-            float(p.get("alpha", systems.THOMAS_ALPHA)),
-            p.get("b", systems.THOMAS_B),
-        )
-    else:
-        field = sysm.f
     summary_detect = detect_equilibrium_convergence(records, field, tol=detect_tol)
 
     in_box = True

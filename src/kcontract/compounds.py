@@ -123,18 +123,20 @@ class CompoundIndex:
         return self._scatter[2]
 
     def _diagonal_sums(self, flat: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.r)
+        out = np.zeros(flat.shape[:-1] + (self.r,))
         for row in self.diag_src:
-            out += flat[row]
+            out += flat[..., row]
         return out
 
     def additive(self, a: np.ndarray) -> np.ndarray:
-        """A^[k] of an n x n matrix."""
-        flat = a.reshape(self.n * self.n)
-        out = np.zeros(self.r * self.r)
-        out[self.dest] = self.sign * flat[self.src]
-        out[self.diag_dest] = self._diagonal_sums(flat)
-        return out.reshape(self.r, self.r)
+        """A^[k] of an n x n matrix, or of each matrix of an (S, n, n) stack,
+        every slice bitwise the compound of that matrix alone."""
+        lead = a.shape[:-2]
+        flat = a.reshape(lead + (self.n * self.n,))
+        out = np.zeros(lead + (self.r * self.r,))
+        out[..., self.dest] = self.sign * flat[..., self.src]
+        out[..., self.diag_dest] = self._diagonal_sums(flat)
+        return out.reshape(lead + (self.r, self.r))
 
     def additive_interval(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entrywise enclosure of A^[k] over lo <= A <= hi: a negative-sign

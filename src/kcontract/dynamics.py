@@ -5,8 +5,13 @@ The integrator is an adaptive Dormand-Prince 5(4) pair (default tolerances
 moves many starts in lockstep, each with its own step size and step
 control, and calls the vector field once per stage for all of them with the
 states as columns (see ``systems``); every start gets bitwise the result of
-its own ``integrate`` run.  Variational and compound flows are co-integrated
-with a fixed-step RK4 so that repeated runs are bit-for-bit reproducible.
+its own ``integrate`` run.
+
+Variational and compound flows use a fixed-step RK4, so that repeated runs
+are bit-for-bit reproducible.  The state is stepped alone; the stage
+Jacobians along it are then evaluated in one stacked call, and the flows
+advance by the exact RK4 step matrices of the linear systems y' = J(t) y and
+y' = J(t)^[k] y, built for all steps at once.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import indexing
 from ._kernels import rk4_fixed, rk45_solve
-from .compounds import as_matrix, compound_index, mult_compound, require_square
+from .compounds import compound_index, mult_compound
 from .indexing import check_dense_guard, check_dimension_guard
 from .systems import SystemModel
 
@@ -124,13 +130,21 @@ def variational_flow(
     k: int,
     max_step: float = 0.005,
 ) -> TrajectoryRecord:
-    """Co-integrate the fundamental matrix and its k-compound counterpart.
-
-    Along the trajectory's time grid this solves, with fixed-step RK4,
+    """The fundamental matrix and its k-compound counterpart along the
+    trajectory's time grid, by fixed-step RK4 on
         dx/dt   = f(t, x)
         dPhi/dt = J(t, x) Phi,        Phi(0) = I_n
         dPsi/dt = J(t, x)^[k] Psi,    Psi(0) = I_r
     so that Phi(t)^(k) and Psi(t) agree up to integration error.
+
+    The state is stepped alone and every RK4 stage's (t, x) recorded.  The
+    flows then advance by propagators: with stage matrices A_1..A_4 of one
+    step of size h, K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2),
+    K4 = A4 (I + h K3) and the step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
+    is exactly the RK4 step of y' = A(t) y.  Step matrices are built as
+    stacks, kept as M - I, and multiplied into one product per output
+    interval, BATCH_BYTES of stage matrices at a time; the chunking does not
+    change any bit.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
@@ -139,27 +153,79 @@ def variational_flow(
     check_dimension_guard(r)
     check_dense_guard(trajectory.times.size * r * r, "compound flow")
     index = compound_index(n, k)
-    x0 = trajectory.states[0]
-    u0 = np.concatenate([x0, np.eye(n).ravel(), np.eye(r).ravel()])
-
-    def rhs(t, u):
-        x = u[:n]
-        phi = u[n : n + n * n].reshape(n, n)
-        psi = u[n + n * n :].reshape(r, r)
-        j = require_square(as_matrix(sys.jacobian(t, x)))
-        jk = index.additive(j)
-        return np.concatenate([sys.f(t, x), (j @ phi).ravel(), (jk @ psi).ravel()])
-
     times = trajectory.times
     dt = float(np.max(np.diff(times)))
-    substeps = max(1, ceil(dt / max_step))
-    sol = rk4_fixed(rhs, u0, times, substeps=substeps)
-    states = sol[:, :n]
-    flow = sol[:, n : n + n * n].reshape(-1, n, n)
-    compound_flow = sol[:, n + n * n :].reshape(-1, r, r)
+    per = max(1, ceil(dt / max_step))
+
+    stage_t, stage_x = [], []
+
+    def f(t, x):
+        stage_t.append(t)
+        stage_x.append(x)
+        return sys.f(t, x)
+
+    states = rk4_fixed(f, trajectory.states[0], times, substeps=per)
+    stage_t = np.array(stage_t)
+    stage_x = np.stack(stage_x, axis=1)
+    h = np.repeat(np.diff(times) / per, per)
+
+    flow = np.empty((times.size, n, n))
+    compound_flow = np.empty((times.size, r, r))
+    flow[0], compound_flow[0] = np.eye(n), np.eye(r)
+    # a chunk of steps is whole output intervals, or part of one when one
+    # interval's stage matrices (4 per step) exceed the budget
+    chunk = max(1, indexing.BATCH_BYTES // (32 * (n * n + r * r)))
+    if chunk >= per:
+        edges = list(range(0, h.size, chunk - chunk % per))
+    else:
+        edges = [lo for i in range(0, h.size, per) for lo in range(i, i + per, chunk)]
+    carry = None  # product increments of the current interval's earlier steps
+    for lo, hi in zip(edges, edges[1:] + [h.size]):
+        jac = sys.jacobians(stage_t[4 * lo : 4 * hi], stage_x[:, 4 * lo : 4 * hi])
+        expected = (4 * (hi - lo), n, n)
+        if np.shape(jac) != expected:
+            raise ValueError(f"Jacobian stack has shape {np.shape(jac)}, expected {expected}")
+        if not np.isfinite(jac).all():
+            raise ValueError("Jacobian contains non-finite entries")
+        steps = min(per, hi - lo)
+        carry = [
+            _chain(_step_increments(a, h[lo:hi]).reshape(-1, steps, d, d), part)
+            for a, d, part in zip((jac, index.additive(jac)), (n, r), carry or (None, None))
+        ]
+        if hi % per == 0:
+            first = lo // per
+            for j in range(carry[0].shape[0]):
+                for out, e in zip((flow, compound_flow), carry):
+                    out[first + j + 1] = out[first + j] + e[j] @ out[first + j]
+            carry = None
     return TrajectoryRecord(
         times, states, flow=flow, compound_flow=compound_flow, system=trajectory.system
     )
+
+
+def _step_increments(stages: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """M - I for the RK4 step matrices M of y' = A(t) y, from the stage
+    matrices of S steps, ``stages`` (4 S, d, d) in step order, with step sizes
+    ``h`` (S,).  Kept apart from I, whose rounding would swallow the low bits
+    of every step."""
+    a = stages.reshape(h.size, 4, *stages.shape[1:])
+    eye = np.eye(a.shape[-1])
+    half = (0.5 * h)[:, None, None]
+    k1 = a[:, 0]
+    k2 = a[:, 1] @ (eye + half * k1)
+    k3 = a[:, 2] @ (eye + half * k2)
+    k4 = a[:, 3] @ (eye + h[:, None, None] * k3)
+    return (h / 6.0)[:, None, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _chain(d: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
+    """P - I for P = (I + D_s) ... (I + D_1) (I + C), for each row of a
+    (q, s, d, d) stack of step increments D, with C = ``carry`` the product
+    increment of earlier steps of the same interval (or none)."""
+    e = d[:, 0] if carry is None else carry + d[:, 0] + d[:, 0] @ carry
+    for j in range(1, d.shape[1]):
+        e = e + d[:, j] + d[:, j] @ e
+    return e
 
 
 def parallelotope_volume(generators) -> float:
@@ -227,8 +293,11 @@ def volume_growth_rate(
 
     By default each generator column evolves as a solution of the system
     (the right object for linear systems, where solutions and variational
-    vectors coincide).  Passing ``base_point`` instead evolves the columns
-    under the variational flow along the trajectory from that point.
+    vectors coincide); the columns move in lockstep through one
+    ``integrate_many`` call, so ``sys.f`` takes states as columns, and a
+    column whose step size underflows raises ``IntegrationError``.  Passing
+    ``base_point`` instead evolves the columns under the variational flow
+    along the trajectory from that point.
     """
     x0 = np.asarray(generators, dtype=np.float64)
     if x0.ndim == 1:
@@ -239,11 +308,10 @@ def volume_growth_rate(
         var = variational_flow(sys, base, k=1, max_step=max_step)
         columns = np.einsum("tij,jk->tik", var.flow, x0)
     else:
-        sols = [
-            integrate(sys, x0[:, j], (0.0, horizon), rtol, atol, t_eval=t_eval).states
-            for j in range(x0.shape[1])
-        ]
-        columns = np.stack(sols, axis=-1)
+        runs = integrate_many(sys, x0.T, (0.0, horizon), rtol, atol, t_eval=t_eval)
+        if any(rec is None for rec in runs):
+            raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+        columns = np.stack([rec.states for rec in runs], axis=-1)
     volumes = np.array([parallelotope_volume(columns[i]) for i in range(n_out)])
     return fit_exponential_rate(t_eval, volumes)
 

@@ -22,6 +22,12 @@ MAX_COMPOUND_DIM = 100_000
 #: are limited by MAX_COMPOUND_DIM alone.
 MAX_DENSE_BYTES = 1 << 29
 
+#: Bytes of stacked matrices one batched call holds at once: the sampled
+#: Jacobians of a grid certificate, the gathered |A| blocks of a compound
+#: measure, and the stage and step matrices of a variational flow.  Longer
+#: stacks are walked in chunks, each giving bitwise the same values.
+BATCH_BYTES = 1 << 24
+
 
 class DimensionGuardError(ValueError):
     """Raised when a compound dimension exceeds MAX_COMPOUND_DIM or a dense

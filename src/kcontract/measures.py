@@ -17,6 +17,7 @@ import numpy as np
 
 from math import comb
 
+from . import indexing
 from .compounds import add_compound, as_matrix, compound_index, require_square
 from .indexing import block_range, check_dimension_guard
 
@@ -113,10 +114,6 @@ def induced_norm(m, p_from: str, p_to: Optional[str] = None) -> float:
     raise ValueError(f"no exact closed form for the L{p_from} -> L{q} induced norm")
 
 
-#: Bytes of gathered |A| blocks one batched closed-form call holds at once.
-GATHER_BYTES = 1 << 24
-
-
 def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
     """Measures of the k-th additive compounds of a stack of matrices.
 
@@ -151,7 +148,7 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
         rows, cols = inside[:, :, None], outside[:, None, :]
     diag = np.diagonal(a, axis1=1, axis2=2)
     out = np.empty(a.shape[0])
-    step = max(1, GATHER_BYTES // (8 * index.r * max(1, k * (n - k))))
+    step = max(1, indexing.BATCH_BYTES // (8 * index.r * max(1, k * (n - k))))
     for lo in range(0, a.shape[0], step):
         absa = np.abs(a[lo : lo + step])
         # Gathers made C-contiguous, so that each sum runs over one

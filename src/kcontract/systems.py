@@ -9,7 +9,10 @@ Vector fields take states as columns: ``f(t, x)`` with ``x`` of shape (n,)
 or (n, B) and ``t`` a float or a (B,) array, returning the same shape as
 ``x``.  Each built-in field computes every column bitwise as it computes
 that column alone, so the lockstep integrator can advance many starts in
-one call without changing any of them.
+one call without changing any of them.  Built-in Jacobians take states as
+columns the same way, returning an (B, n, n) stack whose slices are bitwise
+the 1-D calls; ``SystemModel.jacobians`` evaluates any model's Jacobian at
+many states, in one call for a built-in and one call per state otherwise.
 """
 
 from __future__ import annotations
@@ -161,7 +164,8 @@ class SystemModel:
 
     ``f`` follows the states-as-columns contract of this module; a field that
     only takes 1-D states still works with ``integrate``, which integrates one
-    start at a time.
+    start at a time.  ``jacobian`` takes one state; ``jacobians`` evaluates
+    it at many.
     """
 
     state_dim: int
@@ -176,6 +180,37 @@ class SystemModel:
     @property
     def is_linear(self) -> bool:
         return self.lti_matrix is not None
+
+    def jacobians(self, t, xs) -> np.ndarray:
+        """The (S, n, n) stack of Jacobians at the columns of ``xs`` (n, S),
+        with ``t`` a float or an (S,) array; see ``jacobian_stack``."""
+        return jacobian_stack(self.jacobian, t, xs)
+
+
+def _column_form(jacobian):
+    """Mark a Jacobian written in column form: states of shape (n, S) give
+    the (S, n, n) stack, each slice bitwise equal to the 1-D call."""
+    jacobian._column_form = True
+    return jacobian
+
+
+def jacobian_stack(jacobian, t, *columns) -> np.ndarray:
+    """Jacobians at S samples: ``jacobian(t, *x)`` with ``t`` a float or an
+    (S,) array and each state argument given as columns, shape (d, S).
+
+    A built-in (column-form) Jacobian gives the stack in one call.  Any other
+    is called once per sample, and each result is copied at once, since a
+    Jacobian may reuse its output buffer.  The caller checks the shape.
+    """
+    if getattr(jacobian, "_column_form", False):
+        return jacobian(t, *columns)
+    ts = np.broadcast_to(np.asarray(t, dtype=np.float64), columns[0].shape[1:])
+    return np.array(
+        [
+            np.array(jacobian(tj, *(c[:, j] for c in columns)), dtype=np.float64)
+            for j, tj in enumerate(ts)
+        ]
+    )
 
 
 @dataclass
@@ -335,14 +370,15 @@ def _thomas_terms(x, d: float, c: float) -> tuple:
 
 
 def _thomas_jacobian(x, d: float, c: float) -> np.ndarray:
-    """The 3x3 Jacobian of the controlled Thomas field at x[:3]."""
-    return np.array(
-        [
-            [-d - c, np.cos(x[1]), 0.0],
-            [0.0, -d - c, np.cos(x[2])],
-            [np.cos(x[0]), 0.0, -d],
-        ]
-    )
+    """The 3x3 Jacobian of the controlled Thomas field at x[:3], or the
+    (B, 3, 3) stack at the columns of x."""
+    out = np.zeros(np.shape(x)[1:] + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = -d - c
+    out[..., 0, 1] = np.cos(x[1])
+    out[..., 1, 2] = np.cos(x[2])
+    out[..., 2, 0] = np.cos(x[0])
+    out[..., 2, 2] = -d
+    return out
 
 
 def _thomas_input(d: float, c: Optional[float], b) -> tuple[float, np.ndarray]:
@@ -363,6 +399,7 @@ def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None)
     def f(t, x):
         return np.array(_thomas_terms(x, d, c))
 
+    @_column_form
     def jac(t, x):
         return _thomas_jacobian(x, d, c)
 
@@ -391,11 +428,12 @@ def thomas_perturbed(
         y = z[3]
         return np.array([f1 + b[0] * y, f2 + b[1] * y, f3 + b[2] * y, alpha * y])
 
+    @_column_form
     def jac(t, z):
-        out = np.zeros((4, 4))
-        out[:3, :3] = _thomas_jacobian(z, d, c)
-        out[:3, 3] = b
-        out[3, 3] = alpha
+        out = np.zeros(np.shape(z)[1:] + (4, 4))
+        out[..., :3, :3] = _thomas_jacobian(z, d, c)
+        out[..., :3, 3] = b
+        out[..., 3, 3] = alpha
         return out
 
     base = _thomas_entry_bounds(d, c)
@@ -436,8 +474,9 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
         # rounds its columns differently from a @ x on each column
         return np.matmul(a, x.T[..., None])[..., 0].T
 
+    @_column_form
     def jac(t, x):
-        return a
+        return np.broadcast_to(a, np.shape(x)[1:] + (n, n))
 
     return SystemModel(
         state_dim=n,
@@ -494,8 +533,13 @@ def remark2() -> SystemModel:
     def f(t, x):
         return np.array([-0.5 * x[0] ** 2 - x[0], x[1] * x[0]])
 
+    @_column_form
     def jac(t, x):
-        return np.array([[-x[0] - 1.0, 0.0], [x[1], x[0]]])
+        out = np.zeros(np.shape(x)[1:] + (2, 2))
+        out[..., 0, 0] = -x[0] - 1.0
+        out[..., 1, 0] = x[1]
+        out[..., 1, 1] = x[0]
+        return out
 
     inf = np.inf
     bounds = EntryBounds(

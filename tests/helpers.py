@@ -3,11 +3,13 @@
 These deliberately avoid the library's own code paths: minors are taken one
 determinant at a time with numpy, additive compounds come from a
 finite-difference limit of the exponential's compound, and closed forms are
-written out longhand.
+written out longhand.  The variational-flow reference co-integrates the
+state and both flows as one vector through the library's RK4 kernel, one
+Jacobian call per stage.
 """
 
 import itertools
-from math import comb, prod
+from math import ceil, comb, prod
 
 import numpy as np
 import scipy.linalg as sla
@@ -162,3 +164,27 @@ def rel_err(actual, expected):
     expected = np.asarray(expected, dtype=float)
     scale = max(1.0, float(np.abs(expected).max(initial=0.0)))
     return float(np.abs(actual - expected).max(initial=0.0)) / scale
+
+
+def reference_variational_flow(sysm, trajectory, k, max_step=0.005):
+    """States, Phi and Psi along the trajectory's grid by fixed-step RK4 on
+    the stacked vector (x, Phi, Psi), with a per-stage right-hand side."""
+    from kcontract._kernels import rk4_fixed
+
+    n = sysm.state_dim
+    r = comb(n, k)
+    u0 = np.concatenate([trajectory.states[0], np.eye(n).ravel(), np.eye(r).ravel()])
+
+    def rhs(t, u):
+        x = u[:n]
+        phi = u[n : n + n * n].reshape(n, n)
+        psi = u[n + n * n :].reshape(r, r)
+        j = np.array(sysm.jacobian(t, x), dtype=float)
+        jk = brute_add_compound(j, k)
+        return np.concatenate([sysm.f(t, x), (j @ phi).ravel(), (jk @ psi).ravel()])
+
+    times = trajectory.times
+    substeps = max(1, ceil(float(np.max(np.diff(times))) / max_step))
+    sol = rk4_fixed(rhs, u0, times, substeps=substeps)
+    flow = sol[:, n : n + n * n].reshape(-1, n, n)
+    return sol[:, :n], flow, sol[:, n + n * n :].reshape(-1, r, r)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kcontract import certificates
+from kcontract import indexing
 from kcontract.certificates import (
     PASS_THRESHOLD,
     certify_exp_input,
@@ -423,7 +423,7 @@ def test_grid_batches_give_the_same_reports(monkeypatch):
         ]
 
     whole = reports()
-    monkeypatch.setattr(certificates, "GRID_BATCH_BYTES", 200)  # a few matrices per batch
+    monkeypatch.setattr(indexing, "BATCH_BYTES", 200)  # a few matrices per batch
     assert reports() == whole
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from kcontract import indexing
 from kcontract.compounds import add_compound, mult_compound
 from kcontract.dynamics import (
     IntegrationError,
@@ -32,7 +33,7 @@ from kcontract.systems import (
     thomas_perturbed_field,
 )
 
-from .helpers import well_conditioned
+from .helpers import reference_variational_flow, rel_err, well_conditioned
 
 
 def test_scalar_linear_decay():
@@ -111,6 +112,22 @@ def test_builtin_fields_compute_each_column_as_a_single_state(name):
         assert columns.shape == x.shape
         for j in range(batch):
             assert np.array_equal(columns[:, j], sysm.f(float(t[j]), x[:, j]))
+
+
+@pytest.mark.parametrize("name", list(_builtin_systems()))
+def test_builtin_jacobians_compute_each_column_as_a_single_state(name):
+    sysm = _builtin_systems()[name]
+    n = sysm.state_dim
+    rng = np.random.default_rng(8)
+    for batch in (1, 2, 3, 9):
+        x = rng.uniform(-3.0, 3.0, (n, batch))
+        t = rng.uniform(0.0, 30.0, batch)
+        stack = sysm.jacobians(t, x)
+        assert stack.shape == (batch, n, n)
+        for j in range(batch):
+            assert np.array_equal(stack[j], sysm.jacobian(float(t[j]), x[:, j]))
+        if name != "bounds":  # built-ins take the stack in one call
+            assert np.array_equal(sysm.jacobian(t, x), stack)
 
 
 def test_perturbed_field_computes_each_column_as_a_single_state():
@@ -199,6 +216,53 @@ def test_variational_flow_rejects_non_finite_jacobian():
     rec = TrajectoryRecord(np.array([0.0, 0.1]), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         variational_flow(broken, rec, 2)
+    # a built-in's stacked Jacobians at a NaN state, and a misshapen stack
+    sysm = thomas_controlled()
+    rec = TrajectoryRecord(np.array([0.0, 0.1]), np.array([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        variational_flow(sysm, rec, 2)
+    flat = SystemModel(3, sysm.f, lambda t, x: np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        variational_flow(flat, TrajectoryRecord(rec.times, np.zeros((2, 3))), 2)
+
+
+def _flow_cases():
+    rng = np.random.default_rng(21)
+    series = lti_series(rng.standard_normal((2, 2)) - 2.0 * np.eye(2), rng.standard_normal((2, 2)),
+                        rng.standard_normal((2, 2)) - np.eye(2))
+    return {
+        "lti": (lti(well_conditioned(rng, 4) - 1.5 * np.eye(4)), rng.standard_normal(4)),
+        "thomas_controlled": (thomas_controlled(), [-0.5, 0.5, 0.5]),
+        "remark2": (remark2(), [1.0, 1.0]),
+        "lti_series": (series.full_system(), [1.0, -0.5, 0.25, 1.0]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_flow_cases()))
+def test_variational_flow_matches_the_co_integrated_reference(name):
+    sysm, x0 = _flow_cases()[name]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    for k in range(1, sysm.state_dim + 1):
+        var = variational_flow(sysm, rec, k, max_step=0.01)
+        states, flow, compound_flow = reference_variational_flow(sysm, rec, k, max_step=0.01)
+        assert np.array_equal(var.states, states)
+        assert rel_err(var.flow, flow) <= 1e-13
+        assert rel_err(var.compound_flow, compound_flow) <= 1e-13
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 32 * 18, 2 * 11 * 32 * 18 + 100])
+def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, budget):
+    # thomas at k = 2 holds 32 (3^2 + 3^2) bytes of stage matrices per step
+    # and takes 11 steps per interval: the budgets give one step, three steps
+    # (not dividing an interval) and two whole intervals per batch
+    sysm = thomas_controlled()
+    rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=61)
+    whole = variational_flow(sysm, rec, 2)
+    monkeypatch.setattr(indexing, "BATCH_BYTES", budget)
+    part = variational_flow(sysm, rec, 2)
+    assert np.array_equal(part.states, whole.states)
+    assert np.array_equal(part.flow, whole.flow)
+    assert np.array_equal(part.compound_flow, whole.compound_flow)
 
 
 def test_variational_flow_constant_jacobian():
@@ -249,6 +313,12 @@ def test_volume_growth_rates_for_cascade():
     assert abs(fit.rate - (-0.5)) < 1e-3
     fit2 = volume_growth_rate(lti_series_zeta(-0.5).full_system(), x0, 20.0)
     assert abs(fit2.rate - 0.5) < 1e-3
+
+
+def test_volume_growth_raises_when_a_generator_column_fails():
+    columns = np.array([[0.5, -3.0], [0.5, 1.0]])  # x1 = -3 blows up in finite time
+    with pytest.raises(IntegrationError):
+        volume_growth_rate(remark2(), columns, 5.0, n_out=51)
 
 
 def test_volume_growth_scalar_decay():
