@@ -106,28 +106,35 @@ def cli_cases(tmp: Path) -> dict[str, bytes]:
     out.update(_certify(tmp, "analytic_thomas_controlled", {"system": "thomas_controlled", "k": 2}))
     out.update(_certify(tmp, "analytic_remark2", {"system": "remark2", "k": 2}))
 
-    for k in (2, 4):
-        dest = tmp / f"add{k}.csv"
-        text = _cli(["compound", "--input", mpath, "--k", k, "--kind", "add", "--output", dest])
-        out[f"compound_add_k{k}.txt"] = text
-        out[f"compound_add_k{k}.csv"] = dest.read_bytes()
+    # compound and decompose outputs in both formats; mult k = 4 is the
+    # 210 x 210 compound space of a 10 x 10 matrix
+    for kind, k, form in (("add", 2, "csv"), ("add", 4, "csv"), ("mult", 4, "csv"), ("add", 2, "json")):
+        stem = f"compound_{kind}_k{k}" + ("_json" if form == "json" else "")
+        dest = tmp / f"{stem}.{form}"
+        out[f"{stem}.txt"] = _cli(["compound", "--input", mpath, "--k", k, "--kind", kind,
+                                   "--format", form, "--output", dest])
+        out[f"{stem}.{form}"] = dest.read_bytes()
     for kind in ("l1", "linf", "l2"):
         out[f"measure_{kind}_k4.txt"] = _cli(["measure", "--input", mpath, "--kind", kind, "--k", 4])
-    dest = tmp / "decompose_add.json"
-    out["decompose_add_k3.txt"] = _cli(["decompose", "--input", apath, bpath, "--k", 3,
-                                        "--kind", "add", "--output", dest])
-    out["decompose_add_k3.json"] = dest.read_bytes()
+    for kind, k, form in (("add", 3, "json"), ("mult", 4, "json"), ("add", 3, "csv")):
+        stem = f"decompose_{kind}_k{k}" + ("_csv" if form == "csv" else "")
+        dest = tmp / f"{stem}.{form}"
+        out[f"{stem}.txt"] = _cli(["decompose", "--input", apath, bpath, "--k", k, "--kind", kind,
+                                   "--format", form, "--output", dest])
+        out[f"{stem}.{form}"] = dest.read_bytes()
 
     # simulate presets: the summary on stdout plus one written file each;
     # fig2/fig3 run to t = 20 to keep the suite fast
     for preset, extra, written in (
         ("fig2", ["--horizon", 20], "traj_03.csv"),
+        ("fig2", ["--horizon", 20, "--format", "json"], "traj_03.json"),
         ("fig3", ["--horizon", 20], "traj_09.csv"),
         ("growth", [], "volume.csv"),
     ):
-        dest = tmp / f"simulate_{preset}"
-        out[f"simulate_{preset}.txt"] = _cli(["simulate", "--preset", preset, "--output", dest, *extra])
-        out[f"simulate_{preset}_{written}"] = (dest / written).read_bytes()
+        stem = f"simulate_{preset}" + ("_json" if "json" in extra else "")
+        dest = tmp / stem
+        out[f"{stem}.txt"] = _cli(["simulate", "--preset", preset, "--output", dest, *extra])
+        out[f"{stem}_{written}"] = (dest / written).read_bytes()
     return out
 
 
