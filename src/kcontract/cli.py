@@ -123,13 +123,13 @@ def _cmd_decompose(args) -> int:
             "i1": dec.i1,
             "i2": dec.i2,
             "partition": dec.partition(),
-            "permutation": [int(v) + 1 for v in dec.permutation.positions],
+            "permutation": (dec.permutation.positions + 1).tolist(),
             "blocks": [
                 {
                     "i": i,
                     "rows": int(blk.shape[0]),
                     "cols": int(blk.shape[1]),
-                    "entries": [float(v) for v in blk.ravel()],
+                    "entries": blk.ravel().tolist(),
                 }
                 for i, blk in dec.blocks
             ],
@@ -302,10 +302,7 @@ def _simulate_growth(cfg: dict, outdir: Path) -> tuple[dict, int]:
         rtol=float(cfg.get("tol", 1e-10)),
         atol=float(cfg.get("tol", 1e-10)),
     )
-    lines = ["t,vol"] + [
-        f"{matio.fmt(t)},{matio.fmt(v)}" for t, v in zip(fit.times, fit.volumes)
-    ]
-    (outdir / "volume.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "volume.csv").write_text(matio.columns_to_csv(["t", "vol"], fit.times, fit.volumes))
     summary = {
         "system": model.name,
         "horizon": horizon,

@@ -13,8 +13,6 @@ convention M^(0) = [1], M^[0] = [0].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -26,6 +24,7 @@ from .indexing import (
     build_permutation,
     check_dense_guard,
     check_dimension_guard,
+    compound_index,
 )
 
 
@@ -56,119 +55,6 @@ class CompoundMatrix:
     order: int
     kind: str  # "mult" | "add"
     data: np.ndarray
-
-
-class CompoundIndex:
-    """Index table of the k-th compound space over n indices.
-
-    Compound rows and columns are indexed by the increasing k-sequences alpha
-    in lexicographic order.  The table holds them 0-based, ``seqs`` (r, k),
-    with each one's remaining indices in ``complement`` (r, n - k), and the
-    additive compound's entry rule (Muldowney 1990) as a flat scatter: entry
-    ``dest`` of the flattened r x r compound is ``sign * A.flat[src]``, and
-    diagonal entry alpha is ``0 + A.flat[diag_src[0, alpha]] + ...`` summed
-    left to right over the rows of ``diag_src`` (k, r).  Row alpha meets
-    column beta off the diagonal when beta replaces the s-th element of alpha
-    by some j outside alpha; the sign is (-1)^(s+t) with t the position of j
-    within beta.
-
-    Build tables through ``compound_index``, which caches them.  The scatter
-    is built on first use, so the closed forms, which need only the
-    sequences, never pay for it.  All arrays are read-only.
-    """
-
-    def __init__(self, n: int, k: int):
-        if not 0 <= k <= n:
-            raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
-        self.n, self.k, self.r = n, k, comb(n, k)
-        seqs = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(self.r, k)
-        outside = np.ones((self.r, n), dtype=bool)
-        outside[np.arange(self.r)[:, None], seqs] = False
-        self.seqs = _frozen(seqs)
-        self.complement = _frozen(np.nonzero(outside)[1].reshape(self.r, n - k))
-        self.diag_src = _frozen(np.ascontiguousarray(seqs.T) * (n + 1))
-        self.diag_dest = _frozen(np.arange(self.r) * (self.r + 1))
-
-    @cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, k, r = self.n, self.k, self.r
-        seqs, comp = self.seqs, self.complement
-        # lex rank of a 0-based sequence c: r - 1 - sum_p C(n-1-c[k-1-p], p+1);
-        # every term used is below r, so clipping the table there is exact
-        binom = np.array([[min(comb(a, b), r) for b in range(k + 1)] for a in range(n)])
-        dest, src, sign = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-        for s in range(k):
-            rest = np.delete(seqs, s, axis=1)[:, None, :]  # (r, 1, k-1)
-            j = comp[:, :, None]  # (r, n-k, 1)
-            beta = np.sort(
-                np.concatenate([np.broadcast_to(rest, (r, n - k, k - 1)), j], axis=2), axis=2
-            )
-            rank = r - 1 - sum(binom[n - 1 - beta[..., k - 1 - p], p + 1] for p in range(k))
-            t = (rest < j).sum(axis=2)
-            dest.append((np.arange(r)[:, None] * r + rank).ravel())
-            src.append((seqs[:, s, None] * n + comp).ravel())
-            sign.append(np.where((s + t) % 2 == 0, 1.0, -1.0).ravel())
-        return tuple(_frozen(np.concatenate(parts)) for parts in (dest, src, sign))
-
-    @cached_property
-    def dest(self) -> np.ndarray:
-        return self._scatter[0]
-
-    @cached_property
-    def src(self) -> np.ndarray:
-        return self._scatter[1]
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        return self._scatter[2]
-
-    def _diagonal_sums(self, flat: np.ndarray) -> np.ndarray:
-        out = np.zeros(flat.shape[:-1] + (self.r,))
-        for row in self.diag_src:
-            out += flat[..., row]
-        return out
-
-    def additive(self, a: np.ndarray) -> np.ndarray:
-        """A^[k] of an n x n matrix, or of each matrix of an (S, n, n) stack,
-        every slice bitwise the compound of that matrix alone."""
-        lead = a.shape[:-2]
-        flat = a.reshape(lead + (self.n * self.n,))
-        out = np.zeros(lead + (self.r * self.r,))
-        out[..., self.dest] = self.sign * flat[..., self.src]
-        out[..., self.diag_dest] = self._diagonal_sums(flat)
-        return out.reshape(lead + (self.r, self.r))
-
-    def additive_interval(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entrywise enclosure of A^[k] over lo <= A <= hi: a negative-sign
-        entry ranges over [-hi, -lo] of its source."""
-        lo, hi = lo.ravel(), hi.ravel()
-        plus = self.sign > 0
-        out = []
-        for low, high in ((lo, hi), (hi, lo)):  # the lower, then the upper bound
-            flat = np.zeros(self.r * self.r)
-            flat[self.dest] = np.where(plus, low[self.src], -high[self.src])
-            flat[self.diag_dest] = self._diagonal_sums(low)
-            out.append(flat.reshape(self.r, self.r))
-        return out[0], out[1]
-
-    def lift(self, s: np.ndarray) -> np.ndarray:
-        """Compound-space diagonal of a diagonal state scaling diag(s): the
-        product of s over each sequence, multiplied left to right."""
-        out = np.ones(self.r)
-        for p in range(self.k):
-            out *= s[self.seqs[:, p]]
-        return out
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=64)
-def compound_index(n: int, k: int) -> CompoundIndex:
-    """The cached index table of the k-th compound space over n indices."""
-    return CompoundIndex(n, k)
 
 
 #: The table cache under its former name: perfbench's traced runs read

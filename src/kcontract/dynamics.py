@@ -25,8 +25,8 @@ import numpy as np
 
 from . import indexing
 from ._kernels import rk4_fixed, rk45_solve
-from .compounds import compound_index, mult_compound
-from .indexing import check_dense_guard, check_dimension_guard
+from .compounds import mult_compound
+from .indexing import check_dense_guard, check_dimension_guard, compound_index
 from .systems import SystemModel
 
 

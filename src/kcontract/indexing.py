@@ -1,14 +1,17 @@
-"""Increasing index sequences, block-lexicographic order and the block permutation.
+"""Increasing index sequences, the compound index table, block-lexicographic
+order and the block permutation.
 
 Sequences are 1-based tuples at the interface; anything 0-based is internal.
-The block-lexicographic order on sequences over {1..n+m} groups sequences by
-how many entries point past the first n indices, which is what diagonalizes
-compounds of two-block block-diagonal matrices.
+Every sequence list is read from the one cached ``CompoundIndex`` table of
+its (n, k).  The block-lexicographic order on sequences over {1..n+m}
+groups sequences by how many entries point past the first n indices, which
+is what diagonalizes compounds of two-block block-diagonal matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -50,9 +53,122 @@ def check_dense_guard(entries: int, what: str = "compound") -> None:
         )
 
 
-def _sequences(k: int, n: int) -> list[tuple[int, ...]]:
-    """All increasing k-sequences from {1..n}, lexicographic; allows k = 0."""
-    return list(combinations(range(1, n + 1), k))
+class CompoundIndex:
+    """Index table of the k-th compound space over n indices.
+
+    Compound rows and columns are indexed by the increasing k-sequences alpha
+    in lexicographic order.  The table holds them 0-based, ``seqs`` (r, k),
+    with each one's remaining indices in ``complement`` (r, n - k), and the
+    additive compound's entry rule (Muldowney 1990) as a flat scatter: entry
+    ``dest`` of the flattened r x r compound is ``sign * A.flat[src]``, and
+    diagonal entry alpha is ``0 + A.flat[diag_src[0, alpha]] + ...`` summed
+    left to right over the rows of ``diag_src`` (k, r).  Row alpha meets
+    column beta off the diagonal when beta replaces the s-th element of alpha
+    by some j outside alpha; the sign is (-1)^(s+t) with t the position of j
+    within beta.
+
+    Build tables through ``compound_index``, which caches them.  The scatter
+    is built on first use, so the closed forms, which need only the
+    sequences, never pay for it.  All arrays are read-only.
+    """
+
+    def __init__(self, n: int, k: int):
+        if not 0 <= k <= n:
+            raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
+        self.n, self.k, self.r = n, k, comb(n, k)
+        seqs = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(self.r, k)
+        outside = np.ones((self.r, n), dtype=bool)
+        outside[np.arange(self.r)[:, None], seqs] = False
+        self.seqs = _frozen(seqs)
+        self.complement = _frozen(np.nonzero(outside)[1].reshape(self.r, n - k))
+        self.diag_src = _frozen(np.ascontiguousarray(seqs.T) * (n + 1))
+        self.diag_dest = _frozen(np.arange(self.r) * (self.r + 1))
+
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, k, r = self.n, self.k, self.r
+        seqs, comp = self.seqs, self.complement
+        # lex rank of a 0-based sequence c: r - 1 - sum_p C(n-1-c[k-1-p], p+1);
+        # every term used is below r, so clipping the table there is exact
+        binom = np.array([[min(comb(a, b), r) for b in range(k + 1)] for a in range(n)])
+        dest, src, sign = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+        for s in range(k):
+            rest = np.delete(seqs, s, axis=1)[:, None, :]  # (r, 1, k-1)
+            j = comp[:, :, None]  # (r, n-k, 1)
+            beta = np.sort(
+                np.concatenate([np.broadcast_to(rest, (r, n - k, k - 1)), j], axis=2), axis=2
+            )
+            rank = r - 1 - sum(binom[n - 1 - beta[..., k - 1 - p], p + 1] for p in range(k))
+            t = (rest < j).sum(axis=2)
+            dest.append((np.arange(r)[:, None] * r + rank).ravel())
+            src.append((seqs[:, s, None] * n + comp).ravel())
+            sign.append(np.where((s + t) % 2 == 0, 1.0, -1.0).ravel())
+        return tuple(_frozen(np.concatenate(parts)) for parts in (dest, src, sign))
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        return self._scatter[0]
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        return self._scatter[1]
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        return self._scatter[2]
+
+    def _diagonal_sums(self, flat: np.ndarray) -> np.ndarray:
+        out = np.zeros(flat.shape[:-1] + (self.r,))
+        for row in self.diag_src:
+            out += flat[..., row]
+        return out
+
+    def additive(self, a: np.ndarray) -> np.ndarray:
+        """A^[k] of an n x n matrix, or of each matrix of an (S, n, n) stack,
+        every slice bitwise the compound of that matrix alone."""
+        lead = a.shape[:-2]
+        flat = a.reshape(lead + (self.n * self.n,))
+        out = np.zeros(lead + (self.r * self.r,))
+        out[..., self.dest] = self.sign * flat[..., self.src]
+        out[..., self.diag_dest] = self._diagonal_sums(flat)
+        return out.reshape(lead + (self.r, self.r))
+
+    def additive_interval(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entrywise enclosure of A^[k] over lo <= A <= hi: a negative-sign
+        entry ranges over [-hi, -lo] of its source."""
+        lo, hi = lo.ravel(), hi.ravel()
+        plus = self.sign > 0
+        out = []
+        for low, high in ((lo, hi), (hi, lo)):  # the lower, then the upper bound
+            flat = np.zeros(self.r * self.r)
+            flat[self.dest] = np.where(plus, low[self.src], -high[self.src])
+            flat[self.diag_dest] = self._diagonal_sums(low)
+            out.append(flat.reshape(self.r, self.r))
+        return out[0], out[1]
+
+    def lift(self, s: np.ndarray) -> np.ndarray:
+        """Compound-space diagonal of a diagonal state scaling diag(s): the
+        product of s over each sequence, multiplied left to right."""
+        out = np.ones(self.r)
+        for p in range(self.k):
+            out *= s[self.seqs[:, p]]
+        return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=64)
+def compound_index(n: int, k: int) -> CompoundIndex:
+    """The cached index table of the k-th compound space over n indices."""
+    return CompoundIndex(n, k)
+
+
+def _as_tuples(seqs: np.ndarray) -> list[tuple[int, ...]]:
+    """0-based sequence rows as 1-based tuples."""
+    return [tuple(row) for row in (seqs + 1).tolist()]
 
 
 def enumerate_sequences(k: int, n: int) -> list[tuple[int, ...]]:
@@ -60,7 +176,7 @@ def enumerate_sequences(k: int, n: int) -> list[tuple[int, ...]]:
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     check_dimension_guard(comb(n, k))
-    return _sequences(k, n)
+    return _as_tuples(compound_index(n, k).seqs)
 
 
 @dataclass(frozen=True)
@@ -94,24 +210,22 @@ def block_range(k: int, n: int, m: int) -> tuple[int, int]:
     return max(0, k - n), min(m, k)
 
 
+def _check_split(k: int, n: int, m: int) -> None:
+    if not 1 <= k <= n + m:
+        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
+    if n < 1 or m < 1:
+        raise ValueError("block sizes n and m must be positive")
+    check_dimension_guard(comb(n + m, k))
+
+
 def block_lex_order(k: int, n: int, m: int) -> list[tuple[int, ...]]:
     """Sequences over {1..n+m} sorted block-lexicographically.
 
     Primary key: position of the first entry past n, descending (equivalently
     ascending number of tail entries); secondary key: standard lexicographic.
     """
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    if n < 1 or m < 1:
-        raise ValueError("block sizes n and m must be positive")
-    check_dimension_guard(comb(n + m, k))
-    i1, i2 = block_range(k, n, m)
-    out: list[tuple[int, ...]] = []
-    for i in range(i1, i2 + 1):
-        for head in _sequences(k - i, n):
-            for tail in _sequences(i, m):
-                out.append(head + tuple(v + n for v in tail))
-    return out
+    _check_split(k, n, m)
+    return _as_tuples(compound_index(n + m, k).seqs[_block_lex_positions(k, n, m)])
 
 
 @dataclass(frozen=True)
@@ -158,16 +272,17 @@ class BlockPermutation:
         return inv
 
 
-def _lex_rank(seq: tuple[int, ...], n: int) -> int:
-    """0-based position of a 1-based increasing sequence in lex order."""
-    k = len(seq)
-    rank = 0
-    prev = 0
-    for pos, v in enumerate(seq):
-        for w in range(prev + 1, v):
-            rank += comb(n - w, k - pos - 1)
-        prev = v
-    return rank
+@lru_cache(maxsize=64)
+def _block_lex_positions(k: int, n: int, m: int) -> np.ndarray:
+    """Standard-lex positions of the block-lex sequences, read-only.
+
+    Sequences with the same number i of entries past n all share the head
+    length k - i, so their lexicographic order already runs head-major and
+    tail-minor, the Kronecker order of their block: block-lex order is the
+    standard-lex table stably sorted by i.
+    """
+    tails = (compound_index(n + m, k).seqs >= n).sum(axis=1)
+    return _frozen(np.argsort(tails, kind="stable"))
 
 
 def build_permutation(k: int, n: int, m: int) -> BlockPermutation:
@@ -177,12 +292,5 @@ def build_permutation(k: int, n: int, m: int) -> BlockPermutation:
     pairs head number j // binom(m, i) in Q(k-i, n) with tail number
     j % binom(m, i) in Q(i, m), matching Kronecker-product index order.
     """
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    check_dimension_guard(comb(n + m, k))
-    positions = np.empty(comb(n + m, k), dtype=np.int64)
-    j = 0
-    for seq in block_lex_order(k, n, m):
-        positions[j] = _lex_rank(seq, n + m)
-        j += 1
-    return BlockPermutation(k, n, m, positions)
+    _check_split(k, n, m)
+    return BlockPermutation(k, n, m, _block_lex_positions(k, n, m))

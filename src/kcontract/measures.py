@@ -18,8 +18,8 @@ import numpy as np
 from math import comb
 
 from . import indexing
-from .compounds import add_compound, as_matrix, compound_index, require_square
-from .indexing import block_range, check_dimension_guard
+from .compounds import add_compound, as_matrix, require_square
+from .indexing import block_range, check_dimension_guard, compound_index
 
 
 @dataclass(frozen=True, eq=False)

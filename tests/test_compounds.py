@@ -3,18 +3,22 @@ import pytest
 import scipy.linalg as sla
 
 from kcontract.compounds import (
-    CompoundIndex,
     add_compound,
     add_compound_interval,
     block_diag_add_decompose,
     block_diag_mult_decompose,
-    compound_index,
     kron_product,
     kron_sum,
     lift_diagonal_scaling,
     mult_compound,
 )
-from kcontract.indexing import MAX_DENSE_BYTES, DimensionGuardError, enumerate_sequences
+from kcontract.indexing import (
+    MAX_DENSE_BYTES,
+    CompoundIndex,
+    DimensionGuardError,
+    compound_index,
+    enumerate_sequences,
+)
 
 from .helpers import (
     brute_add_compound,

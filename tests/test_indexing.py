@@ -122,6 +122,37 @@ def test_permutation_inverse_composition(n, m, k):
     assert np.array_equal(p @ p.T, np.eye(perm.size))
 
 
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 10))
+@settings(max_examples=80)
+def test_permutation_matches_head_tail_enumeration(n, m, k):
+    if k > n + m:
+        return
+    lex = {s: i for i, s in enumerate(itertools.combinations(range(1, n + m + 1), k))}
+    i1, i2 = block_range(k, n, m)
+    blocked = [
+        head + tuple(v + n for v in tail)
+        for i in range(i1, i2 + 1)
+        for head in itertools.combinations(range(1, n + 1), k - i)
+        for tail in itertools.combinations(range(1, m + 1), i)
+    ]
+    assert build_permutation(k, n, m).positions.tolist() == [lex[s] for s in blocked]
+    assert block_lex_order(k, n, m) == blocked
+
+
+def test_permutation_positions_are_cached_read_only():
+    first, again = build_permutation(4, 5, 5), build_permutation(4, 5, 5)
+    assert first.positions is again.positions
+    assert not first.positions.flags.writeable
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (3, 0)])
+def test_permutation_rejects_empty_block(n, m):
+    with pytest.raises(ValueError, match="positive"):
+        build_permutation(1, n, m)
+    with pytest.raises(ValueError, match="positive"):
+        block_lex_order(1, n, m)
+
+
 def test_permutation_matrix_conjugation_consistency():
     perm = build_permutation(2, 3, 2)
     rng = np.random.default_rng(7)
