@@ -27,6 +27,30 @@ def brute_mult_compound(m, k):
     return out
 
 
+def closed_form_minors(m, k):
+    """All k x k minors of m for k = 1, 2, 3 by the expansions along the first
+    row written out over one gathered (R, C, k, k) stack, each minor's terms
+    summed left to right: the expressions the minors kernel used to special-case."""
+    m = np.asarray(m, dtype=float)
+    rows = np.array(list(itertools.combinations(range(m.shape[0]), k)))
+    cols = np.array(list(itertools.combinations(range(m.shape[1]), k)))
+    sub = m[rows[:, None, :, None], cols[None, :, None, :]]
+    if k == 1:
+        return sub[:, :, 0, 0]
+    if k == 2:
+        return sub[:, :, 0, 0] * sub[:, :, 1, 1] - sub[:, :, 0, 1] * sub[:, :, 1, 0]
+    if k == 3:
+        return (
+            sub[:, :, 0, 0]
+            * (sub[:, :, 1, 1] * sub[:, :, 2, 2] - sub[:, :, 1, 2] * sub[:, :, 2, 1])
+            - sub[:, :, 0, 1]
+            * (sub[:, :, 1, 0] * sub[:, :, 2, 2] - sub[:, :, 1, 2] * sub[:, :, 2, 0])
+            + sub[:, :, 0, 2]
+            * (sub[:, :, 1, 0] * sub[:, :, 2, 1] - sub[:, :, 1, 1] * sub[:, :, 2, 0])
+        )
+    raise ValueError(f"closed forms exist for k = 1, 2, 3 only, got {k}")
+
+
 def _entry_rule(n, k):
     """Yield (row, col, i, j, sign): entry (row, col) of A^[k] is sign * a[i, j].
 

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from kcontract import _kernels
 
 from kcontract.compounds import (
     add_compound,
@@ -25,6 +30,7 @@ from .helpers import (
     brute_add_compound_interval,
     brute_lift,
     brute_mult_compound,
+    closed_form_minors,
     fd_add_compound,
     rel_err,
     sorted_eigs,
@@ -47,6 +53,30 @@ def test_full_compound_is_determinant():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 4))
     assert rel_err(mult_compound(m, 4).data[0, 0], np.linalg.det(m)) < 1e-12
+
+
+_FINITE = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e3, 1e3)
+_SIGNED_INF = st.sampled_from([np.inf, -np.inf])
+
+
+@st.composite
+def _low_order_case(draw):
+    n, p = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(3, n, p)))
+    elements = _FINITE | _SIGNED_INF if draw(st.booleans()) else _FINITE
+    return draw(hnp.arrays(np.float64, (n, p), elements=elements)), k
+
+
+@given(_low_order_case())
+def test_low_order_minors_are_bitwise_the_closed_forms(case):
+    m, k = case
+    n, p = m.shape
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf give nan
+        want = closed_form_minors(m, k)
+        got = _kernels.minor_dets(m, compound_index(n, k).seqs, compound_index(p, k).seqs)
+    assert _same_bits(got, want)
+    if np.isfinite(m).all():  # mult_compound refuses non-finite input
+        assert _same_bits(mult_compound(m, k).data, want)
 
 
 def test_order_zero_conventions():
