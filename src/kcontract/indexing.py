@@ -85,22 +85,42 @@ class CompoundIndex:
         self.diag_dest = _frozen(np.arange(self.r) * (self.r + 1))
 
     @cached_property
+    def _binom(self) -> np.ndarray:
+        # every term the rank sums is below r, so clipping the table there is exact
+        return np.array(
+            [[min(comb(a, b), self.r) for b in range(self.k + 1)] for a in range(self.n)],
+            dtype=np.int64,
+        ).reshape(self.n, self.k + 1)
+
+    def rank(self, seqs: np.ndarray) -> np.ndarray:
+        """Lex ranks in this table of the 0-based increasing k-sequences in
+        the last axis of ``seqs``: r - 1 - sum_p C(n-1-c[k-1-p], p+1)."""
+        n, k, binom = self.n, self.k, self._binom
+        rank = np.full(seqs.shape[:-1], self.r - 1, dtype=np.int64)
+        for p in range(k):
+            rank -= binom[n - 1 - seqs[..., k - 1 - p], p + 1]
+        return rank
+
+    @cached_property
+    def drop_rank(self) -> np.ndarray:
+        """(r, k): entry (alpha, j) is the lex rank, in the (k-1)-table, of
+        alpha with its j-th entry removed."""
+        lower = compound_index(self.n, self.k - 1)
+        return _frozen(np.stack([lower.rank(rest) for rest in _drop_one(self.seqs)], axis=1))
+
+    @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n, k, r = self.n, self.k, self.r
         seqs, comp = self.seqs, self.complement
-        # lex rank of a 0-based sequence c: r - 1 - sum_p C(n-1-c[k-1-p], p+1);
-        # every term used is below r, so clipping the table there is exact
-        binom = np.array([[min(comb(a, b), r) for b in range(k + 1)] for a in range(n)])
         dest, src, sign = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-        for s in range(k):
-            rest = np.delete(seqs, s, axis=1)[:, None, :]  # (r, 1, k-1)
+        for s, rest in enumerate(_drop_one(seqs)):
+            rest = rest[:, None, :]  # (r, 1, k-1)
             j = comp[:, :, None]  # (r, n-k, 1)
             beta = np.sort(
                 np.concatenate([np.broadcast_to(rest, (r, n - k, k - 1)), j], axis=2), axis=2
             )
-            rank = r - 1 - sum(binom[n - 1 - beta[..., k - 1 - p], p + 1] for p in range(k))
             t = (rest < j).sum(axis=2)
-            dest.append((np.arange(r)[:, None] * r + rank).ravel())
+            dest.append((np.arange(r)[:, None] * r + self.rank(beta)).ravel())
             src.append((seqs[:, s, None] * n + comp).ravel())
             sign.append(np.where((s + t) % 2 == 0, 1.0, -1.0).ravel())
         return tuple(_frozen(np.concatenate(parts)) for parts in (dest, src, sign))
@@ -153,6 +173,11 @@ class CompoundIndex:
         for p in range(self.k):
             out *= s[self.seqs[:, p]]
         return out
+
+
+def _drop_one(seqs: np.ndarray) -> list[np.ndarray]:
+    """Item j holds the sequences (rows) with their j-th entry removed."""
+    return [np.delete(seqs, j, axis=1) for j in range(seqs.shape[1])]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ Jacobian call per stage.
 """
 
 import itertools
+from fractions import Fraction
 from math import ceil, comb, prod
 
 import numpy as np
@@ -49,6 +50,23 @@ def closed_form_minors(m, k):
             * (sub[:, :, 1, 0] * sub[:, :, 2, 1] - sub[:, :, 1, 1] * sub[:, :, 2, 0])
         )
     raise ValueError(f"closed forms exist for k = 1, 2, 3 only, got {k}")
+
+
+def exact_det_and_permanent(sub):
+    """det(S) and per(|S|) of a float matrix S exactly, as Fractions: the
+    entries scaled by one power of two to integers, then summed over all
+    permutations."""
+    entries = [[Fraction(v) for v in row] for row in np.asarray(sub, dtype=float).tolist()]
+    k = len(entries)
+    scale = max((x.denominator for row in entries for x in row), default=1)
+    ints = [[int(x * scale) for x in row] for row in entries]
+    det = per = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = prod(ints[i][j] for i, j in enumerate(perm))
+        det += -term if inversions % 2 else term
+        per += abs(term)
+    return Fraction(det, scale**k), Fraction(per, scale**k)
 
 
 def _entry_rule(n, k):

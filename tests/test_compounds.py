@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from kcontract import _kernels
+from kcontract import _kernels, indexing
 
 from kcontract.compounds import (
     add_compound,
@@ -31,6 +33,7 @@ from .helpers import (
     brute_lift,
     brute_mult_compound,
     closed_form_minors,
+    exact_det_and_permanent,
     fd_add_compound,
     rel_err,
     sorted_eigs,
@@ -77,6 +80,75 @@ def test_low_order_minors_are_bitwise_the_closed_forms(case):
     assert _same_bits(got, want)
     if np.isfinite(m).all():  # mult_compound refuses non-finite input
         assert _same_bits(mult_compound(m, k).data, want)
+
+
+def _hilbert(n):
+    return 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+
+
+def _graded(n):
+    return np.random.default_rng(31).standard_normal((n, n)) * np.logspace(-6, 6, n)
+
+
+def _near_rank(n, rank):
+    rng = np.random.default_rng(32)
+    low = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    return low + 1e-9 * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize(
+    "m, k, sample",
+    [(_hilbert(8), 4, None), (_graded(10), 4, 400), (_near_rank(7, 3), 5, None)],
+    ids=["hilbert8_k4", "graded10_k4", "near_rank3_7_k5"],
+)
+def test_minor_rounding_error_within_permanent_bound(m, k, sample):
+    # Laplace expansion: |computed - det M| <= gamma_2k per(|M|), with the
+    # determinant and the permanent computed exactly
+    u = Fraction(1, 2**53)
+    gamma = 2 * k * u / (1 - 2 * k * u)
+    got = mult_compound(m, k).data
+    rows = cols = compound_index(m.shape[0], k).seqs
+    pairs = [(a, b) for a in range(rows.shape[0]) for b in range(cols.shape[0])]
+    if sample is not None:
+        chosen = np.random.default_rng(33).choice(len(pairs), sample, replace=False)
+        pairs = [pairs[i] for i in chosen]
+    for a, b in pairs:
+        det, per = exact_det_and_permanent(m[np.ix_(rows[a], cols[b])])
+        assert abs(Fraction(got[a, b]) - det) <= gamma * per
+
+
+@pytest.mark.parametrize("shape, k", [((6, 6), 1), ((6, 5), 2), ((7, 7), 4), ((5, 8), 5)])
+def test_minors_are_bitwise_the_same_in_small_chunks(monkeypatch, shape, k):
+    m = np.random.default_rng(34).standard_normal((3,) + shape)
+    rows, cols = compound_index(shape[0], k).seqs, compound_index(shape[1], k).seqs
+    whole = _kernels.minor_dets(m, rows, cols)
+    for budget in (1, 8 * 3 * 40):  # one row per chunk; a few rows per chunk
+        monkeypatch.setattr(indexing, "BATCH_BYTES", budget)
+        assert _same_bits(_kernels.minor_dets(m, rows, cols), whole)
+
+
+@pytest.mark.parametrize("shape, k", [((4, 2), 2), ((5, 5), 3), ((6, 7), 4), ((5, 5), 5)])
+def test_stacked_minors_are_bitwise_per_matrix(shape, k):
+    m = _signed_zero_matrix(np.random.default_rng(35), max(shape))[: shape[0], : shape[1]]
+    stack = np.stack([m, 2.0 * m, -m[::-1], np.zeros(shape)]).reshape((2, 2) + shape)
+    rows, cols = compound_index(shape[0], k).seqs, compound_index(shape[1], k).seqs
+    got = _kernels.minor_dets(stack, rows, cols)
+    assert got.shape == (2, 2, rows.shape[0], cols.shape[0])
+    for i in range(2):
+        for j in range(2):
+            assert _same_bits(got[i, j], _kernels.minor_dets(stack[i, j], rows, cols))
+            assert _same_bits(got[i, j], mult_compound(stack[i, j], k).data)
+
+
+def test_minors_on_chosen_sequences_are_read_from_the_lex_table():
+    rng = np.random.default_rng(36)
+    m = rng.standard_normal((6, 7))
+    rows, cols = compound_index(6, 3).seqs, compound_index(7, 3).seqs
+    full = _kernels.minor_dets(m, rows, cols)
+    pick_r, pick_c = rng.permutation(rows.shape[0])[:5], rng.permutation(cols.shape[0])[:9]
+    got = _kernels.minor_dets(m, rows[pick_r], cols[pick_c])
+    assert _same_bits(got, full[np.ix_(pick_r, pick_c)])
+    assert np.allclose(got, brute_mult_compound(m, 3)[np.ix_(pick_r, pick_c)], rtol=1e-12, atol=1e-12)
 
 
 def test_order_zero_conventions():
