@@ -1,4 +1,5 @@
-"""Hot numeric kernels: batched minor determinants, the adaptive
+"""Hot numeric kernels: minor determinants by Laplace recursion (one
+cofactor kernel for every order k, no LAPACK call), the adaptive
 Dormand-Prince stepper that moves many starts in lockstep (vector fields
 called with the states as columns), and fixed-step RK4.
 

@@ -314,6 +314,13 @@ def _simulate_growth(cfg: dict, outdir: Path) -> tuple[dict, int]:
     return summary, EXIT_PASS
 
 
+def _write_summary(outdir: Path, summary: dict) -> None:
+    """Serialize the summary once; write it to summary.json and stdout."""
+    text = matio.dump_json(summary)
+    (outdir / "summary.json").write_text(text)
+    sys.stdout.write(text)
+
+
 def _cmd_simulate(args) -> int:
     if args.preset:
         cfg = dict(_PRESETS[args.preset])
@@ -335,9 +342,7 @@ def _cmd_simulate(args) -> int:
 
     if "volume_generators" in cfg:
         summary, code = _simulate_growth(cfg, outdir)
-        summary = {"preset": args.preset or "config", **summary}
-        (outdir / "summary.json").write_text(matio.dump_json(summary))
-        print(matio.dump_json(summary), end="")
+        _write_summary(outdir, {"preset": args.preset or "config", **summary})
         return code
 
     # the augmented perturbed Thomas model: 3-D starts get the exponential
@@ -408,8 +413,7 @@ def _cmd_simulate(args) -> int:
         "in_invariant_box": in_box,
         "files": files,
     }
-    (outdir / "summary.json").write_text(matio.dump_json(summary))
-    print(matio.dump_json(summary), end="")
+    _write_summary(outdir, summary)
     return EXIT_INTEGRATION if failures else EXIT_PASS
 
 

@@ -66,7 +66,13 @@ def mult_compound(m, k: int) -> CompoundMatrix:
     """k-th multiplicative compound: entry (a, b) is det(m[rows_a | cols_b]).
 
     Rows and columns are indexed by the increasing k-sequences over the row
-    and column index sets, in lexicographic order.
+    and column index sets, in lexicographic order.  The minors come from
+    ``_kernels.minor_dets``: Laplace expansion along the first row, each
+    k-minor from the cached (k-1)-minors.  For k <= 3 the entries are
+    bitwise the written-out 2 x 2 and 3 x 3 expansions; no LAPACK routine is
+    called, so results do not depend on the LAPACK build.  Each entry's
+    rounding error is at most gamma_2k per(|minor|); a nearly singular minor
+    can have a larger error relative to its own size than an LU determinant.
     """
     a = as_matrix(m)
     rows, cols = a.shape

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import indexing
-from ._kernels import rk4_fixed, rk45_solve
+from ._kernels import minor_dets, rk4_fixed, rk45_solve
 from .compounds import mult_compound
 from .indexing import check_dense_guard, check_dimension_guard, compound_index
 from .systems import SystemModel
@@ -228,16 +228,21 @@ def _chain(d: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
     return e
 
 
-def parallelotope_volume(generators) -> float:
-    """Volume of the parallelotope spanned by the columns of an n x k matrix,
-    i.e. the Euclidean norm of the k-th multiplicative compound (a column)."""
+def _generator_matrix(generators) -> np.ndarray:
+    """The generators as an n x k matrix of columns, 1 <= k <= n."""
     x = np.asarray(generators, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
-    k = x.shape[1]
-    if not 1 <= k <= x.shape[0]:
+    if not 1 <= x.shape[1] <= x.shape[0]:
         raise ValueError("generator matrix must be n x k with 1 <= k <= n")
-    col = mult_compound(x, k).data
+    return x
+
+
+def parallelotope_volume(generators) -> float:
+    """Volume of the parallelotope spanned by the columns of an n x k matrix,
+    i.e. the Euclidean norm of the k-th multiplicative compound (a column)."""
+    x = _generator_matrix(generators)
+    col = mult_compound(x, x.shape[1]).data
     return float(np.linalg.norm(col.ravel()))
 
 
@@ -299,9 +304,7 @@ def volume_growth_rate(
     ``base_point`` instead evolves the columns under the variational flow
     along the trajectory from that point.
     """
-    x0 = np.asarray(generators, dtype=np.float64)
-    if x0.ndim == 1:
-        x0 = x0.reshape(-1, 1)
+    x0 = _generator_matrix(generators)
     t_eval = np.linspace(0.0, float(horizon), n_out)
     if base_point is not None:
         base = integrate(sys, base_point, (0.0, horizon), rtol, atol, t_eval=t_eval)
@@ -312,7 +315,13 @@ def volume_growth_rate(
         if any(rec is None for rec in runs):
             raise IntegrationError(f"step-size underflow while integrating {sys.name}")
         columns = np.stack([rec.states for rec in runs], axis=-1)
-    volumes = np.array([parallelotope_volume(columns[i]) for i in range(n_out)])
+    if not np.isfinite(columns).all():
+        raise ValueError("matrix contains non-finite entries")
+    # one stacked call; each time's minors, and so its norm, are bitwise
+    # those parallelotope_volume gives the columns at that time
+    n, k = x0.shape
+    minors = minor_dets(columns, compound_index(n, k).seqs, compound_index(k, k).seqs)
+    volumes = np.array([np.linalg.norm(col.ravel()) for col in minors])
     return fit_exponential_rate(t_eval, volumes)
 
 

@@ -315,6 +315,27 @@ def test_volume_growth_rates_for_cascade():
     assert abs(fit2.rate - 0.5) < 1e-3
 
 
+def test_growth_volumes_are_bitwise_the_per_time_volumes():
+    x0 = np.array([[1.0, 0.2], [0.0, 0.0], [0.3, 1.0], [0.0, -0.4]])
+    sysm = lti_series_zeta(-1.5).full_system()
+    fit = volume_growth_rate(sysm, x0, 20.0, n_out=41)
+    runs = integrate_many(sysm, x0.T, (0.0, 20.0), 1e-10, 1e-10, t_eval=fit.times)
+    columns = np.stack([rec.states for rec in runs], axis=-1)
+    assert np.array_equal(fit.volumes, [parallelotope_volume(c) for c in columns])
+    # along a trajectory the columns are Phi(t) x0 of the variational flow
+    sysm, t_eval = remark2(), np.linspace(0.0, 6.0, 31)
+    fit = volume_growth_rate(sysm, np.eye(2), 6.0, n_out=31, base_point=[1.0, 1.0], max_step=0.01)
+    base = integrate(sysm, [1.0, 1.0], (0.0, 6.0), 1e-10, 1e-10, t_eval=t_eval)
+    flow = variational_flow(sysm, base, k=1, max_step=0.01).flow
+    assert np.array_equal(fit.volumes, [parallelotope_volume(phi) for phi in flow])
+
+
+def test_volume_growth_rejects_bad_generators():
+    for bad in (np.ones((2, 3)), np.ones((3, 0))):
+        with pytest.raises(ValueError, match="n x k"):
+            volume_growth_rate(lti(-np.eye(bad.shape[0])), bad, 1.0)
+
+
 def test_volume_growth_raises_when_a_generator_column_fails():
     columns = np.array([[0.5, -3.0], [0.5, 1.0]])  # x1 = -3 blows up in finite time
     with pytest.raises(IntegrationError):

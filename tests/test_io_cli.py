@@ -274,6 +274,21 @@ def test_cli_simulate_growth_preset(tmp_path, capsys):
     assert len(vol) == 202
 
 
+@pytest.mark.parametrize("argv", [["--preset", "growth"], ["--preset", "fig2", "--horizon", "2"]])
+def test_cli_simulate_serializes_the_summary_once(tmp_path, capsys, monkeypatch, argv):
+    dumps = []
+
+    def counted(obj):
+        dumps.append(obj)
+        return real(obj)
+
+    real = matio.dump_json
+    monkeypatch.setattr(matio, "dump_json", counted)
+    assert main(["simulate", *argv, "--output", str(tmp_path)]) == 0
+    assert len(dumps) == 1
+    assert capsys.readouterr().out == (tmp_path / "summary.json").read_text()
+
+
 def test_cli_simulate_requires_config_or_preset():
     assert main(["simulate"]) == 2
 
