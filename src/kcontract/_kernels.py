@@ -16,7 +16,7 @@ from math import comb, prod
 import numpy as np
 
 from . import indexing
-from .indexing import check_dense_guard, compound_index
+from .indexing import check_dense_guard, check_dimension_guard, compound_index
 
 # ---------------------------------------------------------------------------
 # Minor determinants by Laplace recursion
@@ -57,6 +57,8 @@ def _laplace_plan(n: int, p: int, k: int) -> _Plan:
     def first_row(l):  # lex rank of the first l-sequence starting at k - l
         return comb(n, l) - comb(n - k + l, l)
 
+    for l in range(2, k + 1):  # refuse index tables too large to build
+        check_dimension_guard(comb(p, l))
     levels = []
     for l in range(2, k + 1):
         rows, cols = compound_index(n, l), compound_index(p, l)
@@ -99,9 +101,11 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     The complete lex table of m's k-minors is computed, each level's rows in
     chunks of ``BATCH_BYTES`` (chunking changes no bit), and ``rows`` and
-    ``cols`` are read from it by lex rank.  Level l holds up to
-    C(n - k + l, l) C(p, l) minors, which for k near p can exceed the
-    result; that table is refused by the dense guard before it is allocated.
+    ``cols`` are read from it by lex rank.  Level l holds C(n - k + l, l)
+    C(p, l) minors over all C(p, l) column sequences, which for k near p
+    can far exceed the result: a level whose column table exceeds
+    ``MAX_COMPOUND_DIM`` (from p = 20 columns on, every k > p/2) or whose
+    minors exceed the dense guard is refused before it is built.
     """
     m = np.asarray(m, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)

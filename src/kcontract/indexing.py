@@ -67,9 +67,14 @@ class CompoundIndex:
     by some j outside alpha; the sign is (-1)^(s+t) with t the position of j
     within beta.
 
+    ``rank`` maps sequences to their lex positions (the combinatorial number
+    system), and ``drop_rank`` holds, for each sequence and each of its
+    entries, the position of the sequence without that entry in the
+    (k-1)-table: the gather indices of the Laplace recursion for minors.
+
     Build tables through ``compound_index``, which caches them.  The scatter
-    is built on first use, so the closed forms, which need only the
-    sequences, never pay for it.  All arrays are read-only.
+    and the drop-one ranks are built on first use, so the closed forms, which
+    need only the sequences, never pay for them.  All arrays are read-only.
     """
 
     def __init__(self, n: int, k: int):

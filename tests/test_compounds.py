@@ -148,7 +148,8 @@ def test_minors_on_chosen_sequences_are_read_from_the_lex_table():
     pick_r, pick_c = rng.permutation(rows.shape[0])[:5], rng.permutation(cols.shape[0])[:9]
     got = _kernels.minor_dets(m, rows[pick_r], cols[pick_c])
     assert _same_bits(got, full[np.ix_(pick_r, pick_c)])
-    assert np.allclose(got, brute_mult_compound(m, 3)[np.ix_(pick_r, pick_c)], rtol=1e-12, atol=1e-12)
+    brute = brute_mult_compound(m, 3)[np.ix_(pick_r, pick_c)]
+    assert np.allclose(got, brute, rtol=1e-12, atol=1e-12)
 
 
 def test_order_zero_conventions():
@@ -448,3 +449,10 @@ def test_dense_allocation_guard_by_bytes():
     with pytest.raises(DimensionGuardError):
         block_diag_add_decompose(np.eye(9), np.eye(8), 8)
     assert add_compound(np.eye(10), 5).data.shape == (252, 252)
+
+
+def test_minor_recursion_refuses_oversized_middle_levels():
+    # 20 x 20 at k = 17 has a 1140 x 1140 result, but the recursion passes
+    # through all C(20, 10) = 184756 column sequences of order 10
+    with pytest.raises(DimensionGuardError):
+        mult_compound(np.eye(20), 17)

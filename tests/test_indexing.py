@@ -11,6 +11,7 @@ from kcontract.indexing import (
     block_lex_order,
     block_range,
     build_permutation,
+    compound_index,
     enumerate_sequences,
     split_index,
 )
@@ -29,6 +30,20 @@ def test_q25_against_exhaustive_enumeration():
     assert got == list(itertools.combinations(range(1, 6), 2))
     assert len(got) == 10
     assert got[0] == (1, 2) and got[-1] == (4, 5)
+
+
+def test_ranks_and_drop_one_ranks_against_enumeration():
+    for n in range(0, 9):
+        for k in range(0, n + 1):
+            table = compound_index(n, k)
+            assert np.array_equal(table.rank(table.seqs), np.arange(table.r))
+            if k == 0:
+                continue
+            lower = {s: i for i, s in enumerate(itertools.combinations(range(n), k - 1))}
+            seqs = itertools.combinations(range(n), k)
+            want = [[lower[s[:j] + s[j + 1 :]] for j in range(k)] for s in seqs]
+            assert np.array_equal(table.drop_rank, np.array(want).reshape(table.r, k))
+            assert not table.drop_rank.flags.writeable
 
 
 @pytest.mark.parametrize("k", [0, 5, -1])
