@@ -9,9 +9,9 @@ described in ``perfbench/README.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .indexing import check_dense_guard, check_dimension_guard, compound_index
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """How the l-minors of one shape are read from its (l-1)-minors.
 
     Rows are the l-sequences whose first entry is at least k - l, the only
@@ -40,8 +39,7 @@ class _Level:
     drop: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     rows: np.ndarray  # the k-sequences over n and over p: the result's lex order
     cols: np.ndarray
     start: int  # first row of m the 1-minors need
@@ -114,27 +112,27 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     k = rows.shape[1]
     if k == 0:
         return np.ones(lead + (rows.shape[0], cols.shape[0]))
-    plan = _laplace_plan(n, p, k)
+    top_rows, top_cols, start, levels, largest = _laplace_plan(n, p, k)
     width = max(1, prod(lead))
-    check_dense_guard(width * plan.largest, "minor table")
-    minors = m[..., plan.start :, :] if plan.levels else m.copy()
-    for lv in plan.levels:
-        out = np.empty(lead + (lv.head.size, lv.col.shape[1]))
-        step = max(1, indexing.BATCH_BYTES // (8 * width * lv.col.size))
-        for at in range(0, lv.head.size, step):
+    check_dense_guard(width * largest, "minor table")
+    minors = m[..., start:, :] if levels else m.copy()
+    for head, tail, col, drop in levels:
+        out = np.empty(lead + (head.size, col.shape[1]))
+        step = max(1, indexing.BATCH_BYTES // (8 * width * col.size))
+        for at in range(0, head.size, step):
             # term j of every minor in the chunk: (..., c, l, C)
-            terms = m.take(lv.head[at : at + step], axis=-2).take(lv.col, axis=-1)
-            terms *= minors.take(lv.tail[at : at + step], axis=-2).take(lv.drop, axis=-1)
+            terms = m.take(head[at : at + step], axis=-2).take(col, axis=-1)
+            terms *= minors.take(tail[at : at + step], axis=-2).take(drop, axis=-1)
             acc = np.subtract(terms[..., 0, :], terms[..., 1, :], out=out[..., at : at + step, :])
-            for j in range(2, lv.col.shape[0]):
+            for j in range(2, col.shape[0]):
                 if j % 2:
                     acc -= terms[..., j, :]
                 else:
                     acc += terms[..., j, :]
         minors = out
-    if rows is not plan.rows and not np.array_equal(rows, plan.rows):
+    if rows is not top_rows and not np.array_equal(rows, top_rows):
         minors = minors.take(compound_index(n, k).rank(rows), axis=-2)
-    if cols is not plan.cols and not np.array_equal(cols, plan.cols):
+    if cols is not top_cols and not np.array_equal(cols, top_cols):
         minors = minors.take(compound_index(p, k).rank(cols), axis=-1)
     return minors
 
