@@ -26,11 +26,11 @@ from .indexing import check_dense_guard, check_dimension_guard, compound_index
 class _Level(NamedTuple):
     """How the l-minors of one shape are read from its (l-1)-minors.
 
-    Rows are the l-sequences whose first entry is at least k - l, the only
-    ones the expansion of a k-minor reaches: a tail of the lex table.  Row
-    alpha takes its first entry ``head[alpha]`` and row ``tail[alpha]`` of
-    the level below; term j of column beta takes entry ``col[j, beta]`` and
-    column ``drop[j, beta]`` of the level below.
+    Rows are the l-sequences over the last n - k + l row indices, the only
+    ones the expansion of a k-minor reaches; columns are all l-sequences.
+    Row alpha takes its first entry ``head[alpha]`` of m and row
+    ``tail[alpha]`` of the level below; term j of column beta takes entry
+    ``col[j, beta]`` of m and column ``drop[j, beta]`` of the level below.
     """
 
     head: np.ndarray
@@ -42,7 +42,6 @@ class _Level(NamedTuple):
 class _Plan(NamedTuple):
     rows: np.ndarray  # the k-sequences over n and over p: the result's lex order
     cols: np.ndarray
-    start: int  # first row of m the 1-minors need
     levels: tuple[_Level, ...]  # l = 2..k
     largest: int  # entries of the largest level
 
@@ -51,28 +50,26 @@ class _Plan(NamedTuple):
 def _laplace_plan(n: int, p: int, k: int) -> _Plan:
     """The gather plan of the k-minors of an n x p matrix, read from the
     compound index tables (lex order and drop-one ranks)."""
-
-    def first_row(l):  # lex rank of the first l-sequence starting at k - l
-        return comb(n, l) - comb(n - k + l, l)
-
-    for l in range(2, k + 1):  # refuse index tables too large to build
-        check_dimension_guard(comb(p, l))
+    slack = n - k
+    # refuse index tables too large to build; the row tables are no larger
+    # than the result's
+    check_dimension_guard(max([comb(n, k)] + [comb(p, l) for l in range(k + 1)]))
     levels = []
     for l in range(2, k + 1):
-        rows, cols = compound_index(n, l), compound_index(p, l)
-        at = first_row(l)
+        # the rows are the table over slack + l indices, shifted by k - l;
+        # removing its first entry leaves a sequence that starts at 1 or
+        # later, past the C(slack + l - 1, l - 2) that start at 0
+        rows, cols = compound_index(slack + l, l), compound_index(p, l)
         levels.append(
             _Level(
-                head=rows.seqs[at:, 0].copy(),
-                tail=rows.drop_rank[at:, 0] - first_row(l - 1),
+                head=rows.seqs[:, 0] + (k - l),
+                tail=rows.drop_rank[:, 0] - comb(slack + l - 1, l - 2),
                 col=np.ascontiguousarray(cols.seqs.T),
                 drop=np.ascontiguousarray(cols.drop_rank.T),
             )
         )
     largest = max((lv.head.size * lv.col.shape[1] for lv in levels), default=0)
-    return _Plan(
-        compound_index(n, k).seqs, compound_index(p, k).seqs, first_row(1), tuple(levels), largest
-    )
+    return _Plan(compound_index(n, k).seqs, compound_index(p, k).seqs, tuple(levels), largest)
 
 
 def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -100,10 +97,12 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     The complete lex table of m's k-minors is computed, each level's rows in
     chunks of ``BATCH_BYTES`` (chunking changes no bit), and ``rows`` and
     ``cols`` are read from it by lex rank.  Level l holds C(n - k + l, l)
-    C(p, l) minors over all C(p, l) column sequences, which for k near p
-    can far exceed the result: a level whose column table exceeds
-    ``MAX_COMPOUND_DIM`` (from p = 20 columns on, every k > p/2) or whose
-    minors exceed the dense guard is refused before it is built.
+    C(p, l) minors, over all C(p, l) column sequences, which for k > p/2
+    can far exceed the result; the work grows as the sum of l times these
+    counts, against C(n, k) C(p, k) k^3 / 3 for LU.  A level whose column
+    table exceeds ``MAX_COMPOUND_DIM`` (from p = 20 columns on, every
+    k > p/2) or whose minors exceed the dense guard is refused before it is
+    built.
     """
     m = np.asarray(m, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -112,10 +111,10 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     k = rows.shape[1]
     if k == 0:
         return np.ones(lead + (rows.shape[0], cols.shape[0]))
-    top_rows, top_cols, start, levels, largest = _laplace_plan(n, p, k)
+    top_rows, top_cols, levels, largest = _laplace_plan(n, p, k)
     width = max(1, prod(lead))
     check_dense_guard(width * largest, "minor table")
-    minors = m[..., start:, :] if levels else m.copy()
+    minors = m[..., k - 1 :, :] if levels else m.copy()
     for head, tail, col, drop in levels:
         out = np.empty(lead + (head.size, col.shape[1]))
         step = max(1, indexing.BATCH_BYTES // (8 * width * col.size))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ def test_cauchy_binet_rectangular():
 
 def test_mult_matches_brute_minors():
     rng = np.random.default_rng(4)
-    for n, m, k in [(3, 3, 2), (4, 5, 3), (5, 4, 2), (6, 6, 4), (5, 5, 5)]:
+    for n, m, k in [(3, 3, 2), (4, 5, 3), (5, 4, 2), (6, 6, 4), (5, 5, 5), (8, 5, 4), (9, 6, 6)]:
         a = rng.standard_normal((n, m))
         assert rel_err(mult_compound(a, k).data, brute_mult_compound(a, k)) < 1e-11
 
@@ -456,3 +457,13 @@ def test_minor_recursion_refuses_oversized_middle_levels():
     # through all C(20, 10) = 184756 column sequences of order 10
     with pytest.raises(DimensionGuardError):
         mult_compound(np.eye(20), 17)
+
+
+def test_minor_recursion_reads_only_the_rows_it_reaches():
+    # a k-minor's expansion reaches the l-sequences over the last n - k + l
+    # rows, so a tall 16 x 10 generator matrix never builds C(16, 8) rows
+    levels = _kernels._laplace_plan(16, 10, 10).levels
+    assert [lv.head.size for lv in levels] == [comb(6 + l, l) for l in range(2, 11)]
+    x = np.random.default_rng(37).standard_normal((16, 10))
+    col = mult_compound(x, 10).data
+    assert abs(np.linalg.norm(col) / np.sqrt(np.linalg.det(x.T @ x)) - 1.0) < 1e-10
