@@ -1,7 +1,7 @@
-"""Hot numeric kernels: minor determinants by Laplace recursion (one
-cofactor kernel for every order k, no LAPACK call), the adaptive
-Dormand-Prince stepper that moves many starts in lockstep (vector fields
-called with the states as columns), and fixed-step RK4.
+"""Hot numeric kernels: minor determinants (Laplace recursion, or LU where
+the recursion would do more work), the adaptive Dormand-Prince stepper that
+moves many starts in lockstep (vector fields called with the states as
+columns), and fixed-step RK4.
 
 Everything here is plain numpy; performance is measured with the benchmark
 described in ``perfbench/README.md``.
@@ -11,15 +11,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import indexing
-from .indexing import check_dense_guard, check_dimension_guard, compound_index
+from .indexing import MAX_COMPOUND_DIM, MAX_DENSE_BYTES, check_dense_guard, compound_index
 
 # ---------------------------------------------------------------------------
-# Minor determinants by Laplace recursion
+# Minor determinants
 # ---------------------------------------------------------------------------
 
 
@@ -30,13 +30,15 @@ class _Level(NamedTuple):
     ones the expansion of a k-minor reaches; columns are all l-sequences.
     Row alpha takes its first entry ``head[alpha]`` of m and row
     ``tail[alpha]`` of the level below; term j of column beta takes entry
-    ``col[j, beta]`` of m and column ``drop[j, beta]`` of the level below.
+    ``col[j][beta]`` of m and column ``drop[j][beta]`` of the level below.
+    ``col`` and ``drop`` hold one view per term j into the cached column
+    table's ``seqs`` and ``drop_rank``.
     """
 
     head: np.ndarray
     tail: np.ndarray
-    col: np.ndarray
-    drop: np.ndarray
+    col: tuple[np.ndarray, ...]
+    drop: tuple[np.ndarray, ...]
 
 
 class _Plan(NamedTuple):
@@ -47,13 +49,24 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _laplace_plan(n: int, p: int, k: int) -> _Plan:
+def _laplace_plan(n: int, p: int, k: int) -> Optional[_Plan]:
     """The gather plan of the k-minors of an n x p matrix, read from the
-    compound index tables (lex order and drop-one ranks)."""
+    compound index tables (lex order and drop-one ranks).
+
+    None where LU is the route: a level's row or column table exceeds
+    ``MAX_COMPOUND_DIM``, a level exceeds the dense guard, or the recursion
+    multiplies more often, sum_l l C(n - k + l, l) C(p, l), than LU's
+    C(n, k) C(p, k) k^3 / 3.  For k <= 3 the recursion is always the cheaper.
+    """
     slack = n - k
-    # refuse index tables too large to build; the row tables are no larger
-    # than the result's
-    check_dimension_guard(max([comb(n, k)] + [comb(p, l) for l in range(k + 1)]))
+    sizes = [(comb(slack + l, l), comb(p, l)) for l in range(2, k + 1)]
+    work = sum(l * r * c for l, (r, c) in enumerate(sizes, start=2))
+    if (
+        max((max(size) for size in sizes), default=0) > MAX_COMPOUND_DIM
+        or 8 * max((r * c for r, c in sizes), default=0) > MAX_DENSE_BYTES
+        or 3 * work > comb(n, k) * comb(p, k) * k**3
+    ):
+        return None
     levels = []
     for l in range(2, k + 1):
         # the rows are the table over slack + l indices, shifted by k - l;
@@ -63,12 +76,12 @@ def _laplace_plan(n: int, p: int, k: int) -> _Plan:
         levels.append(
             _Level(
                 head=rows.seqs[:, 0] + (k - l),
-                tail=rows.drop_rank[:, 0] - comb(slack + l - 1, l - 2),
-                col=np.ascontiguousarray(cols.seqs.T),
-                drop=np.ascontiguousarray(cols.drop_rank.T),
+                tail=rows.drop_rank[0] - comb(slack + l - 1, l - 2),
+                col=tuple(cols.seqs.T),
+                drop=tuple(cols.drop_rank),
             )
         )
-    largest = max((lv.head.size * lv.col.shape[1] for lv in levels), default=0)
+    largest = max((r * c for r, c in sizes), default=0)
     return _Plan(compound_index(n, k).seqs, compound_index(p, k).seqs, tuple(levels), largest)
 
 
@@ -81,28 +94,27 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     with entry (a, b) = det(m[rows[a]][:, cols[b]]); each matrix of a stack
     gets bitwise the result of its own call.
 
-    The l-minors are built from the (l-1)-minors for l = 2..k by Laplace
+    The route depends on (n, p, k) alone (``_laplace_plan``).  The Laplace
+    recursion builds the l-minors from the (l-1)-minors for l = 2..k by
     expansion along the first row, the terms summed left to right:
 
         M_l[R, C] = sum_j (-1)^j m[R_0, C_j] M_{l-1}[R - R_0, C - C_j].
 
     For k <= 3 this is exactly the written-out expansion of a 2 x 2 and a
-    3 x 3 determinant.  No LAPACK routine is called, so the results do not
-    depend on the BLAS/LAPACK build.  The rounding error of a minor M is at
-    most gamma_{2k} per(|M|), gamma_q = q u / (1 - q u) (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, section 14).  The bound is
-    relative to the permanent of |M|, not to |det M|: a nearly singular
-    minor may carry a larger relative error than an LU determinant gives it.
+    3 x 3 determinant, and no LAPACK routine is called, so those results do
+    not depend on the BLAS/LAPACK build.  The rounding error of a minor M is
+    at most gamma_{2k} per(|M|), gamma_q = q u / (1 - q u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 14).  The
+    bound is relative to the permanent of |M|, not to |det M|: a nearly
+    singular minor may carry a larger relative error than an LU determinant
+    gives it.  The recursion computes the complete lex table of m's
+    k-minors, each level's rows in chunks of ``BATCH_BYTES`` (chunking
+    changes no bit), and reads ``rows`` and ``cols`` from it by lex rank.
 
-    The complete lex table of m's k-minors is computed, each level's rows in
-    chunks of ``BATCH_BYTES`` (chunking changes no bit), and ``rows`` and
-    ``cols`` are read from it by lex rank.  Level l holds C(n - k + l, l)
-    C(p, l) minors, over all C(p, l) column sequences, which for k > p/2
-    can far exceed the result; the work grows as the sum of l times these
-    counts, against C(n, k) C(p, k) k^3 / 3 for LU.  A level whose column
-    table exceeds ``MAX_COMPOUND_DIM`` (from p = 20 columns on, every
-    k > p/2) or whose minors exceed the dense guard is refused before it is
-    built.
+    Where the recursion would multiply more often than LU, or pass through a
+    level too large to hold (from p = 20 columns on, every k > p/2), each
+    minor is an LU determinant (``np.linalg.det``) instead, in chunks of
+    ``BATCH_BYTES`` of gathered minors.
     """
     m = np.asarray(m, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -111,29 +123,54 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     k = rows.shape[1]
     if k == 0:
         return np.ones(lead + (rows.shape[0], cols.shape[0]))
-    top_rows, top_cols, levels, largest = _laplace_plan(n, p, k)
     width = max(1, prod(lead))
+    plan = _laplace_plan(n, p, k)
+    if plan is None:
+        return _lu_minors(m, rows, cols, width)
+    top_rows, top_cols, levels, largest = plan
     check_dense_guard(width * largest, "minor table")
     minors = m[..., k - 1 :, :] if levels else m.copy()
     for head, tail, col, drop in levels:
-        out = np.empty(lead + (head.size, col.shape[1]))
-        step = max(1, indexing.BATCH_BYTES // (8 * width * col.size))
+        out = np.empty(lead + (head.size, col[0].size))
+        step = max(1, indexing.BATCH_BYTES // (8 * width * col[0].size))
         for at in range(0, head.size, step):
-            # term j of every minor in the chunk: (..., c, l, C)
-            terms = m.take(head[at : at + step], axis=-2).take(col, axis=-1)
-            terms *= minors.take(tail[at : at + step], axis=-2).take(drop, axis=-1)
-            acc = np.subtract(terms[..., 0, :], terms[..., 1, :], out=out[..., at : at + step, :])
-            for j in range(2, col.shape[0]):
+            # one (..., c, C) term at a time, summed left to right into out
+            m_head = m.take(head[at : at + step], axis=-2)
+            m_tail = minors.take(tail[at : at + step], axis=-2)
+            acc = np.multiply(
+                m_head.take(col[0], axis=-1),
+                m_tail.take(drop[0], axis=-1),
+                out=out[..., at : at + step, :],
+            )
+            for j in range(1, len(col)):
+                term = m_head.take(col[j], axis=-1)
+                term *= m_tail.take(drop[j], axis=-1)
                 if j % 2:
-                    acc -= terms[..., j, :]
+                    acc -= term
                 else:
-                    acc += terms[..., j, :]
+                    acc += term
         minors = out
     if rows is not top_rows and not np.array_equal(rows, top_rows):
         minors = minors.take(compound_index(n, k).rank(rows), axis=-2)
     if cols is not top_cols and not np.array_equal(cols, top_cols):
         minors = minors.take(compound_index(p, k).rank(cols), axis=-1)
     return minors
+
+
+def _lu_minors(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """``minor_dets`` by one LU determinant per minor, the gathered minors
+    walked in row chunks of ``BATCH_BYTES``."""
+    k = rows.shape[1]
+    check_dense_guard(width * rows.shape[0] * cols.shape[0], "minor table")
+    out = np.empty(m.shape[:-2] + (rows.shape[0], cols.shape[0]))
+    step = max(1, indexing.BATCH_BYTES // (8 * width * cols.shape[0] * k * k))
+    for at in range(0, rows.shape[0], step):
+        sub = rows[at : at + step]
+        # gather -> (..., c, C, k, k)
+        out[..., at : at + step, :] = np.linalg.det(
+            m[..., sub[:, None, :, None], cols[None, :, None, :]]
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ def mult_compound(m, k: int) -> CompoundMatrix:
     called, so results do not depend on the LAPACK build.  Each entry's
     rounding error is at most gamma_2k per(|minor|); a nearly singular minor
     can have a larger error relative to its own size than an LU determinant.
+    Shapes where the recursion would do more work than LU, or pass through
+    levels above the guards (k > p/2 from p = 20 columns on), take one LU
+    determinant per minor.
     """
     a = as_matrix(m)
     rows, cols = a.shape

@@ -68,8 +68,8 @@ class CompoundIndex:
     within beta.
 
     ``rank`` maps sequences to their lex positions (the combinatorial number
-    system), and ``drop_rank`` holds, for each sequence and each of its
-    entries, the position of the sequence without that entry in the
+    system), and ``drop_rank`` (k, r) holds, for each entry position j and
+    each sequence, the position of the sequence without its j-th entry in the
     (k-1)-table: the gather indices of the Laplace recursion for minors.
 
     Build tables through ``compound_index``, which caches them.  The scatter
@@ -108,10 +108,10 @@ class CompoundIndex:
 
     @cached_property
     def drop_rank(self) -> np.ndarray:
-        """(r, k): entry (alpha, j) is the lex rank, in the (k-1)-table, of
+        """(k, r): entry (j, alpha) is the lex rank, in the (k-1)-table, of
         alpha with its j-th entry removed."""
         lower = compound_index(self.n, self.k - 1)
-        return _frozen(np.stack([lower.rank(rest) for rest in _drop_one(self.seqs)], axis=1))
+        return _frozen(np.stack([lower.rank(rest) for rest in _drop_one(self.seqs)]))
 
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

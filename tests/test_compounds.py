@@ -20,6 +20,7 @@ from kcontract.compounds import (
     lift_diagonal_scaling,
     mult_compound,
 )
+from kcontract.dynamics import parallelotope_volume
 from kcontract.indexing import (
     MAX_DENSE_BYTES,
     CompoundIndex,
@@ -118,7 +119,9 @@ def test_minor_rounding_error_within_permanent_bound(m, k, sample):
         assert abs(Fraction(got[a, b]) - det) <= gamma * per
 
 
-@pytest.mark.parametrize("shape, k", [((6, 6), 1), ((6, 5), 2), ((7, 7), 4), ((5, 8), 5)])
+@pytest.mark.parametrize(
+    "shape, k", [((6, 6), 1), ((6, 5), 2), ((7, 7), 4), ((5, 8), 5), ((8, 6), 6)]
+)
 def test_minors_are_bitwise_the_same_in_small_chunks(monkeypatch, shape, k):
     m = np.random.default_rng(34).standard_normal((3,) + shape)
     rows, cols = compound_index(shape[0], k).seqs, compound_index(shape[1], k).seqs
@@ -452,18 +455,48 @@ def test_dense_allocation_guard_by_bytes():
     assert add_compound(np.eye(10), 5).data.shape == (252, 252)
 
 
-def test_minor_recursion_refuses_oversized_middle_levels():
-    # 20 x 20 at k = 17 has a 1140 x 1140 result, but the recursion passes
-    # through all C(20, 10) = 184756 column sequences of order 10
-    with pytest.raises(DimensionGuardError):
-        mult_compound(np.eye(20), 17)
+def test_minors_past_the_recursion_limits_are_lu_determinants():
+    # 20 x 20 at k = 17 has a 1140 x 1140 result, but the recursion would
+    # pass through all C(20, 10) = 184756 column sequences of order 10
+    assert _kernels._laplace_plan(20, 20, 17) is None
+    assert np.array_equal(mult_compound(np.eye(20), 17).data, np.eye(1140))
+    assert parallelotope_volume(np.eye(20)) == 1.0
+    # 19 x 19 at k = 18: LU needs 361 determinants, the recursion far more work
+    assert _kernels._laplace_plan(19, 19, 18) is None
+    x = np.random.default_rng(38).standard_normal((19, 19))
+    got = mult_compound(x, 18).data
+    assert np.allclose(got, brute_mult_compound(x, 18), rtol=1e-12, atol=1e-12)
+
+
+def test_minor_route_counts_multiplications():
+    # the recursion wherever it multiplies no more often than LU's k^3 / 3
+    # per minor, so always for k <= 3
+    for n in range(1, 13):
+        for p in range(1, 13):
+            for k in range(1, min(n, p) + 1):
+                work = sum(
+                    l * comb(n - k + l, l) * comb(p, l) for l in range(2, k + 1)
+                )
+                laplace = 3 * work <= comb(n, k) * comb(p, k) * k**3
+                assert (_kernels._laplace_plan(n, p, k) is not None) == laplace
+                assert laplace or k >= 4
+    # 19 x 19 at k = 15 multiplies less often by the recursion than by LU,
+    # but one of its levels exceeds the dense guard
+    sizes = {l: comb(4 + l, l) * comb(19, l) for l in range(2, 16)}
+    assert 3 * sum(l * size for l, size in sizes.items()) <= comb(19, 15) ** 2 * 15**3
+    assert 8 * max(sizes.values()) > MAX_DENSE_BYTES
+    assert _kernels._laplace_plan(19, 19, 15) is None
 
 
 def test_minor_recursion_reads_only_the_rows_it_reaches():
     # a k-minor's expansion reaches the l-sequences over the last n - k + l
-    # rows, so a tall 16 x 10 generator matrix never builds C(16, 8) rows
-    levels = _kernels._laplace_plan(16, 10, 10).levels
-    assert [lv.head.size for lv in levels] == [comb(6 + l, l) for l in range(2, 11)]
-    x = np.random.default_rng(37).standard_normal((16, 10))
-    col = mult_compound(x, 10).data
-    assert abs(np.linalg.norm(col) / np.sqrt(np.linalg.det(x.T @ x)) - 1.0) < 1e-10
+    # rows, so a tall 16 x 10 matrix at k = 5 never builds C(16, 4) rows
+    levels = _kernels._laplace_plan(16, 10, 5).levels
+    assert [lv.head.size for lv in levels] == [comb(11 + l, l) for l in range(2, 6)]
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((16, 10))
+    got = mult_compound(x, 5).data
+    rows, cols = compound_index(16, 5).seqs, compound_index(10, 5).seqs
+    for a, b in zip(rng.integers(0, rows.shape[0], 200), rng.integers(0, cols.shape[0], 200)):
+        want = np.linalg.det(x[np.ix_(rows[a], cols[b])])
+        assert abs(got[a, b] - want) <= 1e-12 * max(1.0, abs(want))

@@ -42,7 +42,7 @@ def test_ranks_and_drop_one_ranks_against_enumeration():
             lower = {s: i for i, s in enumerate(itertools.combinations(range(n), k - 1))}
             seqs = itertools.combinations(range(n), k)
             want = [[lower[s[:j] + s[j + 1 :]] for j in range(k)] for s in seqs]
-            assert np.array_equal(table.drop_rank, np.array(want).reshape(table.r, k))
+            assert np.array_equal(table.drop_rank, np.array(want).reshape(table.r, k).T)
             assert not table.drop_rank.flags.writeable
 
 
