@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import ceil, comb
+from math import ceil, comb, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -238,12 +238,19 @@ def _generator_matrix(generators) -> np.ndarray:
     return x
 
 
+def _norm(col: np.ndarray) -> float:
+    """Euclidean norm of a compound column, by the formula np.linalg.norm
+    uses for a vector (the square root of its dot product), bitwise the same
+    without its argument handling."""
+    v = col.ravel()
+    return sqrt(v.dot(v))
+
+
 def parallelotope_volume(generators) -> float:
     """Volume of the parallelotope spanned by the columns of an n x k matrix,
     i.e. the Euclidean norm of the k-th multiplicative compound (a column)."""
     x = _generator_matrix(generators)
-    col = mult_compound(x, x.shape[1]).data
-    return float(np.linalg.norm(col.ravel()))
+    return _norm(mult_compound(x, x.shape[1]).data)
 
 
 def gram_volume(generators) -> float:
@@ -305,6 +312,8 @@ def volume_growth_rate(
     along the trajectory from that point.
     """
     x0 = _generator_matrix(generators)
+    n, k = x0.shape
+    check_dimension_guard(comb(n, k))
     t_eval = np.linspace(0.0, float(horizon), n_out)
     if base_point is not None:
         base = integrate(sys, base_point, (0.0, horizon), rtol, atol, t_eval=t_eval)
@@ -319,9 +328,8 @@ def volume_growth_rate(
         raise ValueError("matrix contains non-finite entries")
     # one stacked call; each time's minors, and so its norm, are bitwise
     # those parallelotope_volume gives the columns at that time
-    n, k = x0.shape
     minors = minor_dets(columns, compound_index(n, k).seqs, compound_index(k, k).seqs)
-    volumes = np.array([np.linalg.norm(col.ravel()) for col in minors])
+    volumes = np.array([_norm(col) for col in minors])
     return fit_exponential_rate(t_eval, volumes)
 
 

@@ -334,6 +334,17 @@ def test_volume_growth_rejects_bad_generators():
     for bad in (np.ones((2, 3)), np.ones((3, 0))):
         with pytest.raises(ValueError, match="n x k"):
             volume_growth_rate(lti(-np.eye(bad.shape[0])), bad, 1.0)
+    # C(25, 12) = 5 200 300 compound rows, refused before anything is integrated
+    with pytest.raises(DimensionGuardError):
+        volume_growth_rate(lti(-np.eye(25)), np.eye(25)[:, :12], 1.0)
+
+
+def test_volume_is_bitwise_the_numpy_norm_of_the_compound_column():
+    rng = np.random.default_rng(39)
+    for shape in [(3, 2), (4, 2), (5, 3), (6, 6), (9, 4)]:
+        x = rng.standard_normal(shape)
+        want = float(np.linalg.norm(mult_compound(x, shape[1]).data.ravel()))
+        assert parallelotope_volume(x).hex() == want.hex()
 
 
 def test_volume_growth_raises_when_a_generator_column_fails():
