@@ -1,6 +1,8 @@
 """k-contraction certificates.
 
-Four certifiers share one evaluation core:
+Every certifier states split conditions, and one core, ``_certify``,
+evaluates them: for each split index i, the measures of compounds of the
+diagonal blocks must sum to at most -eta_i.
 
 * a single system is k-contracting when the measure of the k-th additive
   compound of its Jacobian is uniformly negative over the domain;
@@ -9,8 +11,10 @@ Four certifiers share one evaluation core:
   and on success a concrete scaling epsilon* realizing the proof's scaled
   norm is reported together with the certified rate min_i eta_i / 2;
 * skew-symmetric feedback reduces to the same split conditions under the
-  L2 measure once the coupling identity J21 = -c J12^T is verified;
-* an exponentially decaying input is the special case of a scalar driver.
+  L2 measure, since a ``FeedbackModel`` derives J21 = -c J12^T from J12 and
+  so satisfies the coupling identity by construction;
+* an exponentially decaying input is the same split with a scalar driver
+  block, the constant input rate alpha.
 
 Analytic-bounds mode evaluates worst cases from entry-wise Jacobian bounds
 (diagonal entries at their upper bound, off-diagonal entries at their largest
@@ -37,6 +41,7 @@ from .measures import (
     LINF,
     HierarchicNormSpec,
     MeasureKind,
+    _broadcast_kinds,
     compound_measure,
     compound_measures,
     hierarchic_measure_bounds,
@@ -138,6 +143,12 @@ def _analytic_scale_vector(kind: MeasureKind, n: int, k: int) -> Optional[np.nda
     )
 
 
+def _exact(bounds: EntryBounds, k: int) -> bool:
+    """True when ``bounds`` give mu(J^[k]) exactly, for any measure: k = 0,
+    or constant bounds with no compound-level bounds for order k."""
+    return k == 0 or (bounds.is_constant and k not in (bounds.compound or {}))
+
+
 def worst_case_compound_measure(bounds: EntryBounds, k: int, kind: MeasureKind) -> float:
     """Sound upper bound of sup mu(J^[k]) over all Jacobians inside ``bounds``.
 
@@ -147,8 +158,7 @@ def worst_case_compound_measure(bounds: EntryBounds, k: int, kind: MeasureKind) 
     """
     if k == 0:
         return 0.0
-    explicit = bounds.compound is not None and k in bounds.compound
-    if bounds.is_constant and not explicit:
+    if _exact(bounds, k):
         if kind.scaling is None or kind.scaling.shape[0] == comb(bounds.dim, k):
             return compound_measure(bounds.constant_matrix(), k, kind)
         # state-space scaling on a constant matrix: lift to the compound space
@@ -226,6 +236,87 @@ def _sampled_measures(jacobians, samples: tuple, dim: int, keys) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The evaluation core
+# ---------------------------------------------------------------------------
+
+
+def _certify(
+    name: str,
+    k: int,
+    method: str,
+    grid_points: int,
+    indices: Sequence[int],
+    kinds,
+    blocks: tuple,
+    sample,
+    coupling: Optional[tuple] = None,
+    notes: Sequence[str] = (),
+) -> CertificateReport:
+    """Evaluate the split conditions of one certificate.
+
+    Condition i bounds mu(J^[i]) for one block and mu(J1^[k-i]) + mu(J2^[i])
+    for two, and passes at a bound of -eta_i.  ``analytic`` mode bounds
+    each term from the ``blocks``' entry bounds; ``grid`` mode calls
+    ``sample(pairs)``, which returns the sampled maximum of every
+    (i, kind) pair.  ``kinds`` is None, one kind, or one kind per index; an
+    index without a fixed kind searches L1, L2, Linf, where L2 is tried only
+    when every term of order >= 1 is evaluated exactly (``_exact``).
+    ``coupling`` = (magnitudes, n, m) of a series coupling block: a pass
+    then reports epsilon_star and the rate min_i eta_i / 2, and otherwise
+    the rate min_i eta_i.  The notes are ``notes`` and then those of
+    epsilon_star.
+    """
+    if method not in ("analytic", "grid"):
+        raise ValueError(f"unknown certification method {method!r}")
+    analytic = method == "analytic"
+    if analytic and any(b is None for b in blocks):
+        raise ValueError("analytic-bounds certification requires entry bounds")
+
+    def terms(i):
+        return zip(blocks, (i,) if len(blocks) == 1 else (k - i, i))
+
+    fixed = [None] * len(indices) if kinds is None else _broadcast_kinds(kinds, len(indices))
+    candidates = {
+        i: _candidate_kinds(kind, not analytic or all(_exact(b, order) for b, order in terms(i)))
+        for i, kind in zip(indices, fixed)
+    }
+    if analytic:
+
+        def bound(i, kind):
+            values = [worst_case_compound_measure(b, order, kind) for b, order in terms(i)]
+            return sum(values[1:], values[0])
+
+        label = "analytic-bounds"
+    else:
+        worst = sample([(i, c) for i in indices for c in candidates[i]])
+
+        def bound(i, kind):
+            return worst[i, kind]
+
+        label = f"grid-sampling({grid_points})"
+
+    conditions, used = [], []
+    for i in indices:
+        cond, kind = _best_condition(i, candidates[i], partial(bound, i))
+        conditions.append(cond)
+        used.append(kind)
+    margins = [c.margin for c in conditions]
+    passed = all(c.passed for c in conditions)
+    notes = list(notes)
+    eps = rate = None
+    if passed and coupling is None:
+        rate = min(margins)
+    elif passed:
+        eps, eps_notes = _series_epsilon_star(*coupling, k, used, margins)
+        notes.extend(eps_notes)
+        rate = min(margins) / 2.0
+    verdict = ("pass" if analytic else "inconclusive") if passed else "fail"
+    return CertificateReport(
+        verdict, k, conditions, label, name, epsilon_star=eps, rate=rate, notes=notes
+    )
+
+
+# ---------------------------------------------------------------------------
 # Single system (sufficient condition via the compound measure)
 # ---------------------------------------------------------------------------
 
@@ -247,44 +338,16 @@ def certify_k_contraction(
     n = sys.state_dim
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    if method == "analytic":
-        if sys.entry_bounds is None:
-            raise ValueError("analytic-bounds certification requires entry bounds")
-        exact_ok = sys.entry_bounds.is_constant and not (
-            sys.entry_bounds.compound is not None and k in sys.entry_bounds.compound
-        )
-        cond, _ = _best_condition(
-            k,
-            _candidate_kinds(kind, exact_ok),
-            lambda c: worst_case_compound_measure(sys.entry_bounds, k, c),
-        )
-        verdict = "pass" if cond.passed else "fail"
-        return CertificateReport(
-            verdict,
-            k,
-            [cond],
-            "analytic-bounds",
-            sys.name,
-            rate=cond.margin if cond.passed else None,
-        )
-    if method != "grid":
-        raise ValueError(f"unknown certification method {method!r}")
-    points, times = _grid_samples(sys.domain, grid_points, time_grid)
-    candidates = _candidate_kinds(kind, True)
-    keys = [(k, c) for c in candidates]
-    values = _sampled_measures(sys.jacobians, _columns(times, points), n, keys)
-    cond, _ = _best_condition(k, candidates, lambda c: values[k, c].max())
-    verdict = "inconclusive" if cond.passed else "fail"
-    notes = ["sampled (not a proof): bound is the maximum over sampled domain points"]
-    return CertificateReport(
-        verdict,
-        k,
-        [cond],
-        f"grid-sampling({grid_points})",
-        sys.name,
-        rate=cond.margin if cond.passed else None,
-        notes=notes,
-    )
+
+    def sample(pairs):
+        points, times = _grid_samples(sys.domain, grid_points, time_grid)
+        values = _sampled_measures(sys.jacobians, _columns(times, points), n, pairs)
+        return {key: v.max() for key, v in values.items()}
+
+    rep = _certify(sys.name, k, method, grid_points, [k], kind, (sys.entry_bounds,), sample)
+    if method == "grid":
+        rep.notes.append("sampled (not a proof): bound is the maximum over sampled domain points")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -367,72 +430,33 @@ def certify_series(
     if not 1 <= k <= n + m:
         raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
     i1, i2 = block_range(k, n, m)
-    idxs = list(range(i1, i2 + 1))
-    fixed = _normalize_kinds(per_i_kinds, len(idxs))
 
-    def candidates(pos):
-        return _candidate_kinds(fixed[pos] if fixed else None, exact_ok)
-
-    if method == "analytic":
-        b1, b2 = model.sub1.entry_bounds, model.sub2_bounds
-        if b1 is None or b2 is None:
-            raise ValueError("analytic series certification requires entry bounds for both blocks")
-        exact_ok = b1.is_constant and b2.is_constant
-
-        def make_eval(i):
-            return lambda c: (
-                worst_case_compound_measure(b1, k - i, c)
-                + worst_case_compound_measure(b2, i, c)
-            )
-
-        method_label = "analytic-bounds"
-    else:
-        if method != "grid":
-            raise ValueError(f"unknown certification method {method!r}")
-        sub1_domain = model.sub1.domain
-        sub2_domain = model.sub2_domain
-        if sub1_domain is None or sub2_domain is None:
+    def sample(pairs):
+        if model.sub1.domain is None or model.sub2_domain is None:
             raise ValueError("grid series certification requires box domains for both blocks")
-        pts1, times = _grid_samples(sub1_domain, grid_points, time_grid)
-        pts2, _ = _grid_samples(sub2_domain, grid_points, time_grid)
-        exact_ok = True
-        pairs = [(i, c) for pos, i in enumerate(idxs) for c in candidates(pos)]
-        worst = _series_grid_maxima(model, k, times, pts1, pts2, pairs)
+        pts1, times = _grid_samples(model.sub1.domain, grid_points, time_grid)
+        pts2, _ = _grid_samples(model.sub2_domain, grid_points, time_grid)
+        return _series_grid_maxima(model, k, times, pts1, pts2, pairs)
 
-        def make_eval(i):
-            return lambda c: worst[i, c]
-
-        method_label = f"grid-sampling({grid_points})"
-
-    conditions = []
-    used_kinds = []
-    for pos, i in enumerate(idxs):
-        cond, kind = _best_condition(i, candidates(pos), make_eval(i))
-        conditions.append(cond)
-        used_kinds.append(kind)
-
-    all_pass = all(c.passed for c in conditions)
-    notes = []
-    eps = None
-    rate = None
-    if all_pass:
-        margins = [c.margin for c in conditions]
-        eps, eps_notes = _series_epsilon_star(
-            model.j21_magnitude_bounds(), n, m, k, used_kinds, margins
-        )
-        notes.extend(eps_notes)
-        rate = min(margins) / 2.0
-        notes.append("outer norm of the hierarchic construction defaults to Linf")
-        verdict = "pass" if method == "analytic" else "inconclusive"
-        if method != "analytic":
-            notes.append("sampled (not a proof): bounds are maxima over sampled domain points")
-    else:
-        verdict = "fail"
-        worst = min(conditions, key=lambda c: c.margin)
-        notes.append(f"condition violated at i={worst.index} (bound {worst.bound:.6g})")
-    return CertificateReport(
-        verdict, k, conditions, method_label, model.name, epsilon_star=eps, rate=rate, notes=notes
+    rep = _certify(
+        model.name,
+        k,
+        method,
+        grid_points,
+        range(i1, i2 + 1),
+        per_i_kinds,
+        (model.sub1.entry_bounds, model.sub2_bounds),
+        sample,
+        coupling=(model.j21_magnitude_bounds(), n, m),
     )
+    if rep.verdict == "fail":
+        worst = min(rep.conditions, key=lambda c: c.margin)
+        rep.notes.append(f"condition violated at i={worst.index} (bound {worst.bound:.6g})")
+        return rep
+    rep.notes.append("outer norm of the hierarchic construction defaults to Linf")
+    if rep.verdict == "inconclusive":
+        rep.notes.append("sampled (not a proof): bounds are maxima over sampled domain points")
+    return rep
 
 
 def _series_grid_maxima(model: SeriesModel, k: int, times, pts1, pts2, conditions) -> dict:
@@ -459,17 +483,6 @@ def _series_grid_maxima(model: SeriesModel, k: int, times, pts1, pts2, condition
     return worst
 
 
-def _normalize_kinds(kinds, count: int):
-    if kinds is None:
-        return None
-    if isinstance(kinds, MeasureKind):
-        return [kinds] * count
-    kinds = list(kinds)
-    if len(kinds) != count:
-        raise ValueError(f"expected {count} measure kinds, got {len(kinds)}")
-    return kinds
-
-
 def series_conjugated_compound_measure(
     model: SeriesModel, k: int, kinds, eps: float, t: float, x
 ) -> float:
@@ -485,7 +498,7 @@ def series_conjugated_compound_measure(
     j[n:, n:] = model.j22(t, x1, x2)
     comp = add_compound(j, k).data
     i1, i2 = block_range(k, n, m)
-    kinds = _normalize_kinds(kinds, i2 - i1 + 1)
+    kinds = _broadcast_kinds(kinds, i2 - i1 + 1)
     perm, spec = series_norm_data(n, m, k, kinds)
     return hierarchic_measure_bounds(perm.conjugate(comp), spec)[1]
 
@@ -494,93 +507,45 @@ def series_conjugated_compound_measure(
 # Skew-symmetric feedback
 # ---------------------------------------------------------------------------
 
-_DEFAULT_PROBE = (0.0, 0.37, -0.61, 0.5, -0.25, 0.73)
-
-
-def _probe_points(domain: Optional[Box], dim: int, grid_points: int) -> list[np.ndarray]:
-    if domain is not None and domain.is_finite:
-        return list(domain.grid(min(grid_points, 3), refine_midpoints=False))
-    base = np.array(_DEFAULT_PROBE)
-    points = [np.zeros(dim)] + [np.full(dim, v) for v in base[1:]] + [np.resize(base, dim)]
-    if domain is not None:
-        points = [np.clip(p, domain.lo, domain.hi) for p in points]
-    return points
-
 
 def certify_skew_feedback(
     pair: FeedbackModel,
     k: int,
-    c: float,
     method: str = "analytic",
     grid_points: int = 5,
     time_grid=None,
-    coupling_tol: float = 1e-9,
 ) -> CertificateReport:
     """Certify k-contraction of a feedback interconnection with
-    J21 = -c J12^T (verified on sampled points first); measures are fixed
-    to L2, under which the skew coupling cancels in the symmetric part."""
-    if c <= 0:
-        raise ValueError("the skew gain c must be positive")
+    J21 = -c J12^T, which ``FeedbackModel`` holds by construction; measures
+    are fixed to L2, under which the skew coupling cancels in the symmetric
+    part."""
     n, m = pair.dim1, pair.dim2
     if not 1 <= k <= n + m:
         raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
-    probes = _probe_points(pair.domain, n + m, grid_points)
-    worst_dev = 0.0
-    scale = 1.0
-    for t in times:
-        for x in probes:
-            j12 = pair.j12(t, x)
-            j21 = pair.j21(t, x)
-            dev = float(np.abs(j21 + c * j12.T).max(initial=0.0))
-            scale = max(scale, float(np.abs(j21).max(initial=0.0)))
-            worst_dev = max(worst_dev, dev)
-    if worst_dev > coupling_tol * scale:
-        raise ValueError(
-            f"skew coupling identity J21 = -c J12^T violated: max deviation "
-            f"{worst_dev:.3e} at gain c = {c:g}"
-        )
     i1, i2 = block_range(k, n, m)
-    idxs = list(range(i1, i2 + 1))
-    if method == "analytic":
-        b1, b2 = pair.bounds1, pair.bounds2
-        if b1 is None or b2 is None:
-            raise ValueError("analytic skew certification requires entry bounds for both blocks")
 
-        def make_eval(i):
-            return lambda _: (
-                worst_case_compound_measure(b1, k - i, L2)
-                + worst_case_compound_measure(b2, i, L2)
-            )
-
-        method_label = "analytic-bounds"
-    elif method == "grid":
+    def sample(pairs):
         points, times = _grid_samples(pair.domain, grid_points, time_grid)
         samples = _columns(times, points)
         j11, j22 = partial(jacobian_stack, pair.j11), partial(jacobian_stack, pair.j22)
-        m1 = _sampled_measures(j11, samples, n, [(k - i, L2) for i in idxs])
-        m2 = _sampled_measures(j22, samples, m, [(i, L2) for i in idxs])
+        m1 = _sampled_measures(j11, samples, n, [(k - i, c) for i, c in pairs])
+        m2 = _sampled_measures(j22, samples, m, pairs)
+        return {(i, c): (m1[k - i, c] + m2[i, c]).max() for i, c in pairs}
 
-        def make_eval(i):
-            return lambda _: (m1[k - i, L2] + m2[i, L2]).max()
-
-        method_label = f"grid-sampling({grid_points})"
-    else:
-        raise ValueError(f"unknown certification method {method!r}")
-
-    conditions = []
-    for i in idxs:
-        cond, _ = _best_condition(i, [L2], make_eval(i))
-        conditions.append(cond)
-    all_pass = all(cnd.passed for cnd in conditions)
-    notes = [f"skew coupling verified on {len(probes)} sample points (c = {c:g})"]
-    if method != "analytic" and all_pass:
-        notes.append("sampled (not a proof)")
-        verdict = "inconclusive"
-    else:
-        verdict = "pass" if all_pass else "fail"
-    rate = min(cnd.margin for cnd in conditions) if all_pass else None
-    return CertificateReport(verdict, k, conditions, method_label, pair.name, rate=rate, notes=notes)
+    rep = _certify(
+        pair.name,
+        k,
+        method,
+        grid_points,
+        range(i1, i2 + 1),
+        L2,
+        (pair.bounds1, pair.bounds2),
+        sample,
+        notes=[f"skew coupling J21 = -c J12^T holds by construction (c = {pair.c:g})"],
+    )
+    if rep.verdict == "inconclusive":
+        rep.notes.append("sampled (not a proof)")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -602,77 +567,42 @@ def certify_exp_input(
     through the time-invariant augmentation with the scalar exponential state.
 
     The two conditions are mu(Jf^[k]) <= -eta and mu(Jf^[k-1]) + alpha <= -eta
-    (indices i = k and i = k-1 of the series split, the driver being scalar).
-    ``kinds`` may be a pair (kind for the k-condition, kind for the k-1
-    condition); the per-condition search applies otherwise.
+    (indices i = k and i = k-1 of the series split, the driver being the
+    scalar block alpha).  ``kinds`` may be a pair (kind for the k-condition,
+    kind for the k-1 condition); the per-condition search applies otherwise.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     if not np.isfinite(g_jacobian_bound) or g_jacobian_bound < 0:
         raise ValueError("g_jacobian_bound must be a finite nonnegative number")
-    if kinds is not None:
-        kind_k, kind_km1 = kinds if not isinstance(kinds, MeasureKind) else (kinds, kinds)
-    else:
-        kind_k = kind_km1 = None
 
-    if method == "analytic":
-        b2 = sys.entry_bounds
-        if b2 is None:
-            raise ValueError("analytic-bounds certification requires entry bounds")
-        exact_ok = b2.is_constant and b2.compound is None
-
-        def eval_k(c):
-            return worst_case_compound_measure(b2, k, c)
-
-        def eval_km1(c):
-            return worst_case_compound_measure(b2, k - 1, c) + alpha
-
-        method_label = "analytic-bounds"
-    elif method == "grid":
+    def sample(pairs):
         points, times = _grid_samples(sys.domain, grid_points, time_grid)
-        exact_ok = True
-        keys = [(k, c) for c in _candidate_kinds(kind_k, exact_ok)]
-        keys += [(k - 1, c) for c in _candidate_kinds(kind_km1, exact_ok)]
-        values = _sampled_measures(sys.jacobians, _columns(times, points), n, keys)
+        values = _sampled_measures(sys.jacobians, _columns(times, points), n, pairs)
+        return {(i, c): v.max() + alpha if i < k else v.max() for (i, c), v in values.items()}
 
-        def eval_k(c):
-            return values[k, c].max()
-
-        def eval_km1(c):
-            return alpha + values[k - 1, c].max()
-
-        method_label = f"grid-sampling({grid_points})"
-    else:
-        raise ValueError(f"unknown certification method {method!r}")
-
-    cond_k, used_k = _best_condition(k, _candidate_kinds(kind_k, exact_ok), eval_k)
-    cond_km1, used_km1 = _best_condition(k - 1, _candidate_kinds(kind_km1, exact_ok), eval_km1)
-    conditions = [cond_km1, cond_k]
-    all_pass = cond_k.passed and cond_km1.passed
-    notes = [
-        f"i={k}: open-loop condition on the {k}-compound; "
-        f"i={k - 1}: {k - 1}-compound plus input rate alpha = {alpha:g}",
-        f"driver coupling |dg/du| bounded by {g_jacobian_bound:g}",
-    ]
-    eps = None
-    rate = None
-    if all_pass:
-        margins = [cond_km1.margin, cond_k.margin]
-        mag = np.full((n, 1), float(g_jacobian_bound))
-        eps, eps_notes = _series_epsilon_star(mag, 1, n, k, [used_km1, used_k], margins)
-        notes.extend(eps_notes)
-        rate = min(margins) / 2.0
-        if k == 2:
-            notes.append(
-                "k = 2: every bounded trajectory of the closed loop converges to "
-                "the set of equilibria of the augmented time-invariant system"
-            )
-        verdict = "pass" if method == "analytic" else "inconclusive"
-        if method != "analytic":
-            notes.append("sampled (not a proof)")
-    else:
-        verdict = "fail"
-    return CertificateReport(
-        verdict, k, conditions, method_label, sys.name, epsilon_star=eps, rate=rate, notes=notes
+    rep = _certify(
+        sys.name,
+        k,
+        method,
+        grid_points,
+        (k - 1, k),
+        None if kinds is None else _broadcast_kinds(kinds, 2)[::-1],
+        (EntryBounds([[alpha]], [[alpha]]), sys.entry_bounds),
+        sample,
+        coupling=(np.full((n, 1), float(g_jacobian_bound)), 1, n),
+        notes=[
+            f"i={k}: open-loop condition on the {k}-compound; "
+            f"i={k - 1}: {k - 1}-compound plus input rate alpha = {alpha:g}",
+            f"driver coupling |dg/du| bounded by {g_jacobian_bound:g}",
+        ],
     )
+    if rep.verdict != "fail" and k == 2:
+        rep.notes.append(
+            "k = 2: every bounded trajectory of the closed loop converges to "
+            "the set of equilibria of the augmented time-invariant system"
+        )
+    if rep.verdict == "inconclusive":
+        rep.notes.append("sampled (not a proof)")
+    return rep

@@ -40,6 +40,16 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _interval_matrix(m, name: str) -> np.ndarray:
+    """Validate a square bound matrix: entries may be +/-inf but never NaN."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be a square 2-D array")
+    if np.isnan(a).any():
+        raise ValueError(f"{name} contains NaN entries")
+    return a
+
+
 def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")

@@ -18,7 +18,7 @@ import numpy as np
 from math import comb
 
 from . import indexing
-from .compounds import add_compound, as_matrix, require_square
+from .compounds import _interval_matrix, add_compound, as_matrix, require_square
 from .indexing import block_range, check_dimension_guard, compound_index
 
 
@@ -166,15 +166,6 @@ def compound_measure(m, k: int, kind: MeasureKind) -> float:
     return float(compound_measures(a[None], k, kind)[0])
 
 
-def _as_interval_matrix(m, name: str) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square 2-D array")
-    if np.isnan(a).any():
-        raise ValueError(f"{name} contains NaN entries")
-    return a
-
-
 def interval_measure_upper(lo, hi, p: str, scale_diag=None) -> float:
     """Worst-case L1/Linf measure over the entrywise interval [lo, hi].
 
@@ -183,8 +174,8 @@ def interval_measure_upper(lo, hi, p: str, scale_diag=None) -> float:
     in; an optional positive diagonal scaling s maps entry (i, j) to
     s_i/s_j * m_ij.  Exact when lo == hi; infinite bounds yield +inf.
     """
-    lo = _as_interval_matrix(lo, "lo")
-    hi = _as_interval_matrix(hi, "hi")
+    lo = _interval_matrix(lo, "lo")
+    hi = _interval_matrix(hi, "hi")
     if p not in ("1", "inf"):
         raise ValueError("interval worst-case measures support only L1 and Linf")
     if np.any(lo > hi):

@@ -22,7 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .compounds import add_compound_interval, as_matrix, lift_diagonal_scaling, require_square
+from .compounds import (
+    _interval_matrix,
+    add_compound_interval,
+    as_matrix,
+    lift_diagonal_scaling,
+    require_square,
+)
 
 
 @dataclass(frozen=True)
@@ -56,28 +62,18 @@ class Box:
         x = np.asarray(x, dtype=np.float64)
         return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
-    def grid(self, points_per_dim: int, refine_midpoints: bool = True) -> np.ndarray:
-        """Regular grid over the box, optionally interleaved with cell midpoints."""
+    def grid(self, points_per_dim: int) -> np.ndarray:
+        """Regular grid over the box, followed by the grid of cell midpoints."""
         if not self.is_finite:
             raise ValueError("grid sampling requires a finite box domain")
         axes = [np.linspace(a, b, points_per_dim) for a, b in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        if refine_midpoints and points_per_dim > 1:
+        if points_per_dim > 1:
             mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
             mesh2 = np.meshgrid(*mids, indexing="ij")
             pts = np.vstack([pts, np.stack([m.ravel() for m in mesh2], axis=-1)])
         return pts
-
-
-def _interval_matrix(m, name: str) -> np.ndarray:
-    """Bound matrices may carry +/-inf but never NaN."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square 2-D array")
-    if np.isnan(a).any():
-        raise ValueError(f"{name} contains NaN entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -277,12 +273,13 @@ class SeriesModel:
         return sysm
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeedbackModel:
-    """Two interconnected blocks with full feedback structure.
+    """Two blocks in skew-symmetric feedback, J21 = -c J12^T with gain c > 0.
 
-    Used for skew-symmetric interconnections, where J21 = -c J12^T.
-    Evaluators take (t, x) with x the stacked state.
+    The coupling block is derived from ``j12`` and ``c``, so the skew
+    identity holds by construction.  Evaluators take (t, x) with x the
+    stacked state.
     """
 
     dim1: int
@@ -290,16 +287,24 @@ class FeedbackModel:
     f: Callable[[float, np.ndarray], np.ndarray]
     j11: Callable[[float, np.ndarray], np.ndarray]
     j12: Callable[[float, np.ndarray], np.ndarray]
-    j21: Callable[[float, np.ndarray], np.ndarray]
     j22: Callable[[float, np.ndarray], np.ndarray]
+    c: float
     domain: Optional[Box] = None
     bounds1: Optional[EntryBounds] = None
     bounds2: Optional[EntryBounds] = None
     name: str = "feedback"
 
+    def __post_init__(self):
+        if not self.c > 0:
+            raise ValueError(f"the skew gain c must be positive, got {self.c!r}")
+
     @property
     def state_dim(self) -> int:
         return self.dim1 + self.dim2
+
+    def j21(self, t, x) -> np.ndarray:
+        """The coupling block -c J12(t, x)^T."""
+        return -self.c * np.asarray(self.j12(t, x), dtype=np.float64).T
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +560,3 @@ def remark2() -> SystemModel:
         entry_bounds=bounds,
         name="remark2",
     )
-
-
-BUILTIN_SYSTEMS = {
-    "thomas": thomas,
-    "thomas_controlled": thomas_controlled,
-    "thomas_perturbed": thomas_perturbed,
-    "lti": lti,
-    "lti_series": lti_series,
-    "remark2": remark2,
-}

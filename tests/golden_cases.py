@@ -170,8 +170,6 @@ def _nonlinear_series() -> SeriesModel:
 
 
 def _skew_pair() -> FeedbackModel:
-    c = 2.0
-
     def r12(x):
         return np.array([[0.5 * np.cos(x[2]), 0.1], [0.0, 0.3 * np.sin(x[3])]])
 
@@ -181,8 +179,8 @@ def _skew_pair() -> FeedbackModel:
         f=lambda t, x: np.zeros(4),
         j11=lambda t, x: np.array([[-2.0 - 0.1 * x[0] ** 2, 0.2 * x[1]], [-0.2 * x[1], -2.0]]),
         j12=lambda t, x: r12(x),
-        j21=lambda t, x: -c * r12(x).T,
         j22=lambda t, x: np.array([[-3.0, 0.3 * x[0]], [0.0, -2.5 + 0.1 * np.cos(x[3])]]),
+        c=2.0,
         domain=Box([-1.0] * 4, [1.0] * 4),
         name="golden-skew",
     )
@@ -202,9 +200,9 @@ def library_cases() -> dict[str, bytes]:
         certify_series(model, 3, per_i_kinds=[LINF, L2], method="grid", grid_points=3)
     )
     pair = _skew_pair()
-    out["skew_grid.json"] = _report(certify_skew_feedback(pair, 2, c=2.0, method="grid", grid_points=3))
+    out["skew_grid.json"] = _report(certify_skew_feedback(pair, 2, method="grid", grid_points=3))
     out["skew_grid_k3.json"] = _report(
-        certify_skew_feedback(pair, 3, c=2.0, method="grid", grid_points=3, time_grid=times)
+        certify_skew_feedback(pair, 3, method="grid", grid_points=3, time_grid=times)
     )
     sysm = thomas_controlled(0.2, 0.5)
     out["exp_input_grid_pair.json"] = _report(

@@ -122,6 +122,27 @@ def test_series_k1_reduces_to_both_subsystems_contracting():
     assert [c.bound for c in rep2.conditions] == pytest.approx([-1.0, -1.5])
 
 
+def test_series_compound_level_bounds_fail_instead_of_raising():
+    # L2 is not tried on a term that has compound-level bounds for its order
+    j22 = np.diag([-1.0, -4.0])
+    bounds = EntryBounds(j22, j22, compound={2: ([[0.5]], [[1.0]])})
+    model = SeriesModel(
+        sub1=lti(np.diag([-2.0, -3.0])),
+        dim2=2,
+        f2=lambda t, x1, x2: j22 @ x2,
+        j22=lambda t, x1, x2: j22,
+        j21=lambda t, x1, x2: np.zeros((2, 2)),
+        j21_sup=0.0,
+        sub2_bounds=bounds,
+    )
+    rep = certify_series(model, 2)
+    assert rep.verdict == "fail"
+    assert [c.index for c in rep.conditions if not c.passed] == [2]
+    single = certify_k_contraction(SystemModel(2, None, None, entry_bounds=bounds), 2)
+    assert single.verdict == "fail"
+    assert rep.conditions[-1].bound == single.conditions[0].bound == 1.0
+
+
 def test_series_measure_search_falls_back_per_condition():
     rep = certify_series(lti_series_zeta(-1.5), 2)
     assert rep.verdict == "pass"
@@ -248,8 +269,8 @@ def _skew_pair(c: float, r12):
         f=f,
         j11=lambda t, x: j11,
         j12=lambda t, x: r12,
-        j21=lambda t, x: -c * r12.T,
         j22=lambda t, x: j22,
+        c=c,
         bounds1=EntryBounds(j11, j11),
         bounds2=EntryBounds(j22, j22),
         name="skew-linear",
@@ -258,7 +279,7 @@ def _skew_pair(c: float, r12):
 
 def test_skew_feedback_linear_pass():
     pair = _skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]])
-    rep = certify_skew_feedback(pair, 2, c=4.0)
+    rep = certify_skew_feedback(pair, 2)
     assert rep.verdict == "pass"
     assert [c_.bound for c_ in rep.conditions] == pytest.approx([-4.0, -5.0, -6.0])
     assert rep.rate == pytest.approx(4.0)
@@ -266,21 +287,28 @@ def test_skew_feedback_linear_pass():
 
 
 def test_skew_feedback_coupling_violation_rejected():
-    pair = _skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]])
-    with pytest.raises(ValueError, match="skew coupling"):
-        certify_skew_feedback(pair, 2, c=2.0)
+    r12 = np.array([[0.7, -1.1], [0.4, 0.2]])
+    pair = _skew_pair(4.0, r12)
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    # the coupling is derived from J12 and c: no other J21 can be supplied
+    assert np.array_equal(pair.j21(0.0, x), -4.0 * r12.T)
+    assert "skew coupling" in certify_skew_feedback(pair, 2).notes[0]
+    with pytest.raises(TypeError, match="j21"):
+        FeedbackModel(2, 2, pair.f, pair.j11, pair.j12, pair.j22, 4.0, j21=pair.j21)
+    for gain in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="skew gain"):
+            _skew_pair(gain, r12)
 
 
 def test_skew_feedback_full_order_trace_condition():
     pair = _skew_pair(1.0, [[0.3, 0.0], [0.0, 0.3]])
-    rep = certify_skew_feedback(pair, 4, c=1.0)
+    rep = certify_skew_feedback(pair, 4)
     assert len(rep.conditions) == 1
     assert rep.conditions[0].bound == pytest.approx(-10.0)  # trace(J11)+trace(J22)
     assert rep.verdict == "pass"
 
 
 def test_skew_feedback_grid_mode_nonlinear():
-    c = 2.0
     r12 = lambda x: np.array([[0.5 * np.cos(x[2]), 0.1], [0.0, 0.3]])
 
     def j11(t, x):
@@ -292,12 +320,12 @@ def test_skew_feedback_grid_mode_nonlinear():
         f=lambda t, x: np.zeros(4),
         j11=j11,
         j12=lambda t, x: r12(x),
-        j21=lambda t, x: -c * r12(x).T,
         j22=lambda t, x: -3.0 * np.eye(2),
+        c=2.0,
         domain=Box([-1.0] * 4, [1.0] * 4),
         name="skew-nonlinear",
     )
-    rep = certify_skew_feedback(pair, 2, c=c, method="grid", grid_points=3)
+    rep = certify_skew_feedback(pair, 2, method="grid", grid_points=3)
     assert rep.verdict == "inconclusive"
     assert all(cnd.passed for cnd in rep.conditions)
     assert any("sampled" in n for n in rep.notes)
