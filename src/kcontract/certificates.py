@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import indexing
-from .compounds import add_compound, add_compound_interval, lift_diagonal_scaling
+from .compounds import add_compound, lift_diagonal_scaling
 from .indexing import BlockPermutation, block_range, build_permutation
 from .measures import (
     L1,
@@ -45,7 +45,7 @@ from .measures import (
     compound_measure,
     compound_measures,
     hierarchic_measure_bounds,
-    induced_norm,
+    hierarchic_operator_norm_upper,
     interval_measure_upper,
     matrix_measure,
 )
@@ -260,11 +260,12 @@ def _certify(
     ``sample(pairs)``, which returns the sampled maximum of every
     (i, kind) pair.  ``kinds`` is None, one kind, or one kind per index; an
     index without a fixed kind searches L1, L2, Linf, where L2 is tried only
-    when every term of order >= 1 is evaluated exactly (``_exact``).
-    ``coupling`` = (magnitudes, n, m) of a series coupling block: a pass
-    then reports epsilon_star and the rate min_i eta_i / 2, and otherwise
-    the rate min_i eta_i.  The notes are ``notes`` and then those of
-    epsilon_star.
+    when every term of order >= 1 is evaluated exactly (``_exact``).  With
+    two blocks every fixed kind must be plain, since the hierarchic norm
+    measures each block in a plain Lp norm.  ``coupling`` = (magnitudes, n,
+    m) of a series coupling block: a pass then reports epsilon_star and the
+    rate min_i eta_i / 2, and otherwise the rate min_i eta_i.  The notes are
+    ``notes`` and then those of epsilon_star.
     """
     if method not in ("analytic", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
@@ -276,6 +277,8 @@ def _certify(
         return zip(blocks, (i,) if len(blocks) == 1 else (k - i, i))
 
     fixed = [None] * len(indices) if kinds is None else _broadcast_kinds(kinds, len(indices))
+    if len(blocks) == 2 and any(kind is not None and kind.scaling is not None for kind in fixed):
+        raise ValueError("split certificates take plain Lp measures; scaled kinds are refused")
     candidates = {
         i: _candidate_kinds(kind, not analytic or all(_exact(b, order) for b, order in terms(i)))
         for i, kind in zip(indices, fixed)
@@ -365,14 +368,6 @@ def series_norm_data(
     return perm, HierarchicNormSpec(partition, list(kinds), outer="inf")
 
 
-def _block_norm_upper(mat: np.ndarray, p_from: str, p_to: str) -> float:
-    try:
-        return induced_norm(mat, p_from, p_to)
-    except ValueError:
-        # entry-mass bound; valid between any pair of Lp norms
-        return float(np.abs(mat).sum())
-
-
 def _series_epsilon_star(
     model_mag: np.ndarray, n: int, m: int, k: int, kinds, margins
 ) -> tuple[float, list[str]]:
@@ -381,26 +376,19 @@ def _series_epsilon_star(
     The conjugated compound is the block part plus eps times the compound of
     the coupling-only matrix; eps* = min_i eta_i / (2 ||E^[k]||) with the
     operator norm taken (as an upper bound) in the certificate's hierarchic
-    norm at worst-case coupling magnitudes.
+    norm at worst-case coupling magnitudes.  Each off-diagonal entry of E^[k]
+    is a signed entry of E and its diagonal is 0, so |E^[k]| at E = the
+    magnitude bounds dominates the compound of every admissible coupling.
     """
     notes = []
     if not np.isfinite(model_mag).all():
         raise ValueError("series coupling block must be uniformly bounded")
     if np.all(model_mag == 0):
         return 1.0, ["coupling block vanishes; any positive scaling realizes the rate"]
-    e_hi = np.zeros((n + m, n + m))
-    e_hi[n:, :n] = model_mag
-    clo, chi = add_compound_interval(-e_hi, e_hi, k)
-    mag_comp = np.maximum(np.abs(clo), np.abs(chi))
+    e = np.zeros((n + m, n + m))
+    e[n:, :n] = model_mag
     perm, spec = series_norm_data(n, m, k, kinds)
-    f = perm.conjugate(mag_comp)
-    offs = spec.offsets()
-    rho = 0.0
-    for i, (a, b) in enumerate(offs):
-        row = 0.0
-        for j, (c, d) in enumerate(offs):
-            row += _block_norm_upper(f[a:b, c:d], spec.block_measures[j].p, spec.block_measures[i].p)
-        rho = max(rho, row)
+    rho = hierarchic_operator_norm_upper(perm.conjugate(np.abs(add_compound(e, k).data)), spec)
     if rho == 0.0:
         return 1.0, notes
     eps = float(min(margins) / (2.0 * rho))
@@ -490,12 +478,8 @@ def series_conjugated_compound_measure(
     at one sample point: the block upper bound applied to the conjugated
     compound T(eps) J T(eps)^{-1} in block-ordered coordinates."""
     n, m = model.dim1, model.dim2
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x1, x2 = model.split(x)
-    j = np.zeros((n + m, n + m))
-    j[:n, :n] = model.sub1.jacobian(t, x1)
-    j[n:, :n] = eps * model.j21(t, x1, x2)
-    j[n:, n:] = model.j22(t, x1, x2)
+    j = model.jacobian_full(t, np.asarray(x, dtype=np.float64).ravel())
+    j[n:, :n] *= eps
     comp = add_compound(j, k).data
     i1, i2 = block_range(k, n, m)
     kinds = _broadcast_kinds(kinds, i2 - i1 + 1)

@@ -342,7 +342,6 @@ class ConvergenceSummary:
     increments: list[float]
     clusters: list[tuple[np.ndarray, int]]
     tol: float
-    cluster_radius: float
 
     @property
     def all_converged(self) -> bool:
@@ -361,17 +360,13 @@ def detect_equilibrium_convergence(
     records: Sequence[TrajectoryRecord],
     f: Callable[[float, np.ndarray], np.ndarray],
     tol: float = 1e-6,
-    cluster_radius: Optional[float] = None,
 ) -> ConvergenceSummary:
     """Classify final states as converged and cluster the distinct equilibria.
 
     A record counts as converged when both the field residual |f(T, x(T))|
     and the last state increment stay within ``tol`` (max norm); converged
-    finals further apart than ``cluster_radius`` (default 10 tol) count as
-    distinct equilibria.
+    finals further apart than 10 tol count as distinct equilibria.
     """
-    if cluster_radius is None:
-        cluster_radius = 10.0 * tol
     converged, residuals, increments = [], [], []
     finals = []
     for rec in records:
@@ -390,10 +385,10 @@ def detect_equilibrium_convergence(
     clusters: list[list[np.ndarray]] = []
     for x in finals:
         for cl in clusters:
-            if np.linalg.norm(x - cl[0]) <= cluster_radius:
+            if np.linalg.norm(x - cl[0]) <= 10.0 * tol:
                 cl.append(x)
                 break
         else:
             clusters.append([x])
     summary_clusters = [(cl[0].copy(), len(cl)) for cl in clusters]
-    return ConvergenceSummary(converged, residuals, increments, summary_clusters, tol, cluster_radius)
+    return ConvergenceSummary(converged, residuals, increments, summary_clusters, tol)

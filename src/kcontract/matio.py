@@ -81,17 +81,10 @@ def matrix_from_json(text: str) -> np.ndarray:
     return entries.reshape(rows, cols)
 
 
-def load_matrix(path, fmt_hint: str | None = None) -> np.ndarray:
+def load_matrix(path) -> np.ndarray:
     path = Path(path)
     text = path.read_text()
-    kind = fmt_hint or ("json" if path.suffix.lower() == ".json" else "csv")
-    return matrix_from_json(text) if kind == "json" else matrix_from_csv(text)
-
-
-def save_matrix(path, m: np.ndarray, fmt_hint: str | None = None) -> None:
-    path = Path(path)
-    kind = fmt_hint or ("json" if path.suffix.lower() == ".json" else "csv")
-    path.write_text(matrix_to_json(m) if kind == "json" else matrix_to_csv(m))
+    return matrix_from_json(text) if path.suffix.lower() == ".json" else matrix_from_csv(text)
 
 
 def trajectory_to_csv(rec: TrajectoryRecord) -> str:

@@ -238,27 +238,43 @@ def _blocks_of(m: np.ndarray, spec: HierarchicNormSpec):
     return [[m[a:b, c:d] for (c, d) in offs] for (a, b) in offs]
 
 
+def _block_norms(m: np.ndarray, spec: HierarchicNormSpec) -> np.ndarray:
+    """The r x r upper bounds of the block norms |M_ij| from L{p_j} to L{p_i}.
+
+    ``induced_norm`` gives them where it has a closed form; the remaining
+    pairs (inf->1, 2->1, inf->2) take the entry mass sum |M_ij|, which
+    bounds the operator norm between any two Lp norms.  Zero blocks are 0.
+    ``m`` must be finite, so ``induced_norm`` refuses a block only for its
+    pair.
+    """
+    ps = [kind.p for kind in spec.block_measures]
+    out = np.zeros((len(ps), len(ps)))
+    for i, row in enumerate(_blocks_of(m, spec)):
+        for j, block in enumerate(row):
+            if not np.any(block):
+                continue
+            try:
+                out[i, j] = induced_norm(block, ps[j], ps[i])
+            except ValueError:
+                out[i, j] = np.abs(block).sum()
+    return out
+
+
 def hierarchic_measure_bounds(m, spec: HierarchicNormSpec):
     """Lower and upper bounds for the measure under the hierarchic norm.
 
-    Returns (lower, upper, C) where C collects block measures on its
-    diagonal and induced block norms off it; lower = max_i mu_i(M_ii),
-    upper = mu_outer(C).  The two coincide for block-diagonal input.
+    Returns (lower, upper, C) where C holds the block measures mu_i(M_ii) on
+    its diagonal and the block-norm bounds of ``_block_norms`` off it (the
+    entry mass where a pair has no closed form, so every pair of plain Lp
+    blocks is accepted); lower = max_i mu_i(M_ii), upper = mu_outer(C).  The
+    two coincide for block-diagonal input.
     """
     a = require_square(as_matrix(m))
     if a.shape[0] != spec.size:
         raise ValueError(f"partition sums to {spec.size}, matrix has size {a.shape[0]}")
-    blocks = _blocks_of(a, spec)
-    r = len(spec.partition)
-    c = np.zeros((r, r))
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                c[i, i] = matrix_measure(blocks[i][i], spec.block_measures[i])
-            elif np.any(blocks[i][j]):
-                c[i, j] = induced_norm(
-                    blocks[i][j], spec.block_measures[j].p, spec.block_measures[i].p
-                )
+    c = _block_norms(a, spec)
+    for i, (lo, hi) in enumerate(spec.offsets()):
+        c[i, i] = matrix_measure(a[lo:hi, lo:hi], spec.block_measures[i])
     lower = float(np.max(np.diag(c)))
     upper = matrix_measure(c, MeasureKind(spec.outer))
     return lower, upper, c
@@ -287,18 +303,8 @@ def hierarchic_vector_norm(x, spec: HierarchicNormSpec) -> float:
 
 def hierarchic_operator_norm_upper(m, spec: HierarchicNormSpec) -> float:
     """Upper bound for the operator norm induced by the hierarchic norm:
-    the outer-induced norm of the nonnegative matrix of block norms."""
-    a = require_square(as_matrix(m))
-    blocks = _blocks_of(a, spec)
-    r = len(spec.partition)
-    gram = np.zeros((r, r))
-    for i in range(r):
-        for j in range(r):
-            if np.any(blocks[i][j]):
-                gram[i, j] = induced_norm(
-                    blocks[i][j], spec.block_measures[j].p, spec.block_measures[i].p
-                )
-    return induced_norm(gram, spec.outer)
+    the outer-induced norm of the nonnegative matrix of block-norm bounds."""
+    return induced_norm(_block_norms(require_square(as_matrix(m)), spec), spec.outer)
 
 
 def hierarchic_block_diag_norm(m, spec: HierarchicNormSpec, tol: float = 1e-12) -> float:
@@ -311,10 +317,7 @@ def hierarchic_block_diag_norm(m, spec: HierarchicNormSpec, tol: float = 1e-12) 
     )
     if off_mass > tol * max(1.0, float(np.abs(a).max())):
         raise ValueError("matrix is not block-diagonal under this partition")
-    return max(
-        induced_norm(blocks[i][i], spec.block_measures[i].p, spec.block_measures[i].p)
-        for i in range(r)
-    )
+    return float(np.diag(_block_norms(a, spec)).max())
 
 
 def block_diag_compound_measure(a, b, k: int, per_i_kinds) -> tuple[float, float]:

@@ -170,12 +170,6 @@ class SystemModel:
     domain: Optional[Box] = None
     entry_bounds: Optional[EntryBounds] = None
     name: str = "system"
-    input_dim: int = 0
-    lti_matrix: Optional[np.ndarray] = None
-
-    @property
-    def is_linear(self) -> bool:
-        return self.lti_matrix is not None
 
     def jacobians(self, t, xs) -> np.ndarray:
         """The (S, n, n) stack of Jacobians at the columns of ``xs`` (n, S),
@@ -489,7 +483,6 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
         jacobian=jac,
         entry_bounds=EntryBounds(a, a),
         name=name or f"lti({n}x{n})",
-        lti_matrix=a.copy(),
     )
 
 

@@ -12,7 +12,7 @@ from kcontract.certificates import (
     series_conjugated_compound_measure,
     worst_case_compound_measure,
 )
-from kcontract.measures import L1, L2, MeasureKind, compound_measure
+from kcontract.measures import L1, L2, MeasureKind, compound_measure, parse_kind
 from kcontract.systems import (
     Box,
     EntryBounds,
@@ -149,6 +149,20 @@ def test_series_measure_search_falls_back_per_condition():
     assert all(c.passed for c in rep.conditions)
 
 
+def test_split_certifiers_refuse_scaled_kinds_up_front():
+    # the hierarchic norm of the series proof measures each block in a plain
+    # Lp norm, so a scaled kind is refused whether the conditions would pass
+    # (c = -2) or fail (c = 3), and before any Jacobian is sampled
+    scaled = MeasureKind("1", np.diag([1.0, 2.0]))
+    for c in (-2.0, 3.0):
+        model = lti_series(np.diag([-1.0, -2.0]), 0.1 * np.eye(2), np.diag([c, -2.0]))
+        for method in ("analytic", "grid"):
+            with pytest.raises(ValueError, match="scaled kinds are refused"):
+                certify_series(model, 2, per_i_kinds=scaled, method=method)
+    with pytest.raises(ValueError, match="scaled kinds are refused"):
+        certify_exp_input(lti(np.diag([-1.0, -2.0])), 0.5, -1.0, 2, kinds=scaled)
+
+
 def _nonlinear_series():
     sub1 = SystemModel(
         state_dim=2,
@@ -191,6 +205,31 @@ def test_nonlinear_series_certificate_and_epsilon_star_audit():
         x = rng.uniform(-2, 2, size=4)
         val = series_conjugated_compound_measure(model, 2, kinds, eps, 0.0, x)
         assert val <= target + 1e-9
+
+
+def test_epsilon_star_audit_holds_for_every_reported_kind():
+    # seeded random constant cascades: every passing certificate, whatever
+    # kinds its conditions chose, audits below -rate at epsilon_star
+    rng = np.random.default_rng(0)
+    passes = mixed = 0
+    for _ in range(40):
+        n, m = (int(v) for v in rng.integers(1, 4, size=2))
+        a = rng.uniform(-1, 1, (n, n)) - rng.uniform(0.5, 3.0) * np.eye(n)
+        b = rng.uniform(-1, 1, (m, n))
+        c = rng.uniform(-1, 1, (m, m)) - rng.uniform(0.5, 3.0) * np.eye(m)
+        model = lti_series(a, b, c)
+        for k in range(1, n + m + 1):
+            rep = certify_series(model, k)
+            if rep.verdict != "pass":
+                continue
+            kinds = [parse_kind(cond.measure) for cond in rep.conditions]
+            passes += 1
+            mixed += len({kind.p for kind in kinds}) > 1
+            audit = series_conjugated_compound_measure(
+                model, k, kinds, rep.epsilon_star, 0.0, np.zeros(n + m)
+            )
+            assert audit <= -rep.rate + 1e-9
+    assert passes > 100 and mixed > 0
 
 
 def test_analytic_worst_case_dominates_samples():
