@@ -1,7 +1,8 @@
 """Hot numeric kernels: minor determinants (Laplace recursion, or LU where
 the recursion would do more work), the adaptive Dormand-Prince stepper that
 moves many starts in lockstep (vector fields called with the states as
-columns), and fixed-step RK4.
+columns) and can record the accepted steps of one start, and fixed-step RK4
+(a test reference).
 
 Everything here is plain numpy; performance is measured with the benchmark
 described in ``perfbench/README.md``.
@@ -207,7 +208,7 @@ def _live_layout(x, k):
     return x, k, [k[..., :s, :] for s in range(7)], [k[..., s, :] for s in range(7)]
 
 
-def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
+def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
     """Adaptive Dormand-Prince 5(4) runs of B starts in lockstep, each
     sampled exactly at ``t_eval``.
 
@@ -224,11 +225,20 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
     stack they have shapes (B,) and (B, n_out, n).  A row that underflows is
     frozen, its samples after the last one reached are undefined, and the
     other rows go on.
+
+    A list ``record`` (one start only) gets one entry per accepted step,
+    in order: (t, h, hit, points) with the step's start time and size,
+    whether it ended on an output time, and the list of its seven stage
+    states, the (n,) points where ``f`` was evaluated for stages 1..7 (the
+    first is the step's start state, the last its 5th-order solution, up to
+    rounding).  Recording changes no result.
     """
     t_eval = np.ascontiguousarray(t_eval, dtype=np.float64)
     x0 = np.asarray(x0, dtype=np.float64)
     x = np.array(x0, ndmin=2)  # states of the live rows, (A, n)
     n_rows, n = x.shape
+    if record is not None and n_rows != 1:
+        raise ValueError("only a run of one start can record its steps")
     out_times = t_eval.tolist()
     n_out = len(out_times)
     states = np.empty((n_rows, n_out, n))
@@ -272,10 +282,13 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
         else:
             t_now, h_now = np.array(t), np.array(h)
             h_col = h_now[:, None]
+        points = [x]
         for s in range(1, 7):
             xs = x + h_col * (_DP_ROWS[s] @ lead[s])
             ts = t_now + _DP_NODES[s] * h_now
             stage[s][...] = f(ts, xs) if one else f(ts, xs.T).T
+            if record is not None:
+                points.append(xs)
         # stage 6 evaluation point is the 5th-order solution itself
         xnew = x + h_col * (
             _B5[0] * stage[0] + _B5[2] * stage[2] + _B5[3] * stage[3] + _B5[4] * stage[4]
@@ -291,6 +304,8 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
             factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
             if e <= 1.0:
                 accepted.append(j)
+                if record is not None:
+                    record.append((t[j], h[j], hit[j], points))
                 if hit[j]:
                     t[j] = out_times[idx[j]]
                     reached.append(j)
@@ -317,9 +332,8 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf):
 def rk4_fixed(f, x0, t_grid, substeps=1):
     """Classic fixed-step RK4 over ``t_grid`` with ``substeps`` per interval.
 
-    Deterministic workhorse for the state along which variational and
-    compound flows are taken, where reproducibility matters more than step
-    control.
+    The library integrates with ``rk45_solve`` alone; this kernel remains as
+    the fine fixed-step reference the tests check variational flows against.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     x = np.array(x0, dtype=np.float64)

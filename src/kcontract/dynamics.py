@@ -7,24 +7,26 @@ control, and calls the vector field once per stage for all of them with the
 states as columns (see ``systems``); every start gets bitwise the result of
 its own ``integrate`` run.
 
-Variational and compound flows use a fixed-step RK4, so that repeated runs
-are bit-for-bit reproducible.  The state is stepped alone; the stage
-Jacobians along it are then evaluated in one stacked call, and the flows
-advance by the exact RK4 step matrices of the linear systems y' = J(t) y and
-y' = J(t)^[k] y, built for all steps at once.
+Variational and compound flows are the exact derivatives of one such run:
+the state is integrated again from the trajectory's first state with every
+accepted step recorded, the stage Jacobians along it are evaluated in one
+stacked call, and the flows advance by the Dormand-Prince step matrices of
+the linear systems y' = J(t) y and y' = J(t)^[k] y, built for all steps at
+once.  There is one integrator: a trajectory from ``integrate`` at its
+default tolerances gets its own states back, bitwise.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import ceil, comb, sqrt
+from math import comb, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import indexing
-from ._kernels import minor_dets, rk4_fixed, rk45_solve
+from ._kernels import _DP_A, _DP_B5, _DP_C, _DP_E, minor_dets, rk45_solve
 from .compounds import mult_compound
 from .indexing import check_dense_guard, check_dimension_guard, compound_index
 from .systems import SystemModel
@@ -44,6 +46,8 @@ class TrajectoryRecord:
     compound_flow: Optional[np.ndarray] = None  # (n_out, r, r)
     volumes: Optional[np.ndarray] = None
     system: str = ""
+    compound_gap: Optional[float] = None  # max_t |Phi^(k) - Psi|_F / |Psi|_F
+    substeps: Optional[np.ndarray] = None  # flow steps within each accepted state step
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -124,27 +128,45 @@ def integrate_many(
     return records
 
 
-def variational_flow(
-    sys: SystemModel,
-    trajectory: TrajectoryRecord,
-    k: int,
-    max_step: float = 0.005,
-) -> TrajectoryRecord:
+#: ``integrate``'s default rtol and atol, which the flows' run and their
+#: error control use.
+_TOL = 1e-10
+
+
+def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> TrajectoryRecord:
     """The fundamental matrix and its k-compound counterpart along the
-    trajectory's time grid, by fixed-step RK4 on
+    trajectory's time grid, as derivatives of the Dormand-Prince run that
+    produces the state (internal numerical differentiation: Bock 1981;
+    Hairer, Norsett and Wanner, *Solving ODEs I*, section II.6):
         dx/dt   = f(t, x)
         dPhi/dt = J(t, x) Phi,        Phi(0) = I_n
         dPsi/dt = J(t, x)^[k] Psi,    Psi(0) = I_r
-    so that Phi(t)^(k) and Psi(t) agree up to integration error.
+    so that Phi(t)^(k) and Psi(t) agree up to discretisation error.
 
-    The state is stepped alone and every RK4 stage's (t, x) recorded.  The
-    flows then advance by propagators: with stage matrices A_1..A_4 of one
-    step of size h, K1 = A1, K2 = A2 (I + h/2 K1), K3 = A3 (I + h/2 K2),
-    K4 = A4 (I + h K3) and the step matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4)
-    is exactly the RK4 step of y' = A(t) y.  Step matrices are built as
-    stacks, kept as M - I, and multiplied into one product per output
-    interval, BATCH_BYTES of stage matrices at a time; the chunking does not
-    change any bit.
+    The state is integrated again from ``trajectory.states[0]`` at
+    ``integrate``'s tolerances (1e-10), recording every accepted step, so
+    the returned states are bitwise those of ``integrate`` with its
+    defaults.  With the stage matrices A_1..A_7 of one step of size h,
+    K_1 = A_1 and K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
+    M = I + h sum_s b_s K_s is exactly the Dormand-Prince step of
+    y' = A(t) y with the step size held fixed.
+
+    The state's step control does not see the flows, so each step's
+    embedded error estimate of M is measured, applied to the columns of I,
+    in ``integrate``'s norm and tolerances.  A step whose flows miss the
+    tolerance by the ratio e > 1 (long steps where the state has settled,
+    say) is split for the flows into m = ceil(e^(1/5)) equal steps along
+    the state stepped again from that step's start, all such steps in
+    lockstep; ``substeps`` holds each step's m.  So ``sys.f`` takes states
+    as columns, as for ``integrate_many``, once a step is split.
+
+    Step matrices are built as stacks, kept as M - I, and multiplied into
+    one product per output interval (the steps up to one that ends on an
+    output time), BATCH_BYTES of stage matrices at a time; the chunking
+    does not change any bit.  ``compound_gap`` is
+    max_t |Phi(t)^(k) - Psi(t)|_F / |Psi(t)|_F over the samples where Psi
+    has not underflowed: how far the two routes to the compound flow drift
+    apart.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
@@ -154,78 +176,159 @@ def variational_flow(
     check_dense_guard(trajectory.times.size * r * r, "compound flow")
     index = compound_index(n, k)
     times = trajectory.times
-    dt = float(np.max(np.diff(times)))
-    per = max(1, ceil(dt / max_step))
-
-    stage_t, stage_x = [], []
-
-    def f(t, x):
-        stage_t.append(t)
-        stage_x.append(x)
-        return sys.f(t, x)
-
-    states = rk4_fixed(f, trajectory.states[0], times, substeps=per)
-    stage_t = np.array(stage_t)
-    stage_x = np.stack(stage_x, axis=1)
-    h = np.repeat(np.diff(times) / per, per)
+    if not np.isfinite(trajectory.states[0]).all():
+        raise ValueError("initial state contains non-finite entries")
+    steps = []
+    status, states = rk45_solve(sys.f, trajectory.states[0], times, _TOL, _TOL, record=steps)
+    if status:
+        raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    t0 = np.array([step[0] for step in steps])
+    h = np.array([step[1] for step in steps])
+    stage_t = (t0[:, None] + _DP_C * h[:, None]).ravel()
+    stage_x = np.array([x for step in steps for x in step[3]]).reshape(-1, n).T
+    # interval of each step: a step that ends on an output time closes one
+    closes = np.array([step[2] for step in steps], dtype=bool)
+    interval = np.cumsum(closes) - closes
+    substeps = np.ones(h.size, dtype=np.int64)
 
     flow = np.empty((times.size, n, n))
     compound_flow = np.empty((times.size, r, r))
     flow[0], compound_flow[0] = np.eye(n), np.eye(r)
-    # a chunk of steps is whole output intervals, or part of one when one
-    # interval's stage matrices (4 per step) exceed the budget
-    chunk = max(1, indexing.BATCH_BYTES // (32 * (n * n + r * r)))
-    if chunk >= per:
-        edges = list(range(0, h.size, chunk - chunk % per))
-    else:
-        edges = [lo for i in range(0, h.size, per) for lo in range(i, i + per, chunk)]
+    chunk = max(1, indexing.BATCH_BYTES // (56 * (n * n + r * r)))  # 7 stage matrices a step
     carry = None  # product increments of the current interval's earlier steps
-    for lo, hi in zip(edges, edges[1:] + [h.size]):
-        jac = sys.jacobians(stage_t[4 * lo : 4 * hi], stage_x[:, 4 * lo : 4 * hi])
-        expected = (4 * (hi - lo), n, n)
-        if np.shape(jac) != expected:
-            raise ValueError(f"Jacobian stack has shape {np.shape(jac)}, expected {expected}")
-        if not np.isfinite(jac).all():
-            raise ValueError("Jacobian contains non-finite entries")
-        steps = min(per, hi - lo)
-        carry = [
-            _chain(_step_increments(a, h[lo:hi]).reshape(-1, steps, d, d), part)
-            for a, d, part in zip((jac, index.additive(jac)), (n, r), carry or (None, None))
+    for lo in range(0, h.size, chunk):
+        hi = min(lo + chunk, h.size)
+        stages = stage_t[7 * lo : 7 * hi], stage_x[:, 7 * lo : 7 * hi]
+        increments, err = _flow_steps(sys, index, *stages, h[lo:hi])
+        split = np.flatnonzero(err > 1.0)
+        if split.size:
+            at = lo + split
+            substeps[at] = np.ceil(err[split] ** 0.2)
+            parts = _split_steps(sys, index, t0[at], h[at], stage_x[:, 7 * at], substeps[at])
+            for inc, part in zip(increments, parts):
+                inc[split] = part
+        counts = np.bincount(interval[lo:hi] - interval[lo])
+        if carry is not None:
+            counts[0] += 1
+        product = [
+            _chain(d if part is None else np.concatenate([part, d]), counts)
+            for d, part in zip(increments, carry or (None, None))
         ]
-        if hi % per == 0:
-            first = lo // per
-            for j in range(carry[0].shape[0]):
-                for out, e in zip((flow, compound_flow), carry):
-                    out[first + j + 1] = out[first + j] + e[j] @ out[first + j]
-            carry = None
+        closed = counts.size if closes[hi - 1] else counts.size - 1
+        first = interval[lo]
+        for j in range(closed):
+            for out, e in zip((flow, compound_flow), product):
+                out[first + j + 1] = out[first + j] + e[j] @ out[first + j]
+        carry = None if closes[hi - 1] else [e[-1:] for e in product]
+    phi_k = minor_dets(flow, index.seqs, index.seqs)
+    gap = np.sqrt(np.add.reduce((phi_k - compound_flow) ** 2, axis=(1, 2)))
+    size = np.sqrt(np.add.reduce(compound_flow**2, axis=(1, 2)))
+    gap = np.divide(gap, size, out=np.zeros_like(gap), where=size > 0)
     return TrajectoryRecord(
-        times, states, flow=flow, compound_flow=compound_flow, system=trajectory.system
+        times,
+        states,
+        flow=flow,
+        compound_flow=compound_flow,
+        system=trajectory.system,
+        compound_gap=float(gap.max()),
+        substeps=substeps,
     )
 
 
-def _step_increments(stages: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """M - I for the RK4 step matrices M of y' = A(t) y, from the stage
-    matrices of S steps, ``stages`` (4 S, d, d) in step order, with step sizes
-    ``h`` (S,).  Kept apart from I, whose rounding would swallow the low bits
-    of every step."""
-    a = stages.reshape(h.size, 4, *stages.shape[1:])
+def _flow_steps(sys, index, stage_t, stage_x, h):
+    """The step increments of Phi and of Psi, and the steps' error ratios
+    (the larger of the two), for S steps from their stage times (7 S,) and
+    stage states (n, 7 S) in step order, with step sizes ``h`` (S,)."""
+    n = index.n
+    jac = sys.jacobians(stage_t, stage_x)
+    expected = (7 * h.size, n, n)
+    if np.shape(jac) != expected:
+        raise ValueError(f"Jacobian stack has shape {np.shape(jac)}, expected {expected}")
+    if not np.isfinite(jac).all():
+        raise ValueError("Jacobian contains non-finite entries")
+    (d_phi, e_phi), (d_psi, e_psi) = (_step_increments(a, h) for a in (jac, index.additive(jac)))
+    err = np.maximum(e_phi, e_psi)
+    if not np.isfinite(err).all():
+        raise ValueError("flow step matrices overflow")
+    return [d_phi, d_psi], err
+
+
+def _step_increments(stages: np.ndarray, h: np.ndarray):
+    """M - I for the Dormand-Prince step matrices M of y' = A(t) y, and each
+    step's error ratio, from the stage matrices of S steps, ``stages``
+    (7 S, d, d) in step order, with step sizes ``h`` (S,).  M - I is kept
+    apart from I, whose rounding would swallow the low bits of every step.
+    The error ratio is the embedded error estimate of M applied to the
+    columns of I, in ``integrate``'s RMS norm: above 1 the step is too long
+    for the flows."""
+    a = stages.reshape(h.size, 7, *stages.shape[1:])
     eye = np.eye(a.shape[-1])
-    half = (0.5 * h)[:, None, None]
-    k1 = a[:, 0]
-    k2 = a[:, 1] @ (eye + half * k1)
-    k3 = a[:, 2] @ (eye + half * k2)
-    k4 = a[:, 3] @ (eye + h[:, None, None] * k3)
-    return (h / 6.0)[:, None, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    hc = h[:, None, None]
+    ks = [a[:, 0]]
+    for s in range(1, 6):
+        ks.append(a[:, s] @ (eye + hc * _combine(_DP_A[s], ks)))
+    d = hc * _combine(_DP_B5, ks)
+    ks.append(a[:, 6] @ (eye + d))  # the seventh stage sits at the step's end
+    scale = _TOL + _TOL * np.maximum(eye, np.abs(eye + d))
+    ratio = np.sqrt(np.add.reduce((hc * _combine(_DP_E, ks) / scale) ** 2, axis=(1, 2)) / eye.size)
+    return d, ratio
 
 
-def _chain(d: np.ndarray, carry: Optional[np.ndarray]) -> np.ndarray:
-    """P - I for P = (I + D_s) ... (I + D_1) (I + C), for each row of a
-    (q, s, d, d) stack of step increments D, with C = ``carry`` the product
-    increment of earlier steps of the same interval (or none)."""
-    e = d[:, 0] if carry is None else carry + d[:, 0] + d[:, 0] @ carry
-    for j in range(1, d.shape[1]):
-        e = e + d[:, j] + d[:, j] @ e
-    return e
+def _combine(coefs, terms):
+    """sum_j coefs[j] terms[j] over the terms given and the nonzero
+    coefficients, left to right (b_2 = 0, e_2 = 0)."""
+    return sum(c * term for c, term in zip(coefs, terms) if c)
+
+
+def _split_steps(sys, index, t, h, x, m):
+    """The product increments of Phi and of Psi over steps i = 0..R-1 of
+    sizes h, each taken as m[i] equal Dormand-Prince steps of the state from
+    x[:, i] at time t[i] and of the flows along them.  The rows move in
+    lockstep, the longest first, through one stage stack per sub-step; the
+    field is called with the states as columns."""
+    order = np.argsort(-m, kind="stable")
+    t, h, x, m = t[order], h[order] / m[order], x[:, order], m[order]
+    product = None
+    for j in range(int(m[0])):
+        live = int(np.count_nonzero(m > j))
+        t, h, x = t[:live], h[:live], x[:, :live]
+        points = [x]
+        ks = []
+        for s in range(1, 7):
+            ks.append(sys.f(t + _DP_C[s - 1] * h, points[-1]))
+            points.append(x + h * _combine(_DP_A[s], ks))
+        stage_t = (t[:, None] + _DP_C * h[:, None]).ravel()
+        stage_x = np.stack(points, axis=2).reshape(x.shape[0], -1)
+        increments, _ = _flow_steps(sys, index, stage_t, stage_x, h)
+        if product is None:
+            product = increments
+        else:
+            for e, d in zip(product, increments):
+                e[:live] = e[:live] + d + d @ e[:live]
+        t, x = t + h, points[6]
+    out = [np.empty_like(e) for e in product]
+    for o, e in zip(out, product):
+        o[order] = e
+    return out
+
+
+def _chain(d: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """P - I for each product P = (I + D_s) ... (I + D_1) over consecutive
+    runs of a (S, d, d) stack of step increments D in step order, run i
+    taking the next ``counts[i]`` >= 1 steps; returns (len(counts), d, d).
+    Each run is chained step by step, the runs side by side, the longest
+    first, so a run's result does not depend on the others."""
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(-counts, kind="stable")
+    longest = counts[order]
+    e = d[starts[order]]
+    for j in range(1, int(longest[0])):
+        m = int(np.count_nonzero(longest > j))
+        dj = d[starts[order[:m]] + j]
+        e[:m] = e[:m] + dj + dj @ e[:m]
+    out = np.empty_like(e)
+    out[order] = e
+    return out
 
 
 def _generator_matrix(generators) -> np.ndarray:
@@ -299,7 +402,6 @@ def volume_growth_rate(
     rtol: float = 1e-10,
     atol: float = 1e-10,
     base_point=None,
-    max_step: float = 0.005,
 ) -> VolumeFit:
     """Fitted exponential growth rate of a k-parallelotope volume.
 
@@ -317,7 +419,7 @@ def volume_growth_rate(
     t_eval = np.linspace(0.0, float(horizon), n_out)
     if base_point is not None:
         base = integrate(sys, base_point, (0.0, horizon), rtol, atol, t_eval=t_eval)
-        var = variational_flow(sys, base, k=1, max_step=max_step)
+        var = variational_flow(sys, base, k=1)
         columns = np.einsum("tij,jk->tik", var.flow, x0)
     else:
         runs = integrate_many(sys, x0.T, (0.0, horizon), rtol, atol, t_eval=t_eval)

@@ -238,20 +238,20 @@ def _blocks_of(m: np.ndarray, spec: HierarchicNormSpec):
     return [[m[a:b, c:d] for (c, d) in offs] for (a, b) in offs]
 
 
-def _block_norms(m: np.ndarray, spec: HierarchicNormSpec) -> np.ndarray:
+def _block_norms(m: np.ndarray, spec: HierarchicNormSpec, diagonal: bool = True) -> np.ndarray:
     """The r x r upper bounds of the block norms |M_ij| from L{p_j} to L{p_i}.
 
     ``induced_norm`` gives them where it has a closed form; the remaining
     pairs (inf->1, 2->1, inf->2) take the entry mass sum |M_ij|, which
-    bounds the operator norm between any two Lp norms.  Zero blocks are 0.
-    ``m`` must be finite, so ``induced_norm`` refuses a block only for its
-    pair.
+    bounds the operator norm between any two Lp norms.  Zero blocks are 0,
+    and so is the diagonal without ``diagonal``.  ``m`` must be finite, so
+    ``induced_norm`` refuses a block only for its pair.
     """
     ps = [kind.p for kind in spec.block_measures]
     out = np.zeros((len(ps), len(ps)))
     for i, row in enumerate(_blocks_of(m, spec)):
         for j, block in enumerate(row):
-            if not np.any(block):
+            if (i == j and not diagonal) or not np.any(block):
                 continue
             try:
                 out[i, j] = induced_norm(block, ps[j], ps[i])
@@ -272,7 +272,7 @@ def hierarchic_measure_bounds(m, spec: HierarchicNormSpec):
     a = require_square(as_matrix(m))
     if a.shape[0] != spec.size:
         raise ValueError(f"partition sums to {spec.size}, matrix has size {a.shape[0]}")
-    c = _block_norms(a, spec)
+    c = _block_norms(a, spec, diagonal=False)
     for i, (lo, hi) in enumerate(spec.offsets()):
         c[i, i] = matrix_measure(a[lo:hi, lo:hi], spec.block_measures[i])
     lower = float(np.max(np.diag(c)))
@@ -305,19 +305,6 @@ def hierarchic_operator_norm_upper(m, spec: HierarchicNormSpec) -> float:
     """Upper bound for the operator norm induced by the hierarchic norm:
     the outer-induced norm of the nonnegative matrix of block-norm bounds."""
     return induced_norm(_block_norms(require_square(as_matrix(m)), spec), spec.outer)
-
-
-def hierarchic_block_diag_norm(m, spec: HierarchicNormSpec, tol: float = 1e-12) -> float:
-    """Exact hierarchic operator norm for a block-diagonal matrix."""
-    a = require_square(as_matrix(m))
-    blocks = _blocks_of(a, spec)
-    r = len(spec.partition)
-    off_mass = sum(
-        float(np.abs(blocks[i][j]).max(initial=0.0)) for i in range(r) for j in range(r) if i != j
-    )
-    if off_mass > tol * max(1.0, float(np.abs(a).max())):
-        raise ValueError("matrix is not block-diagonal under this partition")
-    return float(np.diag(_block_norms(a, spec)).max())
 
 
 def block_diag_compound_measure(a, b, k: int, per_i_kinds) -> tuple[float, float]:

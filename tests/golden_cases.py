@@ -263,7 +263,7 @@ def library_cases() -> dict[str, bytes]:
 
     flow_sys = thomas_controlled()
     rec = integrate(flow_sys, [-0.5, 0.5, 0.5], (0.0, 0.5), n_out=11)
-    var = variational_flow(flow_sys, rec, 2, max_step=0.01)
+    var = variational_flow(flow_sys, rec, 2)
     out["variational_flow_k2.csv"] = matio.matrix_to_csv(
         np.hstack([var.flow.reshape(11, -1), var.compound_flow.reshape(11, -1)])
     ).encode()

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: minors are taken one
 determinant at a time with numpy, additive compounds come from a
 finite-difference limit of the exponential's compound, and closed forms are
-written out longhand.  The variational-flow reference co-integrates the
-state and both flows as one vector through the library's RK4 kernel, one
-Jacobian call per stage.
+written out longhand.  The variational-flow references integrate the state
+and both flows as one vector, one Jacobian call per stage: by the library's
+RK4 kernel at a small fixed step, and by the Dormand-Prince tableau at the
+step sizes of the library's own run.
 """
 
 import itertools
@@ -208,25 +209,90 @@ def rel_err(actual, expected):
     return float(np.abs(actual - expected).max(initial=0.0)) / scale
 
 
-def reference_variational_flow(sysm, trajectory, k, max_step=0.005):
-    """States, Phi and Psi along the trajectory's grid by fixed-step RK4 on
-    the stacked vector (x, Phi, Psi), with a per-stage right-hand side."""
-    from kcontract._kernels import rk4_fixed
+def hierarchic_block_diag_norm(m, spec, tol=1e-12):
+    """Exact hierarchic operator norm of a block-diagonal matrix: the
+    largest induced Lp norm of its diagonal blocks.  Refuses a matrix with
+    off-diagonal block mass above ``tol`` max(1, max |m|)."""
+    from kcontract.measures import induced_norm
 
+    a = np.asarray(m, dtype=float)
+    offs = spec.offsets()
+    off_mass = sum(
+        float(np.abs(a[lo:hi, c:d]).max(initial=0.0))
+        for i, (lo, hi) in enumerate(offs)
+        for j, (c, d) in enumerate(offs)
+        if i != j
+    )
+    if off_mass > tol * max(1.0, float(np.abs(a).max())):
+        raise ValueError("matrix is not block-diagonal under this partition")
+    kinds = spec.block_measures
+    return max(induced_norm(a[lo:hi, lo:hi], kind.p) for (lo, hi), kind in zip(offs, kinds))
+
+
+def _stacked_flow(sysm, trajectory, ks):
+    """The start (x0, I_n, I_r, ...) and right-hand side of the stacked
+    vector (x, Phi, Psi_k for each k in ``ks``), with one Jacobian call per
+    evaluation and each J^[k] taken by the entry rule (brute_add_compound of
+    each unit matrix, applied as one linear map), and the split of a
+    solution back into states, Phi and the list of Psi_k."""
     n = sysm.state_dim
-    r = comb(n, k)
-    u0 = np.concatenate([trajectory.states[0], np.eye(n).ravel(), np.eye(r).ravel()])
+    sizes = [comb(n, k) for k in ks]
+    unit = np.eye(n * n).reshape(-1, n, n)
+    entry_maps = [np.array([brute_add_compound(e, k).ravel() for e in unit]).T for k in ks]
+    at = np.cumsum([n, n * n] + [r * r for r in sizes])
 
     def rhs(t, u):
         x = u[:n]
-        phi = u[n : n + n * n].reshape(n, n)
-        psi = u[n + n * n :].reshape(r, r)
         j = np.array(sysm.jacobian(t, x), dtype=float)
-        jk = brute_add_compound(j, k)
-        return np.concatenate([sysm.f(t, x), (j @ phi).ravel(), (jk @ psi).ravel()])
+        parts = [sysm.f(t, x), (j @ u[n : at[1]].reshape(n, n)).ravel()]
+        for m, r, lo, hi in zip(entry_maps, sizes, at[1:], at[2:]):
+            parts.append(((m @ j.ravel()).reshape(r, r) @ u[lo:hi].reshape(r, r)).ravel())
+        return np.concatenate(parts)
 
+    def split(sol):
+        psi = [sol[:, lo:hi].reshape(-1, r, r) for r, lo, hi in zip(sizes, at[1:], at[2:])]
+        return sol[:, :n], sol[:, n : at[1]].reshape(-1, n, n), psi
+
+    eyes = [np.eye(d).ravel() for d in [n] + sizes]
+    u0 = np.concatenate([trajectory.states[0]] + eyes)
+    return u0, rhs, split
+
+
+def reference_variational_flow(sysm, trajectory, max_step):
+    """States, Phi and the list of Psi_k for k = 1..n along the trajectory's
+    grid by fixed-step RK4 on the stacked vector (x, Phi, Psi_1, ..., Psi_n):
+    the tight independent reference."""
+    from kcontract._kernels import rk4_fixed
+
+    u0, rhs, split = _stacked_flow(sysm, trajectory, range(1, sysm.state_dim + 1))
     times = trajectory.times
     substeps = max(1, ceil(float(np.max(np.diff(times))) / max_step))
-    sol = rk4_fixed(rhs, u0, times, substeps=substeps)
-    flow = sol[:, n : n + n * n].reshape(-1, n, n)
-    return sol[:, :n], flow, sol[:, n + n * n :].reshape(-1, r, r)
+    return split(rk4_fixed(rhs, u0, times, substeps=substeps))
+
+
+def dopri_variational_flow(sysm, trajectory, k, substeps):
+    """States, Phi and Psi along the trajectory's grid by the Dormand-Prince
+    tableau applied to the stacked vector (x, Phi, Psi), one stage at a
+    time, over the accepted steps of the library's run from the
+    trajectory's start (rtol = atol = 1e-10): step i is taken as
+    ``substeps[i]`` equal steps from its recorded start state, Phi and Psi
+    carried over."""
+    from kcontract._kernels import _DP_A, _DP_B5, _DP_C, rk45_solve
+
+    steps = []
+    rk45_solve(sysm.f, trajectory.states[0], trajectory.times, 1e-10, 1e-10, record=steps)
+    u, rhs, split = _stacked_flow(sysm, trajectory, [k])
+    out = [u]
+    for (t, h, hit, points), m in zip(steps, substeps):
+        u = np.concatenate([points[0], u[sysm.state_dim :]])
+        h = h / m
+        for _ in range(m):
+            ks = []
+            for s in range(6):
+                ks.append(rhs(t + _DP_C[s] * h, u + h * sum(a * kj for a, kj in zip(_DP_A[s], ks))))
+            u = u + h * sum(b * kj for b, kj in zip(_DP_B5, ks))
+            t = t + h
+        if hit:
+            out.append(u)
+    states, flow, (compound_flow,) = split(np.array(out))
+    return states, flow, compound_flow

@@ -259,7 +259,7 @@ def test_criterion_09_coppel_bound_audit():
     worst = 0.0
     for model, x0, k, eta, norm_tag, series_model in runs:
         rec = kc.integrate(model, x0, (0.0, 20.0), n_out=81)
-        var = kc.variational_flow(model, rec, k, max_step=0.01)
+        var = kc.variational_flow(model, rec, k)
         for i, t in enumerate(var.times):
             psi = var.compound_flow[i]
             if norm_tag == "l1":

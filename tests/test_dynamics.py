@@ -18,8 +18,10 @@ from kcontract.dynamics import (
     variational_flow,
     volume_growth_rate,
 )
+from kcontract._kernels import rk45_solve
 from kcontract.indexing import DimensionGuardError
 from kcontract.systems import (
+    THOMAS_D,
     Box,
     SystemModel,
     invariant_box,
@@ -33,7 +35,13 @@ from kcontract.systems import (
     thomas_perturbed_field,
 )
 
-from .helpers import reference_variational_flow, rel_err, well_conditioned
+from .helpers import (
+    brute_mult_compound,
+    dopri_variational_flow,
+    reference_variational_flow,
+    rel_err,
+    well_conditioned,
+)
 
 
 def test_scalar_linear_decay():
@@ -224,6 +232,10 @@ def test_variational_flow_rejects_non_finite_jacobian():
     flat = SystemModel(3, sysm.f, lambda t, x: np.ones(3))
     with pytest.raises(ValueError, match="shape"):
         variational_flow(flat, TrajectoryRecord(rec.times, np.zeros((2, 3))), 2)
+    # finite stage matrices whose step matrices overflow
+    huge = SystemModel(2, lambda t, x: -x, lambda t, x: np.array([[-1e300, 0.0], [0.0, -1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+        variational_flow(huge, TrajectoryRecord(np.array([0.0, 0.1]), np.ones((2, 2))), 2)
 
 
 def _flow_cases():
@@ -243,22 +255,84 @@ def test_variational_flow_matches_the_co_integrated_reference(name):
     sysm, x0 = _flow_cases()[name]
     rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
     for k in range(1, sysm.state_dim + 1):
-        var = variational_flow(sysm, rec, k, max_step=0.01)
-        states, flow, compound_flow = reference_variational_flow(sysm, rec, k, max_step=0.01)
-        assert np.array_equal(var.states, states)
-        assert rel_err(var.flow, flow) <= 1e-13
-        assert rel_err(var.compound_flow, compound_flow) <= 1e-13
+        var = variational_flow(sysm, rec, k)
+        _, flow, compound_flow = dopri_variational_flow(sysm, rec, k, var.substeps)
+        assert np.array_equal(var.states, rec.states)
+        assert rel_err(var.flow, flow) <= 1e-12
+        assert rel_err(var.compound_flow, compound_flow) <= 1e-12
 
 
-@pytest.mark.parametrize("budget", [1, 3 * 32 * 18, 2 * 11 * 32 * 18 + 100])
-def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, budget):
-    # thomas at k = 2 holds 32 (3^2 + 3^2) bytes of stage matrices per step
-    # and takes 11 steps per interval: the budgets give one step, three steps
-    # (not dividing an interval) and two whole intervals per batch
+@pytest.mark.parametrize("name", list(_flow_cases()))
+def test_variational_flow_is_accurate_against_a_fine_rk4_reference(name):
+    # fixed-step RK4 at h <= 1e-3 of the stacked flows stands in for the
+    # exact ones
+    sysm, x0 = _flow_cases()[name]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    _, flow, compound_flows = reference_variational_flow(sysm, rec, max_step=1e-3)
+    for k, compound_flow in enumerate(compound_flows, start=1):
+        var = variational_flow(sysm, rec, k)
+        assert rel_err(var.flow, flow) <= 1e-8
+        assert rel_err(var.compound_flow, compound_flow) <= 1e-8
+
+
+def test_variational_flow_states_are_the_trajectory_bitwise():
+    rng = np.random.default_rng(11)
+    sysm, bound = thomas_controlled(), 1.0 / THOMAS_D
+    for x0 in rng.uniform(-bound, bound, (6, 3)):
+        rec = integrate(sysm, x0, (0.0, 3.0), n_out=61)
+        assert np.array_equal(variational_flow(sysm, rec, 2).states, rec.states)
+
+
+def test_split_steps_keep_the_flows_accurate_where_the_state_has_settled():
+    # remark2 has trace -1, so Psi = det Phi = exp(-t) exactly.  Its state
+    # settles and the steps grow to the 0.25 output spacing, where one
+    # Dormand-Prince step of y' = -y is off by h^6/3600: 4.7e-6 over t = 20
+    sysm = remark2()
+    rec = integrate(sysm, [1.0, 1.0], (0.0, 20.0), n_out=81)
+    var = variational_flow(sysm, rec, 2)
+    assert var.substeps.max() > 1
+    assert np.abs(var.compound_flow[:, 0, 0] * np.exp(rec.times) - 1.0).max() <= 1e-8
+
+
+def test_variational_flow_reports_the_compound_gap():
+    sysm, x0 = _flow_cases()["lti_series"]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    for k in range(1, 5):
+        var = variational_flow(sysm, rec, k)
+        gaps = [
+            np.linalg.norm(brute_mult_compound(phi, k) - psi) / np.linalg.norm(psi)
+            for phi, psi in zip(var.flow, var.compound_flow)
+        ]
+        assert var.compound_gap == pytest.approx(max(gaps), rel=1e-6, abs=1e-15)
+        if k == 1:
+            assert var.compound_gap == 0.0  # the two routes are one computation
+        if k == 2:
+            assert var.compound_gap <= 1e-8
+
+
+def _dopri_steps(sysm, rec):
+    steps = []
+    rk45_solve(sysm.f, rec.states[0], rec.times, 1e-10, 1e-10, record=steps)
+    return [step[2] for step in steps]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10])
+def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chunk):
+    # thomas at k = 2 holds 56 (3^2 + 3^2) bytes of stage matrices per step
+    # (seven stages); its intervals take one to three steps, and about half
+    # its steps are split for the flows, so batches of one step, of three
+    # steps (ending inside an interval) and of ten steps (several whole
+    # intervals and parts of two) cover every layout
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=61)
+    closes = _dopri_steps(sysm, rec)
+    ends = [closes[min(hi, len(closes)) - 1] for hi in range(chunk, len(closes) + chunk, chunk)]
+    if chunk > 1:
+        assert not all(ends)  # some batch ends inside an interval
+    if chunk == 10:
+        assert sum(closes[:chunk]) >= 2
     whole = variational_flow(sysm, rec, 2)
-    monkeypatch.setattr(indexing, "BATCH_BYTES", budget)
+    monkeypatch.setattr(indexing, "BATCH_BYTES", chunk * 56 * 18 + 100)
     part = variational_flow(sysm, rec, 2)
     assert np.array_equal(part.states, whole.states)
     assert np.array_equal(part.flow, whole.flow)
@@ -270,7 +344,7 @@ def test_variational_flow_constant_jacobian():
     a = rng.standard_normal((3, 3)) - 1.5 * np.eye(3)
     sysm = lti(a)
     rec = integrate(sysm, rng.standard_normal(3), (0.0, 2.0), n_out=21)
-    var = variational_flow(sysm, rec, 2, max_step=0.01)
+    var = variational_flow(sysm, rec, 2)
     for i, t in enumerate(var.times):
         assert np.abs(var.flow[i] - sla.expm(a * t)).max() < 1e-8
         assert np.abs(var.compound_flow[i] - sla.expm(add_compound(a, 2).data * t)).max() < 1e-8
@@ -279,7 +353,7 @@ def test_variational_flow_constant_jacobian():
 def test_compound_flow_consistency_nonlinear():
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 10.0), n_out=51)
-    var = variational_flow(sysm, rec, 2, max_step=0.005)
+    var = variational_flow(sysm, rec, 2)
     for i in range(0, 51, 10):
         direct = mult_compound(var.flow[i], 2).data
         scale = max(1.0, np.abs(direct).max())
@@ -289,7 +363,7 @@ def test_compound_flow_consistency_nonlinear():
 def test_full_order_flow_is_liouville_determinant():
     sysm = thomas_controlled()
     rec = integrate(sysm, [0.2, -0.4, 0.6], (0.0, 5.0), n_out=26)
-    var = variational_flow(sysm, rec, 3, max_step=0.005)
+    var = variational_flow(sysm, rec, 3)
     for i in (5, 15, 25):
         det_phi = np.linalg.det(var.flow[i])
         assert abs(var.compound_flow[i][0, 0] - det_phi) < 1e-8 * max(1.0, abs(det_phi))
@@ -324,9 +398,9 @@ def test_growth_volumes_are_bitwise_the_per_time_volumes():
     assert np.array_equal(fit.volumes, [parallelotope_volume(c) for c in columns])
     # along a trajectory the columns are Phi(t) x0 of the variational flow
     sysm, t_eval = remark2(), np.linspace(0.0, 6.0, 31)
-    fit = volume_growth_rate(sysm, np.eye(2), 6.0, n_out=31, base_point=[1.0, 1.0], max_step=0.01)
+    fit = volume_growth_rate(sysm, np.eye(2), 6.0, n_out=31, base_point=[1.0, 1.0])
     base = integrate(sysm, [1.0, 1.0], (0.0, 6.0), 1e-10, 1e-10, t_eval=t_eval)
-    flow = variational_flow(sysm, base, k=1, max_step=0.01).flow
+    flow = variational_flow(sysm, base, k=1).flow
     assert np.array_equal(fit.volumes, [parallelotope_volume(phi) for phi in flow])
 
 
@@ -361,7 +435,7 @@ def test_volume_growth_scalar_decay():
 def test_volume_growth_along_nonlinear_trajectory():
     sysm = remark2()
     x0 = np.eye(2)
-    fit = volume_growth_rate(sysm, x0, 12.0, base_point=[1.0, 1.0], max_step=0.01)
+    fit = volume_growth_rate(sysm, x0, 12.0, base_point=[1.0, 1.0])
     # variational area contracts at the constant trace rate -1
     assert abs(fit.rate - (-1.0)) < 1e-3
 
@@ -369,7 +443,7 @@ def test_volume_growth_along_nonlinear_trajectory():
 def test_volume_routes_agree_along_flow():
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 15.0), n_out=31)
-    var = variational_flow(sysm, rec, 2, max_step=0.005)
+    var = variational_flow(sysm, rec, 2)
     x0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     for i in range(0, 31, 5):
         cols = var.flow[i] @ x0
@@ -406,7 +480,7 @@ def test_detect_no_convergence_on_attractor():
 def test_coppel_decay_along_certified_trajectory():
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 10.0), n_out=51)
-    var = variational_flow(sysm, rec, 2, max_step=0.01)
+    var = variational_flow(sysm, rec, 2)
     eta = 0.1
     for i, t in enumerate(var.times):
         norm1 = np.abs(var.compound_flow[i]).sum(axis=0).max()

@@ -1,5 +1,5 @@
-"""The numpy kernels: fixed-step RK4 order, adaptive-step failure and the
-lockstep Dormand-Prince stepper's per-row parity."""
+"""The numpy kernels: fixed-step RK4 order, adaptive-step failure, the
+lockstep Dormand-Prince stepper's per-row parity and its step record."""
 
 import numpy as np
 import pytest
@@ -75,3 +75,23 @@ def test_lockstep_freezes_an_underflowing_row_and_runs_the_others():
         single_status, single = _kernels.rk45_solve(f, starts[j], t_eval, 1e-10, 1e-10)
         assert single_status == 0
         assert np.array_equal(states[j], single)
+
+
+def test_recording_a_run_changes_nothing_and_lists_its_accepted_steps():
+    sysm = thomas_perturbed()
+    start, t_eval = np.array([0.5, -1.0, 1.5, 1.0]), np.linspace(0.0, 6.0, 13)
+    steps = []
+    status, states = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10, 1e-10, record=steps)
+    plain_status, plain = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10, 1e-10)
+    assert status == plain_status == 0 and np.array_equal(states, plain)
+    t, h, hit, points = zip(*steps)
+    assert all(len(p) == 7 for p in points)
+    # the steps tile the horizon, each starting at the last one's 5th-order
+    # solution (its seventh stage point, up to rounding), and the hits end
+    # on the output times
+    assert t[0] == 0.0 and sum(hit) == t_eval.size - 1
+    assert np.allclose(np.add(t, h)[:-1], t[1:], rtol=0.0, atol=1e-15)
+    assert max(np.abs(p[0] - q[6]).max() for p, q in zip(points[1:], points)) <= 1e-13
+    assert np.array_equal([p[0] for p, ends in zip(points[1:], hit) if ends], states[1:-1])
+    with pytest.raises(ValueError, match="one start"):
+        _kernels.rk45_solve(sysm.f, np.stack([start, start]), t_eval, 1e-10, 1e-10, record=[])

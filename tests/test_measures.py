@@ -14,7 +14,6 @@ from kcontract.measures import (
     block_diag_compound_measure,
     compound_measure,
     compound_measures,
-    hierarchic_block_diag_norm,
     hierarchic_measure_bounds,
     hierarchic_operator_norm_upper,
     hierarchic_vector_norm,
@@ -24,7 +23,7 @@ from kcontract.measures import (
     parse_kind,
 )
 
-from .helpers import brute_compound_measure
+from .helpers import brute_compound_measure, hierarchic_block_diag_norm
 
 KINDS = (L1, L2, LINF)
 
@@ -204,6 +203,36 @@ def test_hierarchic_vector_and_operator_norms():
     )
     with pytest.raises(ValueError):
         hierarchic_block_diag_norm(m, mixed)
+
+
+def test_hierarchic_measure_bounds_take_block_measures_and_off_diagonal_norms():
+    # mixed kinds and outer norms; each bound bitwise from its definition:
+    # diagonal block measures, off-diagonal Lp -> Lq norms (entry mass where
+    # no closed form exists), lower = max of the diagonal, upper = outer measure
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        sizes = list(rng.integers(1, 4, size=int(rng.integers(2, 4))))
+        kinds = [KINDS[i] for i in rng.integers(0, 3, size=len(sizes))]
+        outer = ("1", "2", "inf")[trial % 3]
+        spec = HierarchicNormSpec(sizes, kinds, outer)
+        m = rng.standard_normal((spec.size, spec.size))
+        m[: sizes[0], sizes[0] :] = 0.0  # one zero block row
+        offs = spec.offsets()
+        want = np.zeros((len(sizes), len(sizes)))
+        for i, ((a, b), row_kind) in enumerate(zip(offs, kinds)):
+            for j, ((c, d), col_kind) in enumerate(zip(offs, kinds)):
+                block = m[a:b, c:d]
+                if i == j:
+                    want[i, i] = matrix_measure(block, row_kind)
+                elif np.any(block):
+                    try:
+                        want[i, j] = induced_norm(block, col_kind.p, row_kind.p)
+                    except ValueError:
+                        want[i, j] = np.abs(block).sum()
+        lower, upper, c = hierarchic_measure_bounds(m, spec)
+        assert np.array_equal(c, want)
+        assert lower == np.max(np.diag(want))
+        assert upper == matrix_measure(want, MeasureKind(outer))
 
 
 def test_block_diag_compound_measure_diagonal_example():
