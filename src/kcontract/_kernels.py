@@ -220,11 +220,12 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
     state and a float ``t``.  So a row's result is bitwise the same as its own
     B = 1 run whenever ``f`` computes each column as it computes a 1-D state.
 
-    Returns (status, states); status 0 = ok, 1 = step-size underflow.  For a
-    1-D ``x0`` the status is an int and ``states`` has shape (n_out, n); for a
-    stack they have shapes (B,) and (B, n_out, n).  A row that underflows is
-    frozen, its samples after the last one reached are undefined, and the
-    other rows go on.
+    Returns (status, states); status 0 = ok, 1 = step-size underflow or a
+    step size that is not a number (a start, or the field at it, with a NaN
+    entry).  For a 1-D ``x0`` the status is an int and ``states`` has shape
+    (n_out, n); for a stack they have shapes (B,) and (B, n_out, n).  A row
+    with status 1 is frozen, its samples after the last one reached are
+    undefined, and the other rows go on.
 
     A list ``record`` (one start only) gets one entry per accepted step,
     in order: (t, h, hit, points) with the step's start time and size,
@@ -259,7 +260,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
         h, hit, drop = [], [], []
         for j, tj in enumerate(t):
             i = idx[j]
-            if i == n_out or h_rec[j] < 1e-14 * max(1.0, abs(tj)):
+            if i == n_out or not h_rec[j] >= 1e-14 * max(1.0, abs(tj)):
                 if i < n_out:
                     status[live[j]] = 1
                 drop.append(j)

@@ -7,13 +7,13 @@ control, and calls the vector field once per stage for all of them with the
 states as columns (see ``systems``); every start gets bitwise the result of
 its own ``integrate`` run.
 
-Variational and compound flows are the exact derivatives of one such run:
-the state is integrated again from the trajectory's first state with every
-accepted step recorded, the stage Jacobians along it are evaluated in one
+A trajectory from ``integrate`` carries the accepted steps of its run
+(``TrajectoryRecord.steps``).  Variational and compound flows are the exact
+derivatives of that run: the stage Jacobians along it are evaluated in one
 stacked call, and the flows advance by the Dormand-Prince step matrices of
 the linear systems y' = J(t) y and y' = J(t)^[k] y, built for all steps at
-once.  There is one integrator: a trajectory from ``integrate`` at its
-default tolerances gets its own states back, bitwise.
+once.  So the state is integrated once: the flows of a trajectory from
+``integrate`` at its default tolerances reuse its run and its states.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from math import comb, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +33,28 @@ from .systems import SystemModel
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive stepping failed (step-size underflow)."""
+    """Adaptive stepping failed (step-size underflow, or a NaN step size)."""
+
+
+class StepRecord(NamedTuple):
+    """The accepted steps of one Dormand-Prince run, in order, and the
+    tolerances it was taken at: S steps reach the last output time, and the
+    steps with ``hit`` set end on the n_out - 1 later output times."""
+
+    t: np.ndarray  # (S,) start time of each step
+    h: np.ndarray  # (S,) step size
+    hit: np.ndarray  # (S,) bool: the step ended on an output time
+    stages: np.ndarray  # (S, 7, n) states where the field was evaluated, stages 1..7
+    rtol: float
+    atol: float
+    max_step: float
 
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled solution, optionally with fundamental/compound flows and volumes."""
+    """Sampled solution, optionally with fundamental/compound flows and
+    volumes.  A record from ``integrate`` also keeps the accepted steps of
+    its run as ``steps``, which ``variational_flow`` differentiates."""
 
     times: np.ndarray
     states: np.ndarray
@@ -48,6 +64,8 @@ class TrajectoryRecord:
     system: str = ""
     compound_gap: Optional[float] = None  # max_t |Phi^(k) - Psi|_F / |Psi|_F
     substeps: Optional[np.ndarray] = None  # flow steps within each accepted state step
+    # the run that produced the states, set by ``integrate``
+    steps: Optional[StepRecord] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -73,15 +91,26 @@ def integrate(
     max_step: float = np.inf,
 ) -> TrajectoryRecord:
     """Integrate the system from one start over ``t_span`` and sample at
-    ``t_eval``: ``integrate_many`` with a single start.
+    ``t_eval``: ``integrate_many`` with a single start, whose accepted steps
+    the record keeps as ``steps``.
 
     Escaping a declared invariant box triggers a warning, not a failure;
-    a step-size underflow raises ``IntegrationError``.
+    a step-size underflow (or a NaN start) raises ``IntegrationError``.
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    (rec,) = integrate_many(sys, x0[None], t_span, rtol, atol, n_out, t_eval, max_step)
+    steps = []
+    (rec,) = _integrate(sys, x0[None], t_span, rtol, atol, n_out, t_eval, max_step, steps)
     if rec is None:
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    rec.steps = StepRecord(
+        np.array([step[0] for step in steps]),
+        np.array([step[1] for step in steps]),
+        np.array([step[2] for step in steps], dtype=bool),
+        np.array([step[3] for step in steps]).reshape(-1, 7, x0.size),
+        float(rtol),
+        float(atol),
+        float(max_step),
+    )
     return rec
 
 
@@ -103,6 +132,12 @@ def integrate_many(
     not affected by it.  Escaping a declared invariant box triggers a
     warning, not a failure.
     """
+    return _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, max_step)
+
+
+def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, max_step, record=None):
+    """``integrate_many``, appending the accepted steps of a single start to
+    the list ``record`` if one is given (see ``rk45_solve``)."""
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2:
         raise ValueError("initial states must be a (B, n) stack, one start per row")
@@ -114,7 +149,7 @@ def integrate_many(
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
-    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, max_step=max_step)
+    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, max_step, record)
     records: list[Optional[TrajectoryRecord]] = []
     for x0, failed, path in zip(x0s, status, states):
         if failed:
@@ -143,11 +178,14 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
         dPsi/dt = J(t, x)^[k] Psi,    Psi(0) = I_r
     so that Phi(t)^(k) and Psi(t) agree up to discretisation error.
 
-    The state is integrated again from ``trajectory.states[0]`` at
-    ``integrate``'s tolerances (1e-10), recording every accepted step, so
-    the returned states are bitwise those of ``integrate`` with its
-    defaults.  With the stage matrices A_1..A_7 of one step of size h,
-    K_1 = A_1 and K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
+    The run differentiated is ``trajectory.steps`` when it was taken at
+    ``integrate``'s default tolerances (1e-10, no ``max_step``), and the
+    returned states are then ``trajectory.states``: the state is not
+    integrated again.  Any other trajectory (a hand-built record, a row of
+    ``integrate_many``, other tolerances) gets that run from ``integrate``
+    from its first state on its time grid, so the flows are always those of
+    the default run.  With the stage matrices A_1..A_7 of one step of size
+    h, K_1 = A_1 and K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
     M = I + h sum_s b_s K_s is exactly the Dormand-Prince step of
     y' = A(t) y with the step size held fixed.
 
@@ -175,19 +213,17 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     check_dimension_guard(r)
     check_dense_guard(trajectory.times.size * r * r, "compound flow")
     index = compound_index(n, k)
-    times = trajectory.times
-    if not np.isfinite(trajectory.states[0]).all():
+    times, states, run = trajectory.times, trajectory.states, trajectory.steps
+    if not np.isfinite(states[0]).all():
         raise ValueError("initial state contains non-finite entries")
-    steps = []
-    status, states = rk45_solve(sys.f, trajectory.states[0], times, _TOL, _TOL, record=steps)
-    if status:
-        raise IntegrationError(f"step-size underflow while integrating {sys.name}")
-    t0 = np.array([step[0] for step in steps])
-    h = np.array([step[1] for step in steps])
+    if run is None or (run.rtol, run.atol, run.max_step) != (_TOL, _TOL, np.inf):
+        # the time grid alone sets the horizon, which may be its one sample
+        rec = integrate(sys, states[0], (times[0], np.inf), t_eval=times)
+        states, run = rec.states, rec.steps
+    t0, h, closes = run.t, run.h, run.hit
     stage_t = (t0[:, None] + _DP_C * h[:, None]).ravel()
-    stage_x = np.array([x for step in steps for x in step[3]]).reshape(-1, n).T
+    stage_x = run.stages.reshape(-1, n).T
     # interval of each step: a step that ends on an output time closes one
-    closes = np.array([step[2] for step in steps], dtype=bool)
     interval = np.cumsum(closes) - closes
     substeps = np.ones(h.size, dtype=np.int64)
 

@@ -380,16 +380,6 @@ def _thomas_jacobian(x, d: float, c: float) -> np.ndarray:
     return out
 
 
-def _thomas_input(d: float, c: Optional[float], b) -> tuple[float, np.ndarray]:
-    """Resolve the default gain and check the direction b of the input b*exp(alpha*t)."""
-    if c is None:
-        c = thomas_controller_gain(d)
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != 3:
-        raise ValueError("perturbation direction b must have 3 components")
-    return c, b
-
-
 def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None) -> SystemModel:
     """Thomas system under the partial-state feedback -diag(c, c, 0) x."""
     if c is None:
@@ -420,7 +410,11 @@ def thomas_perturbed(
 ) -> SystemModel:
     """Controlled Thomas system plus b*exp(alpha*t), as the time-invariant
     augmentation with an extra exponential state y, y(0) = 1."""
-    c, b = _thomas_input(d, c, b)
+    if c is None:
+        c = thomas_controller_gain(d)
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != 3:
+        raise ValueError("perturbation direction b must have 3 components")
 
     def f(t, z):
         f1, f2, f3 = _thomas_terms(z, d, c)
@@ -454,11 +448,13 @@ def thomas_perturbed(
 
 
 def thomas_perturbed_field(d=THOMAS_D, c=None, alpha=THOMAS_ALPHA, b=THOMAS_B):
-    """Time-varying 3-state view of the perturbed closed loop, t -> f(t, x)."""
-    c, b = _thomas_input(d, c, b)
+    """Time-varying 3-state view of the perturbed closed loop, t -> f(t, x):
+    the first three components of ``thomas_perturbed``'s field at the
+    exponential state y = exp(alpha t), a 1-D state or states as columns."""
+    full = thomas_perturbed(d, c, alpha, b).f
 
     def f(t, x):
-        return np.array(_thomas_terms(x, d, c)) + np.multiply.outer(b, np.exp(alpha * t))
+        return full(t, np.concatenate([x, np.exp(alpha * t)[None]]))[:3]
 
     return f
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kcontract import indexing
+from kcontract import dynamics, indexing
 from kcontract.compounds import add_compound, mult_compound
 from kcontract.dynamics import (
     IntegrationError,
@@ -18,9 +18,10 @@ from kcontract.dynamics import (
     variational_flow,
     volume_growth_rate,
 )
-from kcontract._kernels import rk45_solve
 from kcontract.indexing import DimensionGuardError
 from kcontract.systems import (
+    THOMAS_ALPHA,
+    THOMAS_B,
     THOMAS_D,
     Box,
     SystemModel,
@@ -31,6 +32,7 @@ from kcontract.systems import (
     remark2,
     thomas,
     thomas_controlled,
+    thomas_controller_gain,
     thomas_perturbed,
     thomas_perturbed_field,
 )
@@ -147,6 +149,22 @@ def test_perturbed_field_computes_each_column_as_a_single_state():
         assert np.array_equal(columns[:, j], field(float(t[j]), x[:, j]))
 
 
+@pytest.mark.parametrize("params", [{}, {"d": 0.3, "c": 0.5, "alpha": -0.2, "b": [0.1, -0.4, 2.0]}])
+def test_perturbed_field_is_bitwise_the_written_out_forced_field(params):
+    # f_i(x) + b_i exp(alpha t), the field of the 3-state view written out
+    d, alpha = params.get("d", THOMAS_D), params.get("alpha", THOMAS_ALPHA)
+    c = params.get("c", thomas_controller_gain(d))
+    b = np.asarray(params.get("b", THOMAS_B))
+    field = thomas_perturbed_field(**params)
+    rng = np.random.default_rng(7)
+    x, t = rng.uniform(-3.0, 3.0, (3, 9)), rng.uniform(0.0, 30.0, 9)
+    terms = (np.sin(x[1]) - (d + c) * x[0], np.sin(x[2]) - (d + c) * x[1], np.sin(x[0]) - d * x[2])
+    expected = np.array(terms) + np.multiply.outer(b, np.exp(alpha * t))
+    assert np.array_equal(field(t, x), expected)
+    for j in range(9):
+        assert np.array_equal(field(float(t[j]), x[:, j]), expected[:, j])
+
+
 def test_integrate_many_gives_each_start_its_integrate_record():
     sysm = remark2()
     starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2]]  # x1 = -3 blows up in finite time
@@ -160,6 +178,17 @@ def test_integrate_many_gives_each_start_its_integrate_record():
         integrate(sysm, starts[1], (0.0, 5.0), n_out=51)
     with pytest.raises(ValueError, match="dimension 3, expected 2"):
         integrate_many(sysm, [[1.0, 2.0, 3.0]], (0.0, 1.0))
+
+
+def test_a_nan_start_fails_without_stopping_the_other_starts():
+    # a NaN start gives a NaN step size, which fails the step-size test
+    sysm = thomas_controlled()
+    with pytest.raises(IntegrationError):
+        integrate(sysm, [np.nan, 0.0, 0.0], (0.0, 0.1), n_out=2)
+    start = [0.1, 0.2, 0.3]
+    failed, rec = integrate_many(sysm, [[np.nan, 0.0, 0.0], start], (0.0, 5.0), n_out=51)
+    assert failed is None
+    assert np.array_equal(rec.states, integrate(sysm, start, (0.0, 5.0), n_out=51).states)
 
 
 @pytest.mark.parametrize("factory", [thomas_perturbed, thomas_perturbed_field])
@@ -310,12 +339,6 @@ def test_variational_flow_reports_the_compound_gap():
             assert var.compound_gap <= 1e-8
 
 
-def _dopri_steps(sysm, rec):
-    steps = []
-    rk45_solve(sysm.f, rec.states[0], rec.times, 1e-10, 1e-10, record=steps)
-    return [step[2] for step in steps]
-
-
 @pytest.mark.parametrize("chunk", [1, 3, 10])
 def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chunk):
     # thomas at k = 2 holds 56 (3^2 + 3^2) bytes of stage matrices per step
@@ -325,7 +348,7 @@ def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chun
     # intervals and parts of two) cover every layout
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=61)
-    closes = _dopri_steps(sysm, rec)
+    closes = rec.steps.hit.tolist()
     ends = [closes[min(hi, len(closes)) - 1] for hi in range(chunk, len(closes) + chunk, chunk)]
     if chunk > 1:
         assert not all(ends)  # some batch ends inside an interval
@@ -337,6 +360,84 @@ def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chun
     assert np.array_equal(part.states, whole.states)
     assert np.array_equal(part.flow, whole.flow)
     assert np.array_equal(part.compound_flow, whole.compound_flow)
+
+
+@pytest.mark.parametrize("name", list(_flow_cases()))
+def test_variational_flow_of_the_recorded_run_is_that_of_a_fresh_run(name):
+    # the run kept on an integrate record is differentiated as is; a
+    # hand-built record of the same samples gets the same run anew
+    sysm, x0 = _flow_cases()[name]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    for k in range(1, sysm.state_dim + 1):
+        fresh = variational_flow(sysm, TrajectoryRecord(rec.times, rec.states), k)
+        _assert_same_flows(variational_flow(sysm, rec, k), fresh)
+
+
+def _assert_same_flows(got, want):
+    for name in ("states", "flow", "compound_flow", "substeps", "compound_gap"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_variational_flow_integrates_nothing_again(monkeypatch):
+    sysm, x0 = _flow_cases()["thomas_controlled"]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the state was integrated again")
+
+    monkeypatch.setattr(dynamics, "rk45_solve", refuse)
+    var = variational_flow(sysm, rec, 2)
+    assert var.states is rec.states
+
+
+def test_growth_along_a_base_point_integrates_once(monkeypatch):
+    calls, solve = [], dynamics.rk45_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "rk45_solve", counted)
+    generators = np.eye(3)[:, :2]
+    volume_growth_rate(thomas_controlled(), generators, 2.0, n_out=21, base_point=[0.1, 0.2, 0.3])
+    assert len(calls) == 1
+
+
+def test_variational_flow_of_another_run_is_that_of_the_default_run():
+    sysm, x0 = _flow_cases()["thomas_controlled"]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    want = variational_flow(sysm, rec, 2)
+    for other in ({"rtol": 1e-8}, {"atol": 1e-8}, {"max_step": 0.02}):
+        run = integrate(sysm, x0, (0.0, 3.0), n_out=31, **other)
+        assert run.steps.h.size != rec.steps.h.size
+        _assert_same_flows(variational_flow(sysm, run, 2), want)
+    (row,) = integrate_many(sysm, [x0], (0.0, 3.0), n_out=31)
+    assert row.steps is None
+    _assert_same_flows(variational_flow(sysm, row, 2), want)
+    single = TrajectoryRecord(rec.times[:1], rec.states[:1])
+    assert np.array_equal(variational_flow(sysm, single, 2).flow, np.eye(3)[None])
+
+
+@pytest.mark.parametrize("name", list(_flow_cases()))
+def test_integrate_keeps_its_accepted_steps(name):
+    sysm, x0 = _flow_cases()[name]
+    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
+    steps = rec.steps
+    size = steps.h.size
+    assert steps.t.shape == (size,) and steps.hit.shape == (size,) and steps.hit.dtype == bool
+    assert steps.stages.shape == (size, 7, sysm.state_dim)
+    assert (steps.rtol, steps.atol, steps.max_step) == (1e-10, 1e-10, np.inf)
+    assert np.count_nonzero(steps.hit) == rec.times.size - 1
+    # each step starts where the one before it ended: at t + h, or on the
+    # output time it reached, from the state sampled there
+    ends = rec.times[1:][np.cumsum(steps.hit) - 1]
+    assert steps.t[0] == rec.times[0] and steps.hit[-1] and ends[-1] == rec.times[-1]
+    assert np.all(steps.h > 0)
+    assert np.abs(steps.t + steps.h - ends)[steps.hit].max() <= 1e-14
+    after = np.where(steps.hit, ends, steps.t + steps.h)
+    assert np.array_equal(steps.t[1:], after[:-1])
+    starts = np.flatnonzero(np.concatenate([[True], steps.hit[:-1]]))
+    assert np.array_equal(steps.stages[starts, 0], rec.states[:-1])
 
 
 def test_variational_flow_constant_jacobian():

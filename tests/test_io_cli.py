@@ -319,6 +319,19 @@ def test_cli_simulate_integration_failure_exit_5(tmp_path):
         assert (out / f"traj_{idx:02d}.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
 
 
+def test_cli_simulate_nan_start_exit_5(tmp_path):
+    base = {"system": "thomas_controlled", "horizon": 2.0, "n_out": 21}
+    starts = [[float("nan"), 0.0, 0.0], [0.1, 0.2, 0.3]]
+    code, out = _simulate_config(tmp_path, "batch", {**base, "initial_conditions": starts})
+    assert code == 5
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["integration_failures"] == 1
+    assert summary["files"] == ["traj_02.csv"]
+    code, alone = _simulate_config(tmp_path, "alone", {**base, "initial_conditions": starts[1:]})
+    assert code == 0
+    assert (out / "traj_02.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["thomas_copy", "thomas_perturbed_copy"])
 def test_cli_simulate_user_bounds_system_is_not_augmented_by_its_name(tmp_path, name):
     bounds = {"lo": [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, 0.0, -1.0]],
