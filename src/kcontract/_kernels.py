@@ -11,7 +11,7 @@ described in ``perfbench/README.md``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, prod
+from math import comb, prod, sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -194,9 +194,11 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 #: Row s of the tableau restricted to the s earlier stages, the nodes and the
-#: 5th-order weights as floats: the stepper reads them once per stage.
+#: 5th-order weights as floats: the stepper reads them once per stage.  The
+#: nodes as a column give all stage times of many rows in one product.
 _DP_ROWS = tuple(_DP_A[s, :s] for s in range(7))
 _DP_NODES = tuple(_DP_C.tolist())
+_DP_C_COL = _DP_C[:, None]
 _B5 = tuple(_DP_B5.tolist())
 
 
@@ -215,10 +217,13 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
     ``x0`` is one start, shape (n,), or a stack of starts, shape (B, n).  Each
     row keeps its own time, step size, accept/reject decision and output
     index.  ``f`` is called once per stage for all A live rows with the
-    states as columns: ``f(t, x)`` with ``x`` of shape (n, A) and ``t`` of
-    shape (A,), returning (n, A).  While one row is live it gets the 1-D
-    state and a float ``t``.  So a row's result is bitwise the same as its own
-    B = 1 run whenever ``f`` computes each column as it computes a 1-D state.
+    states as columns: ``f(t, x)`` with ``x`` the transposed view of a
+    C-contiguous (A, n) stack, so of shape (n, A) with rows strided, and
+    ``t`` of shape (A,), returning (n, A).  While one row is live it gets the
+    1-D (n,) state and a float ``t``.  So a row's result is bitwise the same
+    as its own B = 1 run whenever ``f`` computes each column as it computes a
+    1-D state, as the built-in fields do: each is one whole-array expression
+    that takes either form.
 
     Returns (status, states); status 0 = ok, 1 = step-size underflow or a
     step size that is not a number (a start, or the field at it, with a NaN
@@ -278,16 +283,16 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
             live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
         one = n_live == 1
         if one:
-            t_now, h_now = t[0], h[0]
-            h_col = h_now
+            h_col = h[0]
+            ts = [t[0] + c * h_col for c in _DP_NODES]
         else:
-            t_now, h_now = np.array(t), np.array(h)
+            h_now = np.array(h)
             h_col = h_now[:, None]
+            ts = np.array(t) + _DP_C_COL * h_now  # (7, A): row s is stage s's times
         points = [x]
         for s in range(1, 7):
             xs = x + h_col * (_DP_ROWS[s] @ lead[s])
-            ts = t_now + _DP_NODES[s] * h_now
-            stage[s][...] = f(ts, xs) if one else f(ts, xs.T).T
+            stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T).T
             if record is not None:
                 points.append(xs)
         # stage 6 evaluation point is the 5th-order solution itself
@@ -295,11 +300,15 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
             _B5[0] * stage[0] + _B5[2] * stage[2] + _B5[3] * stage[3] + _B5[4] * stage[4]
             + _B5[5] * stage[5]
         )
-        xe = h_col * (_DP_E @ k)
-        sc = atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
-        err = np.sqrt(np.add.reduce((xe / sc) ** 2, axis=-1) / n).reshape(-1).tolist()
+        q = h_col * (_DP_E @ k)
+        q /= atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
+        q *= q
+        # each row's RMS norm finished on Python floats: / and sqrt are
+        # correctly rounded in both, so the bits are numpy's
+        sums = np.add.reduce(q, axis=-1).tolist()
         accepted, reached = [], []
-        for j, e in enumerate(err):
+        for j, v in enumerate([sums] if one else sums):
+            e = sqrt(v / n)
             # the step factor on Python floats: numpy's vectorised pow rounds
             # differently from the scalar pow
             factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))

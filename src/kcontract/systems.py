@@ -355,17 +355,28 @@ def thomas(d: float = THOMAS_D) -> SystemModel:
     return thomas_controlled(d, 0.0, name=f"thomas(d={d:g})")
 
 
-def _thomas_terms(x, d: float, c: float) -> tuple:
-    """The three components of the controlled Thomas field at x[:3].
+#: x[_CYCLE] is (x2, x3, x1), the arguments of the Thomas field's sines
+_CYCLE = np.array([1, 2, 0], dtype=np.intp)
 
-    Returned as scalars so that forced variants add their input component by
-    component, with the same rounding as the unforced field.
+
+def _thomas_field(d: float, c: float):
+    """The controlled Thomas field at x[:3] as one whole-array function of
+    x, shape (m,) or (m, B) with m >= 3: (sin x2 - (d + c) x1,
+    sin x3 - (d + c) x2, sin x1 - d x3), one sine call on the cyclically
+    shifted rows and one in-place subtraction of the damping column.
+
+    Each entry takes the same IEEE operations in the same order as the
+    written-out formula, so every column is bitwise its own 1-D call.
     """
-    return (
-        np.sin(x[1]) - (d + c) * x[0],
-        np.sin(x[2]) - (d + c) * x[1],
-        np.sin(x[0]) - d * x[2],
-    )
+    damp = np.array([d + c, d + c, d], dtype=np.float64)
+    damp_col = damp[:, None]
+
+    def field(x):
+        out = np.sin(x.take(_CYCLE, 0))
+        out -= (damp if x.ndim == 1 else damp_col) * x[:3]
+        return out
+
+    return field
 
 
 def _thomas_jacobian(x, d: float, c: float) -> np.ndarray:
@@ -384,9 +395,10 @@ def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None)
     """Thomas system under the partial-state feedback -diag(c, c, 0) x."""
     if c is None:
         c = thomas_controller_gain(d)
+    field = _thomas_field(d, c)
 
     def f(t, x):
-        return np.array(_thomas_terms(x, d, c))
+        return field(np.asarray(x))
 
     @_column_form
     def jac(t, x):
@@ -416,10 +428,17 @@ def thomas_perturbed(
     if b.size != 3:
         raise ValueError("perturbation direction b must have 3 components")
 
+    field = _thomas_field(d, c)
+    # (b, alpha) y is the input column and the row of y' in one product;
+    # adding the field to it is bitwise field + b y, as IEEE addition commutes
+    gain = np.append(b, alpha)
+    gain_col = gain[:, None]
+
     def f(t, z):
-        f1, f2, f3 = _thomas_terms(z, d, c)
-        y = z[3]
-        return np.array([f1 + b[0] * y, f2 + b[1] * y, f3 + b[2] * y, alpha * y])
+        z = np.asarray(z)
+        out = (gain if z.ndim == 1 else gain_col) * z[3]
+        out[:3] += field(z)
+        return out
 
     @_column_form
     def jac(t, z):

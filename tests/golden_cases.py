@@ -135,6 +135,13 @@ def cli_cases(tmp: Path) -> dict[str, bytes]:
         dest = tmp / stem
         out[f"{stem}.txt"] = _cli(["simulate", "--preset", preset, "--output", dest, *extra])
         out[f"{stem}_{written}"] = (dest / written).read_bytes()
+        if written.endswith(".csv") and preset != "growth":
+            # the final row of every trajectory, so that no start can move
+            finals = []
+            for path in sorted(dest.glob("traj_*.csv")):
+                header, *_, last = path.read_text().splitlines()
+                finals.append(f"{path.stem},{last}")
+            out[f"{stem}_finals.csv"] = "\n".join([f"trajectory,{header}", *finals, ""]).encode()
     return out
 
 

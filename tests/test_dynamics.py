@@ -165,6 +165,64 @@ def test_perturbed_field_is_bitwise_the_written_out_forced_field(params):
         assert np.array_equal(field(float(t[j]), x[:, j]), expected[:, j])
 
 
+def _written_out_thomas_field(name, d, c, alpha, b):
+    """The model and its field written out component by component on the
+    scalars of one state, in the order of the paper's formulas."""
+
+    def controlled(x, c):
+        return [np.sin(x[1]) - (d + c) * x[0], np.sin(x[2]) - (d + c) * x[1],
+                np.sin(x[0]) - d * x[2]]
+
+    if name == "thomas":
+        return thomas(d), lambda x: controlled(x, 0.0)
+    if name == "thomas_controlled":
+        return thomas_controlled(d, c), lambda x: controlled(x, c)
+
+    def perturbed(z):
+        f1, f2, f3 = controlled(z, c)
+        y = z[3]
+        return [f1 + b[0] * y, f2 + b[1] * y, f3 + b[2] * y, alpha * y]
+
+    return thomas_perturbed(d, c, alpha, b), perturbed
+
+
+def _state_layouts(rng, n):
+    """One state as (n,) and as a list, then for A = 1, 2, 9 a C-contiguous
+    (n, A) stack and the transposed view of a C-contiguous (A, n) stack, the
+    form the lockstep stepper passes."""
+    def draw(*columns):
+        # Thomas rows anywhere around the invariant box, an exponential row in (0, 1)
+        return np.concatenate([rng.uniform(-6.0, 6.0, (3, *columns)),
+                               rng.uniform(0.0, 1.0, (n - 3, *columns))])
+
+    one = draw()
+    yield one
+    yield one.tolist()
+    for width in (1, 2, 9):
+        yield draw(width)
+        yield np.ascontiguousarray(draw(width).T).T
+
+
+@pytest.mark.parametrize("name", ["thomas", "thomas_controlled", "thomas_perturbed"])
+@pytest.mark.parametrize("params", [{}, {"d": 0.3, "c": 0.5, "alpha": -0.2, "b": [0.1, -0.4, 2.0]}])
+def test_thomas_fields_are_bitwise_the_written_out_formulas(name, params):
+    d, alpha = params.get("d", THOMAS_D), params.get("alpha", THOMAS_ALPHA)
+    c = params.get("c", thomas_controller_gain(d))
+    b = np.asarray(params.get("b", THOMAS_B), dtype=np.float64)
+    sysm, written = _written_out_thomas_field(name, d, c, alpha, b)
+    rng = np.random.default_rng(21)
+    for x in _state_layouts(rng, sysm.state_dim):
+        arr = np.asarray(x)
+        t = 1.5 if arr.ndim == 1 else rng.uniform(0.0, 30.0, arr.shape[1])
+        out = sysm.f(t, x)
+        assert out.dtype == np.float64 and out.shape == arr.shape
+        columns = [arr] if arr.ndim == 1 else list(arr.T)
+        outs = [out] if arr.ndim == 1 else list(out.T)
+        for state, got in zip(columns, outs):
+            expected = np.array(written(state), dtype=np.float64)
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_integrate_many_gives_each_start_its_integrate_record():
     sysm = remark2()
     starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2]]  # x1 = -3 blows up in finite time

@@ -1,11 +1,22 @@
 """The numpy kernels: fixed-step RK4 order, adaptive-step failure, the
-lockstep Dormand-Prince stepper's per-row parity and its step record."""
+lockstep Dormand-Prince stepper's per-row parity, its step record and its
+accuracy against an independent solver."""
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kcontract import _kernels
-from kcontract.systems import STANDARD_INITIAL_CONDITIONS, lti, thomas, thomas_perturbed
+from kcontract.systems import (
+    STANDARD_INITIAL_CONDITIONS,
+    THOMAS_ALPHA,
+    THOMAS_B,
+    THOMAS_D,
+    lti,
+    thomas,
+    thomas_controller_gain,
+    thomas_perturbed,
+)
 
 
 def test_rk4_fixed_order():
@@ -95,3 +106,30 @@ def test_recording_a_run_changes_nothing_and_lists_its_accepted_steps():
     assert np.array_equal([p[0] for p, ends in zip(points[1:], hit) if ends], states[1:-1])
     with pytest.raises(ValueError, match="one start"):
         _kernels.rk45_solve(sysm.f, np.stack([start, start]), t_eval, 1e-10, 1e-10, record=[])
+
+
+def test_lockstep_runs_match_an_independent_solver():
+    # the fig3 shape: nine seeded starts, horizon 8, tol 1e-10, against
+    # scipy's DOP853 at 1e-12 on x' = f(x) + b exp(alpha t), written out here
+    # for all nine starts at once
+    d, alpha, b = THOMAS_D, THOMAS_ALPHA, np.asarray(THOMAS_B, dtype=np.float64)
+    c = thomas_controller_gain(d)
+    starts = np.random.default_rng(3).uniform(-2.0, 2.0, (9, 3))
+    t_eval = np.linspace(0.0, 8.0, 81)
+
+    def forced(t, flat):
+        x = flat.reshape(9, 3)
+        out = np.sin(x[:, [1, 2, 0]]) - x * [d + c, d + c, d]
+        return (out + b * np.exp(alpha * t)).ravel()
+
+    ref = solve_ivp(forced, (0.0, 8.0), starts.ravel(), method="DOP853", rtol=1e-12, atol=1e-12)
+    assert ref.success
+    augmented = np.hstack([starts, np.ones((9, 1))])
+    status, states = _kernels.rk45_solve(thomas_perturbed().f, augmented, t_eval, 1e-10, 1e-10)
+    assert not status.any()
+    assert np.abs(states[:, -1, :3] - ref.y[:, -1].reshape(9, 3)).max() <= 1e-7
+    assert np.allclose(states[:, -1, 3], np.exp(alpha * 8.0), rtol=1e-9, atol=0.0)
+    # the uncontrolled fig2 shape stays in the invariant box {d |x|_inf <= 1}
+    status, states = _kernels.rk45_solve(thomas(d).f, starts, t_eval, 1e-10, 1e-10)
+    assert not status.any()
+    assert np.abs(states[:, -1]).max() <= (1.0 / d) * (1.0 + 1e-9)
