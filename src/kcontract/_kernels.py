@@ -193,13 +193,16 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4
 
 
-#: Row s of the tableau restricted to the s earlier stages, the nodes and the
-#: 5th-order weights as floats: the stepper reads them once per stage.  The
-#: nodes as a column give all stage times of many rows in one product.
+#: Row s of the tableau restricted to the s earlier stages and the nodes as
+#: floats: the stepper reads them once per stage.  The nodes as a column give
+#: all stage times of many rows in one product.  The stages with a nonzero
+#: 5th-order weight, and those weights as a column, give the 5th-order
+#: increment as one product and one sum over the stage axis.
 _DP_ROWS = tuple(_DP_A[s, :s] for s in range(7))
 _DP_NODES = tuple(_DP_C.tolist())
 _DP_C_COL = _DP_C[:, None]
-_B5 = tuple(_DP_B5.tolist())
+_B5_STAGES = np.flatnonzero(_DP_B5)
+_B5_COL = _DP_B5[_B5_STAGES, None]
 
 
 def _live_layout(x, k):
@@ -223,7 +226,16 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
     1-D (n,) state and a float ``t``.  So a row's result is bitwise the same
     as its own B = 1 run whenever ``f`` computes each column as it computes a
     1-D state, as the built-in fields do: each is one whole-array expression
-    that takes either form.
+    that takes either form (the linear field is one gemv per column).
+
+    The stepper's own arithmetic drops the row axis too while one row is
+    live, and stays bitwise that of a stack's row: a stage point is
+    ``row.dot(lead)``, the gemv ``row @ lead`` runs on each row of a stack,
+    then scaled by h and added to x in place (IEEE * and + commute, so this
+    is x + h * sum to the bit); the 5th-order solution is one product of
+    the weighted stages and one sum over the stage axis, added in stage
+    order for one row and for a stack alike; and |x| for the error scale is
+    the accepted step's |xnew|, not computed again.
 
     Returns (status, states); status 0 = ok, 1 = step-size underflow or a
     step size that is not a number (a start, or the field at it, with a NaN
@@ -260,6 +272,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
     d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
     h_rec = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
     x, k, lead, stage = _live_layout(x, k)
+    ax = np.abs(x)  # |x| of the live rows, carried over from an accepted |xnew|
     while True:
         # retire finished and underflowed rows; size the next step of the rest
         h, hit, drop = [], [], []
@@ -280,6 +293,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
         if drop:
             keep = [j for j in range(len(t)) if j not in drop]
             x, k, lead, stage = _live_layout(x[keep], k[keep])
+            ax = np.abs(x)
             live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
         one = n_live == 1
         if one:
@@ -291,17 +305,22 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
             ts = np.array(t) + _DP_C_COL * h_now  # (7, A): row s is stage s's times
         points = [x]
         for s in range(1, 7):
-            xs = x + h_col * (_DP_ROWS[s] @ lead[s])
+            # x + h * (row . lead), the product scaled and shifted in place
+            xs = _DP_ROWS[s].dot(lead[s]) if one else _DP_ROWS[s] @ lead[s]
+            xs *= h_col
+            xs += x
             stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T).T
             if record is not None:
                 points.append(xs)
-        # stage 6 evaluation point is the 5th-order solution itself
-        xnew = x + h_col * (
-            _B5[0] * stage[0] + _B5[2] * stage[2] + _B5[3] * stage[3] + _B5[4] * stage[4]
-            + _B5[5] * stage[5]
-        )
-        q = h_col * (_DP_E @ k)
-        q /= atol + rtol * np.maximum(np.abs(x), np.abs(xnew))
+        # stage 6 evaluation point is the 5th-order solution itself:
+        # x + h * (b0 k0 + b2 k2 + b3 k3 + b4 k4 + b5 k5), summed in that order
+        xnew = np.add.reduce(_B5_COL * k.take(_B5_STAGES, -2), axis=-2)
+        xnew *= h_col
+        xnew += x
+        ax_new = np.abs(xnew)
+        q = _DP_E @ k
+        q *= h_col
+        q /= atol + rtol * np.maximum(ax, ax_new)
         q *= q
         # each row's RMS norm finished on Python floats: / and sqrt are
         # correctly rounded in both, so the bits are numpy's
@@ -326,11 +345,12 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
             else:
                 h_rec[j] = h[j] * factor
         if len(accepted) == n_live:
-            x = xnew
+            x, ax = xnew, ax_new
             stage[0][...] = stage[6]
         elif accepted:
             x[accepted] = xnew[accepted]
             k[accepted, 0] = k[accepted, 6]
+            ax = np.abs(x)
         for j in reached:
             states[live[j], idx[j]] = x if one else x[j]
             idx[j] += 1

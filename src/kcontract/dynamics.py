@@ -102,11 +102,13 @@ def integrate(
     (rec,) = _integrate(sys, x0[None], t_span, rtol, atol, n_out, t_eval, max_step, steps)
     if rec is None:
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    # one flat copy of all stage states (none for a run of no steps)
+    points = [p for step in steps for p in step[3]] or [np.empty(0)]
     rec.steps = StepRecord(
         np.array([step[0] for step in steps]),
         np.array([step[1] for step in steps]),
         np.array([step[2] for step in steps], dtype=bool),
-        np.array([step[3] for step in steps]).reshape(-1, 7, x0.size),
+        np.concatenate(points).reshape(-1, 7, x0.size),
         float(rtol),
         float(atol),
         float(max_step),

@@ -484,8 +484,11 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
     n = a.shape[0]
 
     def f(t, x):
-        # one matrix-vector product per column: a @ x on an (n, B) stack
-        # rounds its columns differently from a @ x on each column
+        # one matrix-vector product per column, as a.dot(x) is on a 1-D
+        # state; a @ x on an (n, B) stack would be one matrix product,
+        # which rounds its columns differently
+        if x.ndim == 1:
+            return a.dot(x)
         return np.matmul(a, x.T[..., None])[..., 0].T
 
     @_column_form

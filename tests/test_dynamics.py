@@ -223,6 +223,23 @@ def test_thomas_fields_are_bitwise_the_written_out_formulas(name, params):
             assert got.tobytes() == expected.tobytes()
 
 
+def test_lti_field_1d_is_bitwise_its_column_form():
+    # the stepper hands a lone live row the 1-D state and several rows as
+    # columns, so a row of a linear system must step the same either way
+    rng = np.random.default_rng(34)
+    for n in range(2, 11):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, n))
+            rows = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (5, n))
+            f = lti(a).f
+            for columns in (rows.T, np.ascontiguousarray(rows.T), rows[:1].T):
+                out = f(0.0, columns)
+                assert out.shape == columns.shape
+                for x, got in zip(columns.T, out.T):
+                    single = f(0.0, np.array(x))
+                    assert single.shape == (n,) and single.tobytes() == got.tobytes()
+
+
 def test_integrate_many_gives_each_start_its_integrate_record():
     sysm = remark2()
     starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2]]  # x1 = -3 blows up in finite time

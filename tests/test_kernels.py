@@ -13,6 +13,7 @@ from kcontract.systems import (
     THOMAS_B,
     THOMAS_D,
     lti,
+    lti_series_zeta,
     thomas,
     thomas_controller_gain,
     thomas_perturbed,
@@ -45,11 +46,15 @@ def _lockstep_cases():
         "thomas": (thomas(), starts),
         "thomas_perturbed": (thomas_perturbed(), np.hstack([starts, np.ones((5, 1))])),
         "lti": (lti(a), starts * [1.0, 1e-3, 1e3]),
+        # the growth preset's shape: from the generators e1 and e3 the e^t
+        # row outlives the other by about 400 attempts, taken as the only
+        # live row
+        "lti_series_zeta": (lti_series_zeta(-0.5).full_system(), np.eye(4)[[0, 2]]),
     }
 
 
-@pytest.mark.parametrize("name", ["thomas", "thomas_perturbed", "lti"])
-@pytest.mark.parametrize("horizon, n_out", [(0.5, 2), (6.0, 7), (12.0, 241)])
+@pytest.mark.parametrize("name", ["thomas", "thomas_perturbed", "lti", "lti_series_zeta"])
+@pytest.mark.parametrize("horizon, n_out", [(0.5, 2), (6.0, 7), (12.0, 241), (20.0, 201)])
 def test_lockstep_rows_equal_their_single_start_runs(name, horizon, n_out):
     # the starts need different step counts, so rows leave the batch at
     # different times; each row must still be bitwise its own B = 1 run
