@@ -213,7 +213,7 @@ def _live_layout(x, k):
     return x, k, [k[..., :s, :] for s in range(7)], [k[..., s, :] for s in range(7)]
 
 
-def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
+def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
     """Adaptive Dormand-Prince 5(4) runs of B starts in lockstep, each
     sampled exactly at ``t_eval``.
 
@@ -283,10 +283,9 @@ def rk45_solve(f, x0, t_eval, rtol, atol, max_step=np.inf, record=None):
                     status[live[j]] = 1
                 drop.append(j)
                 continue
-            attempt = min(h_rec[j], max_step)
             dt_out = out_times[i] - tj
-            hit.append(attempt >= dt_out)
-            h.append(min(attempt, dt_out))
+            hit.append(h_rec[j] >= dt_out)
+            h.append(min(h_rec[j], dt_out))
         n_live = len(h)
         if n_live == 0:
             break

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import indexing
 from .compounds import add_compound, lift_diagonal_scaling
-from .indexing import BlockPermutation, block_range, build_permutation
+from .indexing import BlockPermutation, block_range, build_permutation, check_dense_guard
 from .measures import (
     L1,
     L2,
@@ -199,10 +199,15 @@ def _best_condition(index, candidates, evaluate) -> tuple[ConditionRecord, Measu
 def _grid_samples(
     domain: Optional[Box], grid_points: int, time_grid
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The domain's grid (P, n) and the sample times (T,).  A sample set
+    whose columns (``_columns``: T P times, n T P states) would exceed
+    MAX_DENSE_BYTES is refused before they are built."""
     if domain is None or not domain.is_finite:
         raise ValueError("grid sampling needs a finite box domain")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
-    return domain.grid(grid_points), times
+    points = domain.grid(grid_points)
+    check_dense_guard(times.size * (points.size + len(points)), "grid sample set")
+    return points, times
 
 
 def _columns(times, points) -> tuple[np.ndarray, np.ndarray]:

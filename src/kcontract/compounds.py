@@ -58,12 +58,8 @@ def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompoundMatrix:
-    """A k-th compound together with its provenance."""
+    """A k-th compound's matrix."""
 
-    base_rows: int
-    base_cols: int
-    order: int
-    kind: str  # "mult" | "add"
     data: np.ndarray
 
 
@@ -92,14 +88,14 @@ def mult_compound(m, k: int) -> CompoundMatrix:
     if not 0 <= k <= min(rows, cols):
         raise ValueError(f"k must satisfy 0 <= k <= {min(rows, cols)}, got {k}")
     if k == 0:
-        return CompoundMatrix(rows, cols, 0, "mult", np.ones((1, 1)))
+        return CompoundMatrix(np.ones((1, 1)))
     check_dimension_guard(comb(rows, k))
     check_dimension_guard(comb(cols, k))
     check_dense_guard(comb(rows, k) * comb(cols, k))
     row_idx = compound_index(rows, k).seqs
     col_idx = compound_index(cols, k).seqs
     data = _kernels.minor_dets(a, row_idx, col_idx)
-    return CompoundMatrix(rows, cols, k, "mult", data)
+    return CompoundMatrix(data)
 
 
 def add_compound(m, k: int) -> CompoundMatrix:
@@ -109,10 +105,10 @@ def add_compound(m, k: int) -> CompoundMatrix:
     if not 0 <= k <= n:
         raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
     if k == 0:
-        return CompoundMatrix(n, n, 0, "add", np.zeros((1, 1)))
+        return CompoundMatrix(np.zeros((1, 1)))
     check_dimension_guard(comb(n, k))
     check_dense_guard(comb(n, k) ** 2)
-    return CompoundMatrix(n, n, k, "add", compound_index(n, k).additive(a))
+    return CompoundMatrix(compound_index(n, k).additive(a))
 
 
 def add_compound_interval(lo, hi, k: int) -> tuple[np.ndarray, np.ndarray]:

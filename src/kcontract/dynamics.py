@@ -47,20 +47,18 @@ class StepRecord(NamedTuple):
     stages: np.ndarray  # (S, 7, n) states where the field was evaluated, stages 1..7
     rtol: float
     atol: float
-    max_step: float
 
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled solution, optionally with fundamental/compound flows and
-    volumes.  A record from ``integrate`` also keeps the accepted steps of
-    its run as ``steps``, which ``variational_flow`` differentiates."""
+    """Sampled solution, optionally with fundamental/compound flows.  A
+    record from ``integrate`` also keeps the accepted steps of its run as
+    ``steps``, which ``variational_flow`` differentiates."""
 
     times: np.ndarray
     states: np.ndarray
     flow: Optional[np.ndarray] = None  # (n_out, n, n) fundamental matrices
     compound_flow: Optional[np.ndarray] = None  # (n_out, r, r)
-    volumes: Optional[np.ndarray] = None
     system: str = ""
     compound_gap: Optional[float] = None  # max_t |Phi^(k) - Psi|_F / |Psi|_F
     substeps: Optional[np.ndarray] = None  # flow steps within each accepted state step
@@ -75,10 +73,6 @@ class TrajectoryRecord:
         if self.states.shape[0] != self.times.size:
             raise ValueError("states and times length mismatch")
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def integrate(
     sys: SystemModel,
@@ -88,7 +82,6 @@ def integrate(
     atol: float = 1e-10,
     n_out: int = 1001,
     t_eval=None,
-    max_step: float = np.inf,
 ) -> TrajectoryRecord:
     """Integrate the system from one start over ``t_span`` and sample at
     ``t_eval``: ``integrate_many`` with a single start, whose accepted steps
@@ -99,7 +92,7 @@ def integrate(
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     steps = []
-    (rec,) = _integrate(sys, x0[None], t_span, rtol, atol, n_out, t_eval, max_step, steps)
+    (rec,) = _integrate(sys, x0[None], t_span, rtol, atol, n_out, t_eval, steps)
     if rec is None:
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
     # one flat copy of all stage states (none for a run of no steps)
@@ -111,7 +104,6 @@ def integrate(
         np.concatenate(points).reshape(-1, 7, x0.size),
         float(rtol),
         float(atol),
-        float(max_step),
     )
     return rec
 
@@ -124,7 +116,6 @@ def integrate_many(
     atol: float = 1e-10,
     n_out: int = 1001,
     t_eval=None,
-    max_step: float = np.inf,
 ) -> list[Optional[TrajectoryRecord]]:
     """Integrate the system from each row of ``x0s`` (shape (B, n)) in
     lockstep over ``t_span`` and sample at ``t_eval``.
@@ -134,10 +125,10 @@ def integrate_many(
     not affected by it.  Escaping a declared invariant box triggers a
     warning, not a failure.
     """
-    return _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, max_step)
+    return _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval)
 
 
-def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, max_step, record=None):
+def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
     """``integrate_many``, appending the accepted steps of a single start to
     the list ``record`` if one is given (see ``rk45_solve``)."""
     x0s = np.asarray(x0s, dtype=np.float64)
@@ -151,7 +142,7 @@ def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, max_step, record=Non
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
-    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, max_step, record)
+    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, record)
     records: list[Optional[TrajectoryRecord]] = []
     for x0, failed, path in zip(x0s, status, states):
         if failed:
@@ -181,13 +172,13 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     so that Phi(t)^(k) and Psi(t) agree up to discretisation error.
 
     The run differentiated is ``trajectory.steps`` when it was taken at
-    ``integrate``'s default tolerances (1e-10, no ``max_step``), and the
-    returned states are then ``trajectory.states``: the state is not
-    integrated again.  Any other trajectory (a hand-built record, a row of
-    ``integrate_many``, other tolerances) gets that run from ``integrate``
-    from its first state on its time grid, so the flows are always those of
-    the default run.  With the stage matrices A_1..A_7 of one step of size
-    h, K_1 = A_1 and K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
+    ``integrate``'s default tolerances (1e-10), and the returned states are
+    then ``trajectory.states``: the state is not integrated again.  Any
+    other trajectory (a hand-built record, a row of ``integrate_many``,
+    other tolerances) gets that run from ``integrate`` from its first state
+    on its time grid, so the flows are always those of the default run.
+    With the stage matrices A_1..A_7 of one step of size h, K_1 = A_1 and
+    K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
     M = I + h sum_s b_s K_s is exactly the Dormand-Prince step of
     y' = A(t) y with the step size held fixed.
 
@@ -218,7 +209,7 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     times, states, run = trajectory.times, trajectory.states, trajectory.steps
     if not np.isfinite(states[0]).all():
         raise ValueError("initial state contains non-finite entries")
-    if run is None or (run.rtol, run.atol, run.max_step) != (_TOL, _TOL, np.inf):
+    if run is None or (run.rtol, run.atol) != (_TOL, _TOL):
         # the time grid alone sets the horizon, which may be its one sample
         rec = integrate(sys, states[0], (times[0], np.inf), t_eval=times)
         states, run = rec.states, rec.steps

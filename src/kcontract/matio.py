@@ -89,17 +89,11 @@ def load_matrix(path) -> np.ndarray:
 
 def trajectory_to_csv(rec: TrajectoryRecord) -> str:
     header = ["t"] + [f"x{i + 1}" for i in range(rec.states.shape[1])]
-    columns = [rec.times, rec.states]
-    if rec.volumes is not None:
-        header.append("vol")
-        columns.append(rec.volumes)
-    return columns_to_csv(header, *columns)
+    return columns_to_csv(header, rec.times, rec.states)
 
 
 def trajectory_to_json(rec: TrajectoryRecord) -> str:
     obj = {"system": rec.system, "times": rec.times.tolist(), "states": rec.states.tolist()}
-    if rec.volumes is not None:
-        obj["volumes"] = np.asarray(rec.volumes, dtype=np.float64).tolist()
     return _json(obj, "") + "\n"
 
 

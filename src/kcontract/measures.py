@@ -46,9 +46,6 @@ class MeasureKind:
     def condition_number(self) -> float:
         return 1.0 if self.scaling is None else float(np.linalg.cond(self.scaling))
 
-    def scaled(self, t) -> "MeasureKind":
-        return MeasureKind(self.p, t)
-
     def label(self) -> str:
         base = {"1": "L1", "2": "L2", "inf": "Linf"}[self.p]
         return base if self.scaling is None else base + "-scaled"

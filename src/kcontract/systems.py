@@ -17,6 +17,7 @@ many states, in one call for a built-in and one call per state otherwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,6 +30,7 @@ from .compounds import (
     lift_diagonal_scaling,
     require_square,
 )
+from .indexing import check_dense_guard
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,28 @@ class Box:
         return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
 
     def grid(self, points_per_dim: int) -> np.ndarray:
-        """Regular grid over the box, followed by the grid of cell midpoints."""
+        """Regular grid over the box, followed by the grid of cell midpoints:
+        g^d + (g-1)^d points of the d-dimensional box for g =
+        ``points_per_dim``, each lattice in ij order (the last axis varies
+        fastest); g = 1 is the single point ``lo``.  A grid over
+        MAX_DENSE_BYTES is refused before it is built."""
         if not self.is_finite:
             raise ValueError("grid sampling requires a finite box domain")
-        axes = [np.linspace(a, b, points_per_dim) for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        if points_per_dim > 1:
-            mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
-            mesh2 = np.meshgrid(*mids, indexing="ij")
-            pts = np.vstack([pts, np.stack([m.ravel() for m in mesh2], axis=-1)])
+        g, d = operator.index(points_per_dim), self.dim
+        if g < 1:
+            raise ValueError(f"points_per_dim must be at least 1, got {g}")
+        sizes = (g**d, (g - 1) ** d)
+        check_dense_guard(sum(sizes) * d, "sample grid")
+        # one linspace per axis: a vectorised one rounds a zero-width axis
+        # differently from the others
+        axes = [np.linspace(a, b, g) for a, b in zip(self.lo, self.hi)]
+        mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
+        pts = np.empty((sum(sizes), d))
+        for lattice, values, m in ((pts[: sizes[0]], axes, g), (pts[sizes[0] :], mids, g - 1)):
+            cells = lattice.reshape((m,) * d + (d,))
+            for i, v in enumerate(values):
+                # axis i broadcast over the lattice into its column
+                cells[..., i] = v.reshape((-1,) + (1,) * (d - 1 - i))
         return pts
 
 

@@ -229,6 +229,15 @@ def hierarchic_block_diag_norm(m, spec, tol=1e-12):
     return max(induced_norm(a[lo:hi, lo:hi], kind.p) for (lo, hi), kind in zip(offs, kinds))
 
 
+def meshgrid_box_grid(lo, hi, g):
+    """The lattice of g points per axis of the box [lo, hi] by meshgrid in ij
+    order, then the lattice of its cell midpoints (none for g = 1)."""
+    axes = [np.linspace(a, b, g) for a, b in zip(lo, hi)]
+    lattices = [axes, [0.5 * (ax[1:] + ax[:-1]) for ax in axes]][: 1 + (g > 1)]
+    meshes = [np.meshgrid(*values, indexing="ij") for values in lattices]
+    return np.vstack([np.stack([m.ravel() for m in mesh], axis=-1) for mesh in meshes])
+
+
 def _stacked_flow(sysm, trajectory, ks):
     """The start (x0, I_n, I_r, ...) and right-hand side of the stacked
     vector (x, Phi, Psi_k for each k in ``ks``), with one Jacobian call per

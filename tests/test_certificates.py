@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from kcontract.systems import (
     thomas_controlled,
     thomas_controller_gain,
 )
+
+from .helpers import meshgrid_box_grid
 
 D = 0.193186
 C_GAIN = thomas_controller_gain(D)  # 1.1 - 2d
@@ -476,6 +480,37 @@ def test_grid_certificates_sample_each_jacobian_once():
     per_block = len(model.sub1.domain.grid(3))
     certify_series(model, 2, method="grid", grid_points=3)
     assert calls["j11"] == per_block and calls["j22"] == per_block**2
+
+
+def test_box_grid_is_the_meshgrid_lattice_then_its_midpoints():
+    rng = np.random.default_rng(15)
+    for d in range(1, 5):
+        for g in range(1, 9):
+            for _ in range(8):
+                lo = rng.uniform(-3.0, 1.0, d)
+                hi = lo + rng.uniform(0.0, 4.0, d)
+                flat = rng.random(d) < 0.3
+                hi[flat] = lo[flat]  # zero-width axes
+                signed = rng.random(d) < 0.2
+                lo[signed], hi[signed] = -0.0, rng.choice([0.0, 1.5], signed.sum())
+                got = Box(lo, hi).grid(g)
+                assert got.shape == (g**d + (g - 1) ** d, d)
+                assert got.tobytes() == meshgrid_box_grid(lo, hi, g).tobytes()
+    assert np.array_equal(Box([-1.0, 2.0], [3.0, 4.0]).grid(1), [[-1.0, 2.0]])
+
+
+def test_grid_sample_set_is_refused_before_it_is_allocated():
+    # 35 points at each of 10^6 times: 1.1 GB of sample columns
+    sysm = thomas_controlled(D, C_GAIN)
+    times = np.linspace(0.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(indexing.DimensionGuardError, match="grid sample set"):
+            certify_k_contraction(sysm, 2, method="grid", grid_points=3, time_grid=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_grid_batches_give_the_same_reports(monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,10 +50,6 @@ def test_trajectory_csv_headers():
     rec = TrajectoryRecord(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
     text = matio.trajectory_to_csv(rec)
     assert text.splitlines()[0] == "t,x1,x2"
-    rec2 = TrajectoryRecord(
-        np.array([0.0, 1.0]), np.array([[1.0], [3.0]]), volumes=np.array([1.0, 0.5])
-    )
-    assert matio.trajectory_to_csv(rec2).splitlines()[0] == "t,x1,vol"
 
 
 def _write_matrix(path, m):
@@ -211,6 +208,29 @@ def test_cli_certify_series_counterexample_exit_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "lti_series", "params": {"zeta1": -0.5}, "k": 2}))
     assert main(["certify", "--input", str(cfg)]) == 1
+
+
+def _certify_grid(tmp_path, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "thomas_controlled", "k": 2, "method": "grid", "grid": grid}))
+    return main(["certify", "--input", str(cfg)])
+
+
+def test_cli_certify_invalid_grid_exit_2(tmp_path, capsys):
+    for grid in (0, -1):
+        assert _certify_grid(tmp_path, grid) == 2
+        assert "points_per_dim must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_certify_oversized_grid_exit_3_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert _certify_grid(tmp_path, 2000) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "sample grid" in capsys.readouterr().err
+    assert peak < 4 << 20
 
 
 def test_cli_certify_unknown_system_exit_2(tmp_path, capsys):

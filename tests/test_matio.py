@@ -121,16 +121,12 @@ def test_trajectory_writers_match_per_value_reference():
     times = np.cumsum(rng.uniform(0.01, 1.0, 7))
     states = rng.standard_normal((7, 3))
     states[0] = [-0.0, 5e-324, math.inf]
-    for volumes in (None, rng.uniform(0.0, 2.0, 7)):
-        rec = TrajectoryRecord(times, states, volumes=volumes, system="ref")
-        rows = np.column_stack([times, states] + ([] if volumes is None else [volumes]))
-        header = "t,x1,x2,x3" + ("" if volumes is None else ",vol")
-        assert matio.trajectory_to_csv(rec) == header + "\n" + _reference_csv(rows)
-        obj = {"system": "ref", "times": [float(t) for t in times],
-               "states": [[float(v) for v in row] for row in states]}
-        if volumes is not None:
-            obj["volumes"] = [float(v) for v in volumes]
-        assert matio.trajectory_to_json(rec) == _stdlib(obj)
+    rec = TrajectoryRecord(times, states, system="ref")
+    rows = np.column_stack([times, states])
+    assert matio.trajectory_to_csv(rec) == "t,x1,x2,x3\n" + _reference_csv(rows)
+    obj = {"system": "ref", "times": [float(t) for t in times],
+           "states": [[float(v) for v in row] for row in states]}
+    assert matio.trajectory_to_json(rec) == _stdlib(obj)
 
 
 def test_matrix_to_json_matches_stdlib():
