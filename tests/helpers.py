@@ -233,8 +233,8 @@ def meshgrid_box_grid(lo, hi, g):
     """The lattice of g points per axis of the box [lo, hi] by meshgrid in ij
     order, then the lattice of its cell midpoints (none for g = 1)."""
     axes = [np.linspace(a, b, g) for a, b in zip(lo, hi)]
-    lattices = [axes, [0.5 * (ax[1:] + ax[:-1]) for ax in axes]][: 1 + (g > 1)]
-    meshes = [np.meshgrid(*values, indexing="ij") for values in lattices]
+    mids = [0.5 * (ax[1:] + ax[:-1]) for ax in axes]
+    meshes = [np.meshgrid(*values, indexing="ij") for values in (axes, mids)]
     return np.vstack([np.stack([m.ravel() for m in mesh], axis=-1) for mesh in meshes])
 
 

@@ -492,7 +492,7 @@ def test_box_grid_is_the_meshgrid_lattice_then_its_midpoints():
                 flat = rng.random(d) < 0.3
                 hi[flat] = lo[flat]  # zero-width axes
                 signed = rng.random(d) < 0.2
-                lo[signed], hi[signed] = -0.0, rng.choice([0.0, 1.5], signed.sum())
+                lo[signed], hi[signed] = -0.0, rng.choice([-0.0, 0.0, 1.5], signed.sum())
                 got = Box(lo, hi).grid(g)
                 assert got.shape == (g**d + (g - 1) ** d, d)
                 assert got.tobytes() == meshgrid_box_grid(lo, hi, g).tobytes()
