@@ -42,10 +42,6 @@ class MeasureKind:
                 raise ValueError("scaling matrix is singular or near-singular")
             object.__setattr__(self, "scaling", t)
 
-    @property
-    def condition_number(self) -> float:
-        return 1.0 if self.scaling is None else float(np.linalg.cond(self.scaling))
-
     def label(self) -> str:
         base = {"1": "L1", "2": "L2", "inf": "Linf"}[self.p]
         return base if self.scaling is None else base + "-scaled"

@@ -136,3 +136,126 @@ def test_matrix_to_json_matches_stdlib():
     assert matio.matrix_to_json(np.arange(4).reshape(2, 2)) == _stdlib(
         {"rows": 2, "cols": 2, "entries": [0.0, 1.0, 2.0, 3.0]}
     )
+
+
+# The vectorised %.17g writer takes matrices of at least matio._VECTOR_MIN
+# values.  The `route` fixture runs a case through each writer regardless of
+# its size, so every case is checked on both sides of the crossover.
+
+@pytest.fixture(params=["template", "vectorised"])
+def route(request, monkeypatch):
+    monkeypatch.setattr(matio, "_VECTOR_MIN", 10**12 if request.param == "template" else 0)
+    return request.param
+
+
+def _assert_same_text(got: str, want: str):
+    # pytest's own diff of megabyte strings would take minutes
+    if got != want:
+        i = next(i for i, (a, b) in enumerate(zip(got + "\0", want + "\1")) if a != b)
+        pytest.fail(f"first difference at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+
+
+def _ulp_neighbours(values, steps=2):
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    for direction in (math.inf, -math.inf):
+        v = values
+        for _ in range(steps):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+def _ties():
+    """Dyadic x = t / 2**(s + 1) with t odd and x*10**s in [10**16, 10**17),
+    s = 16 - E: x*10**s = t*5**s / 2 lies exactly halfway between integers."""
+    out = []
+    for e in range(-4, 16):
+        s = 16 - e
+        first = -(-10**16 * 2 // 5**s) | 1  # the smallest odd t with t*5**s / 2 >= 10**16
+        out += [t / 2 ** (s + 1) for t in range(first, first + 40, 2)]
+    return np.array(out)
+
+
+EDGES = np.concatenate([
+    _ulp_neighbours([10.0**k for k in range(-6, 19)] + [1e-4, 1e17, 2.0**53, 2.0**56]),
+    _ties(),
+    [0.5, 2.0, 123.0, 1e16, 2e16, 1.2e16, 12345678901234568.0, 99999999999999984.0,
+     9007199254740993.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0, 1e-4 * 3, 9.9999999999999995e-5],
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.8e308,
+     math.inf, -math.inf, math.nan],
+])
+
+
+def test_edge_values_match_per_value_join(route):
+    for m in (EDGES, -EDGES):
+        m = m.reshape(-1, 1)
+        _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+        _assert_same_text(matio.matrix_to_csv(m.reshape(1, -1)), _reference_csv(m.reshape(1, -1)))
+
+
+def test_all_zero_and_all_c_route_matrices(route):
+    zeros = np.zeros((30, 40))
+    zeros[::3, ::7] = -0.0
+    c_route = np.array([math.nan, math.inf, -math.inf, 5e-324, -1e-300, 1e-5, 1e17, -1e300])
+    for m in (zeros, np.resize(c_route, (41, 17))):
+        _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+
+
+def test_layouts_dtypes_and_chunk_boundaries(route):
+    rng = np.random.default_rng(17)
+    wide = rng.standard_normal((40, 60)) * 10.0 ** rng.integers(-5, 18, (40, 60))
+    cases = [
+        wide.T,
+        wide[::3, 1::2],
+        wide.astype(np.float32),
+        rng.integers(-10**18, 10**18, (30, 30)),
+        # rows of 7 values cross every chunk boundary
+        rng.standard_normal((2 * matio._CHUNK // 7 + 5, 7)),
+    ]
+    for m in cases:
+        _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+    times, states = np.linspace(0.0, 1.0, 300), rng.standard_normal((300, 2))
+    _assert_same_text(matio.columns_to_csv(["t", "a", "b"], times, states),
+                      "t,a,b\n" + _reference_csv(np.column_stack([times, states])))
+
+
+def test_a_million_random_bit_patterns_match_per_value_join():
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    # 7 in 8 get a binary exponent around the fixed-point range [1e-4, 1e17);
+    # the rest span every exponent, so most of them take the C route
+    near = np.arange(bits.size) % 8 != 0
+    exponent = rng.integers(1023 - 16, 1023 + 60, size=near.sum(), dtype=np.uint64)
+    bits[near] = (bits[near] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent << np.uint64(52))
+    m = bits.view(np.float64).reshape(-1, 100)
+    assert m.size >= matio._VECTOR_MIN
+    _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+
+
+def test_fixed_point_digits_are_taken_only_when_proven():
+    """_digits17 accepts x with exponent guess e exactly when e is the true
+    decimal exponent E, |x|*10**(16 - E) is no tie and its nearest integer has
+    17 digits, and then gives that integer."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(8)
+    xs = np.concatenate([
+        EDGES[np.isfinite(EDGES) & (EDGES >= 1e-4) & (EDGES < 1e17)],
+        rng.uniform(1.0, 10.0, 500) * 10.0 ** rng.integers(-4, 17, 500),
+    ])
+    for x in xs.tolist():
+        exact = Fraction(x)
+        true_e = math.floor(math.log10(x))
+        while Fraction(10) ** true_e > exact:
+            true_e -= 1
+        while Fraction(10) ** (true_e + 1) <= exact:
+            true_e += 1
+        for e in {true_e - 1, true_e, true_e + 1} & set(range(-4, 17)):
+            v = exact * Fraction(10) ** (16 - e)
+            tie = (v - math.floor(v)) == Fraction(1, 2)
+            d_want = round(v)
+            d, ok = matio._digits17(np.array([x]), np.array([e], np.int8))
+            assert bool(ok[0]) == (e == true_e and not tie and d_want < 10**17), (x, e)
+            if ok[0]:
+                assert int(d[0]) == d_want, (x, e)
