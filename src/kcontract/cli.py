@@ -186,6 +186,8 @@ def _system_from_config(cfg: dict) -> SystemModel:
             domain = systems.Box(
                 np.asarray(cfg["domain"]["lo"], float), np.asarray(cfg["domain"]["hi"], float)
             )
+            if domain.dim != eb.dim:
+                raise ValueError("domain dimension does not match bounds")
         # user bounds may borrow the vector field / Jacobian of a built-in
         if "jacobian_from" in cfg:
             donor = _system_from_config(cfg["jacobian_from"])
@@ -345,17 +347,13 @@ def _cmd_simulate(args) -> int:
         _write_summary(outdir, {"preset": args.preset or "config", **summary})
         return code
 
-    # the augmented perturbed Thomas model: 3-D starts get the exponential
-    # state y(0) = 1, only the three Thomas states are written, and the
-    # convergence check uses the 3-state field of the same parameters
-    augmented = cfg.get("system") == "thomas_perturbed"
-    if augmented:
-        params = _perturbed_params(cfg)
-        sysm = systems.thomas_perturbed(**params)
-        field = systems.thomas_perturbed_field(**params)
-    else:
-        sysm = _system_from_config(cfg)
-        field = sysm.f
+    sysm = _system_from_config(cfg)
+    # the records keep the first `written` states, and the convergence check
+    # uses their field: the augmented perturbed Thomas model writes its three
+    # Thomas states, and their field is its 3-state view
+    written, field = sysm.state_dim, sysm.f
+    if cfg.get("system") == "thomas_perturbed":
+        written, field = 3, systems.thomas_perturbed_field(**_perturbed_params(cfg))
     ics = cfg.get("initial_conditions", "standard9")
     if isinstance(ics, str):
         if ics != "standard9":
@@ -367,8 +365,8 @@ def _cmd_simulate(args) -> int:
     n_out = int(cfg.get("n_out", 1001))
     detect_tol = float(cfg.get("detect_tol", 1e-6))
 
-    if augmented and ics.shape[1] == 3:
-        ics = np.hstack([ics, np.ones((ics.shape[0], 1))])
+    if ics.shape[1] == written < sysm.state_dim:  # the unwritten states start at 1
+        ics = np.hstack([ics, np.ones((ics.shape[0], sysm.state_dim - written))])
     runs = integrate_many(sysm, ics, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
     records: list[TrajectoryRecord] = []
     files = []
@@ -377,8 +375,7 @@ def _cmd_simulate(args) -> int:
         if rec is None:
             failures += 1
             continue
-        if augmented:
-            rec = TrajectoryRecord(rec.times, rec.states[:, :3], system=sysm.name)
+        rec = TrajectoryRecord(rec.times, rec.states[:, :written], system=sysm.name)
         records.append(rec)
         fname = f"traj_{idx:02d}.{args.format}"
         text = matio.trajectory_to_json(rec) if args.format == "json" else matio.trajectory_to_csv(rec)
@@ -389,12 +386,8 @@ def _cmd_simulate(args) -> int:
 
     in_box = True
     if sysm.domain is not None:
-        box = sysm.domain
-        if augmented:  # the records keep only the three Thomas states
-            box = systems.Box(box.lo[:3], box.hi[:3])
-        for rec in records:
-            if rec.states.shape[1] == box.dim and not box.contains(rec.states, slack=1e-7):
-                in_box = False
+        box = systems.Box(sysm.domain.lo[:written], sysm.domain.hi[:written])
+        in_box = all(box.contains(rec.states, slack=1e-7) for rec in records)
     summary = {
         "preset": args.preset or "config",
         "system": sysm.name,

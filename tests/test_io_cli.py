@@ -80,6 +80,20 @@ def test_cli_compound_malformed_input_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    {"rows": 2.5, "cols": 2, "entries": [1, 2, 3, 4]},
+    {"rows": True, "cols": 1, "entries": [1]},
+    {"rows": "2", "cols": 2, "entries": [1, 2, 3, 4]},
+    {"rows": -2, "cols": -2, "entries": [1, 2, 3, 4]},
+    {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 4]]},
+], ids=["float rows", "boolean rows", "string rows", "negative shape", "nested entries"])
+def test_cli_compound_malformed_matrix_json_exit_2(tmp_path, capsys, fields):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(fields))
+    assert main(["compound", "--input", str(f), "--k", "1"]) == 2
+    assert "malformed matrix JSON" in capsys.readouterr().err
+
+
 def test_cli_compound_dimension_guard_exit_3(tmp_path, capsys):
     f = tmp_path / "big.csv"
     _write_matrix(f, np.eye(50))

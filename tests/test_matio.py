@@ -236,7 +236,7 @@ def test_a_million_random_bit_patterns_match_per_value_join():
 def test_fixed_point_digits_are_taken_only_when_proven():
     """_digits17 accepts x with exponent guess e exactly when e is the true
     decimal exponent E, |x|*10**(16 - E) is no tie and its nearest integer has
-    17 digits, and then gives that integer."""
+    17 digits, and then gives that integer and the exact rest."""
     from fractions import Fraction
 
     rng = np.random.default_rng(8)
@@ -255,7 +255,136 @@ def test_fixed_point_digits_are_taken_only_when_proven():
             v = exact * Fraction(10) ** (16 - e)
             tie = (v - math.floor(v)) == Fraction(1, 2)
             d_want = round(v)
-            d, ok = matio._digits17(np.array([x]), np.array([e], np.int8))
+            d, f, ok = matio._digits17(np.array([x]), np.array([e], np.int8))
             assert bool(ok[0]) == (e == true_e and not tie and d_want < 10**17), (x, e)
             if ok[0]:
                 assert int(d[0]) == d_want, (x, e)
+                assert Fraction(float(f[0])) == v - d_want, (x, e)
+
+
+# JSON flat lists of at least matio._VECTOR_MIN floats are formatted by numpy
+# with the shortest repr digits; the `route` fixture sends every float list
+# through each writer.
+
+def _true_exponent(exact):
+    """floor(log10(exact)) for a positive Fraction."""
+    from fractions import Fraction
+
+    e = math.floor(math.log10(exact))
+    while Fraction(10) ** e > exact:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= exact:
+        e += 1
+    return e
+
+
+def _shortest_decimals():
+    """Values whose repr has 1 to 17 significant digits, across the
+    fixed-point range and past both ends."""
+    rng = np.random.default_rng(12)
+    out = []
+    for digits in range(1, 18):
+        mantissa = rng.integers(10 ** (digits - 1), 10**digits, 60)
+        exponent = rng.integers(-5 - digits, 17 - digits, 60)
+        out += [float(f"{m}e{e}") for m, e in zip(mantissa.tolist(), exponent.tolist())]
+    return np.array(out)
+
+
+JSON_EDGES = np.concatenate([
+    EDGES,
+    [100.0, 1e15, 9007199254740993.0, 4503599627370497.0, 9999999999999998.0, 1234567890123456.8],
+    [2.0**k for k in range(-20, 60)],
+    _ulp_neighbours([1e-4, 1e16], steps=4),
+    _shortest_decimals(),
+])
+
+
+def test_json_edge_values_match_stdlib(route):
+    for values in (JSON_EDGES, -JSON_EDGES):
+        items = values.tolist()
+        _assert_same_text(matio.dump_json(items), _stdlib(items))
+        _assert_same_text(matio.dump_json({"a": [{"b": items}]}), _stdlib({"a": [{"b": items}]}))
+        m = values.reshape(1, -1)
+        want = {"rows": 1, "cols": m.shape[1], "entries": items}
+        _assert_same_text(matio.matrix_to_json(m), _stdlib(want))
+    times = np.unique(np.abs(JSON_EDGES[np.isfinite(JSON_EDGES)]))
+    states = np.resize(JSON_EDGES, (len(times), 3))
+    rec = TrajectoryRecord(times, states, system="edges")
+    want = {"system": "edges", "times": rec.times.tolist(), "states": states.tolist()}
+    _assert_same_text(matio.trajectory_to_json(rec), _stdlib(want))
+
+
+def test_json_chunk_boundaries_and_zeros(route):
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(2 * matio._CHUNK + 7) * 10.0 ** rng.integers(-6, 18, 2 * matio._CHUNK + 7)
+    values[rng.random(values.size) < 0.8] = 0.0
+    values[::11] = -0.0
+    for items in (values.tolist(), values[: matio._CHUNK].tolist(), [0.0] * 600, [-0.0]):
+        _assert_same_text(matio.dump_json(items), _stdlib(items))
+
+
+def test_a_million_random_bit_patterns_match_the_json_encoder():
+    rng = np.random.default_rng(2025)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    # 7 in 8 get a binary exponent around the fixed-point range [1e-4, 1e16)
+    near = np.arange(bits.size) % 8 != 0
+    exponent = rng.integers(1023 - 16, 1023 + 56, size=near.sum(), dtype=np.uint64)
+    bits[near] = (bits[near] & np.uint64(0x800F_FFFF_FFFF_FFFF)) | (exponent << np.uint64(52))
+    items = bits.view(np.float64).tolist()
+    assert len(items) >= matio._VECTOR_MIN
+    # the C encoder with the indented separator writes what indent=2 writes
+    want = "[\n  " + json.dumps(items, separators=(",\n  ", ": "))[1:-1] + "\n]\n"
+    _assert_same_text(matio.dump_json(items), want)
+
+
+@pytest.mark.parametrize("other", [1, True, np.float64(0.5)])
+def test_mixed_float_lists_stay_on_the_c_encoder(monkeypatch, other):
+    items = np.random.default_rng(3).standard_normal(matio._VECTOR_MIN).tolist() + [other]
+    want = _stdlib({"entries": items})
+
+    def refuse(*args):
+        raise AssertionError("a mixed list reached the numpy writer")
+
+    monkeypatch.setattr(matio, "_text_chunk", refuse)
+    assert matio.dump_json({"entries": items}) == want
+    with pytest.raises(AssertionError):
+        matio.dump_json({"entries": items[:-1]})
+
+
+def test_shortest_digits_are_taken_only_when_proven():
+    """_shortest accepts x exactly when none of the fallbacks holds, computed
+    with exact rationals: a significand that is a power of two, a candidate
+    within 1e-6 of the half-ulp H, two 16-digit candidates within 1e-6 of
+    q/2 = 5 where 5 < H, or a carry into an 18th digit.  Then it gives the
+    shortest round-trip candidate nearest to x, found by trying every length."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([
+        JSON_EDGES[np.isfinite(JSON_EDGES) & (JSON_EDGES >= 1e-4) & (JSON_EDGES < 1e16)],
+        rng.uniform(1.0, 10.0, 400) * 10.0 ** rng.integers(-4, 16, 400),
+    ])
+    for x in xs.tolist():
+        exact = Fraction(x)
+        e = _true_exponent(exact)
+        d, f, ok = matio._digits17(np.array([x]), np.array([e], np.int8))
+        if not ok[0]:
+            continue  # a tie or a carry of the 17-digit integer
+        c, ok = matio._shortest(np.array([x]), d, f, np.array([e], np.int8), ok)
+        v = exact * Fraction(10) ** (16 - e)
+        h = Fraction(math.ulp(x)) / 2 * Fraction(10) ** (16 - e)
+        for p in range(1, 18):
+            q = 10 ** (17 - p)
+            want = round(v / q) * q
+            if abs(want - v) < h:
+                break
+        distances = [abs(round(v / q) * q - v) for q in (10, 100)]
+        d = int(d[0])
+        near = min(d % 100, 100 - d % 100) <= 12
+        tie = h > 5 and abs(v - (d - d % 10) - 5) < Fraction(1, 10**6)
+        unsure = (abs(distances[0] - h) < Fraction(1, 10**6)
+                  or (near and abs(distances[1] - h) < Fraction(1, 10**6)) or tie)
+        power_of_two = math.frexp(x)[0] == 0.5
+        assert bool(ok[0]) == (not unsure and not power_of_two and want < 10**17), x
+        if ok[0]:
+            assert int(c[0]) == want, x
