@@ -130,6 +130,16 @@ def test_cli_simulate_reports_leaving_the_declared_box(tmp_path):
         assert summary["in_invariant_box"] is inside
 
 
+def test_cli_simulate_refuses_a_domain_of_another_dimension(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "bounds", "bounds": {"lo": [[-1.0, 0.0], [0.0, -1.0]], "hi": [[-1.0, 0.0], [0.0, -1.0]]},
+        "domain": {"lo": [-1.0] * 3, "hi": [1.0] * 3}, "initial_conditions": [[0.1, 0.2]],
+    }))
+    assert main(["simulate", "--input", str(cfg), "--output", str(tmp_path / "out")]) == 2
+    assert "domain dimension does not match bounds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("start, inside", [([0.5, -0.5, 0.5], True), ([9.0, 9.0, 9.0], False)])
 def test_cli_simulate_checks_the_box_of_the_perturbed_system(tmp_path, start, inside):
     # the augmented state (x, y) is written as x only; x is checked against

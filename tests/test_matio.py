@@ -233,6 +233,18 @@ def test_a_million_random_bit_patterns_match_per_value_join():
     _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
 
 
+def _true_exponent(exact):
+    """floor(log10(exact)) for a positive Fraction."""
+    from fractions import Fraction
+
+    e = math.floor(math.log10(exact))
+    while Fraction(10) ** e > exact:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= exact:
+        e += 1
+    return e
+
+
 def test_fixed_point_digits_are_taken_only_when_proven():
     """_digits17 accepts x with exponent guess e exactly when e is the true
     decimal exponent E, |x|*10**(16 - E) is no tie and its nearest integer has
@@ -246,11 +258,7 @@ def test_fixed_point_digits_are_taken_only_when_proven():
     ])
     for x in xs.tolist():
         exact = Fraction(x)
-        true_e = math.floor(math.log10(x))
-        while Fraction(10) ** true_e > exact:
-            true_e -= 1
-        while Fraction(10) ** (true_e + 1) <= exact:
-            true_e += 1
+        true_e = _true_exponent(exact)
         for e in {true_e - 1, true_e, true_e + 1} & set(range(-4, 17)):
             v = exact * Fraction(10) ** (16 - e)
             tie = (v - math.floor(v)) == Fraction(1, 2)
@@ -265,18 +273,6 @@ def test_fixed_point_digits_are_taken_only_when_proven():
 # JSON flat lists of at least matio._VECTOR_MIN floats are formatted by numpy
 # with the shortest repr digits; the `route` fixture sends every float list
 # through each writer.
-
-def _true_exponent(exact):
-    """floor(log10(exact)) for a positive Fraction."""
-    from fractions import Fraction
-
-    e = math.floor(math.log10(exact))
-    while Fraction(10) ** e > exact:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= exact:
-        e += 1
-    return e
-
 
 def _shortest_decimals():
     """Values whose repr has 1 to 17 significant digits, across the
