@@ -129,7 +129,7 @@ def _cmd_decompose(args) -> int:
                     "i": i,
                     "rows": int(blk.shape[0]),
                     "cols": int(blk.shape[1]),
-                    "entries": blk.ravel().tolist(),
+                    "entries": blk.ravel(),
                 }
                 for i, blk in dec.blocks
             ],

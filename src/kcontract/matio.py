@@ -5,15 +5,17 @@ JSON object {"rows", "cols", "entries"} with entries flattened row-major.
 CSV values and printed scalars carry 17 significant digits (``%.17g``);
 JSON floats are Python's shortest round-trip ``repr``.  Either way the
 decimal text round-trips the underlying doubles exactly.  JSON text is byte
-for byte what ``json.dumps(obj, indent=2, allow_nan=True)`` writes.  Outputs
-contain no timestamps and identical inputs produce byte-identical files.
+for byte what ``json.dumps(obj, indent=2, allow_nan=True)`` writes, with an
+ndarray written as its ``.tolist()``.  Outputs contain no timestamps and
+identical inputs produce byte-identical files.
 
-The CSV text of a large matrix, and the JSON text of a long flat list of
-floats, are built by numpy and are still byte for byte the per-value
-``"%.17g"`` and ``repr``.  For a finite nonzero x whose decimal exponent
-E = floor(log10|x|) lies in [-4, 16], ``%.17g`` is fixed-point text of the
-17-digit integer D nearest to |x|*10**s, s = 16 - E, with the fraction's
-trailing zeros and a bare point dropped.  D is computed exactly:
+The CSV text of a large matrix, and the JSON text of a long 1-D float64
+array, are built by numpy and are still byte for byte the per-value
+``"%.17g"`` and ``repr``.  A Python list always takes the C encoder.  For
+a finite nonzero x whose decimal exponent E = floor(log10|x|) lies in
+[-4, 16], ``%.17g`` is fixed-point text of the 17-digit integer D nearest to
+|x|*10**s, s = 16 - E, with the fraction's trailing zeros and a bare point
+dropped.  D is computed exactly:
 
 * 10**s is a double for s <= 22, so Dekker's two-product (Dekker 1971, with
   Veltkamp's split) gives |x|*10**s = p + lo exactly, where p is the rounded
@@ -63,6 +65,14 @@ range or tie test, and, for ``repr``, any value where:
 * the two 16-digit candidates are within 1e-6 of a tie at q/2 = 5 < H,
   where dtoa takes the even digit;
 * the candidate carries into an 18th digit.
+
+The values are written in passes.  A pass where zeros are rare gives every
+value a text row.  Where at least one value in five is zero, as in an
+additive compound or its Kronecker-sum blocks, only the nonzero values are
+formatted, up to ``_CHUNK`` of them per pass.  The zero texts, separators
+and newlines are then placed around their rows by position: a zero takes
+the bytes of its text and separator, and a nonzero value a whole row.  A
+pass with no zeros formats exactly as before.
 """
 
 from __future__ import annotations
@@ -81,12 +91,22 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: Matrices and JSON float lists with fewer values take the C formatter.  They
-#: break even near 400 values for CSV and 512 for dense JSON lists; a JSON list
-#: that is 87% zeros breaks even only at 2 500-5 000 (zeros are cheap in C).
+#: Matrices and 1-D float64 arrays with fewer values take the C formatter.
+#: Dense ones break even near 500 values.  Ones that are 87 % or all zeros
+#: break even near 1 500 (0.4-0.5x at 512, 1.4-1.6x at 2 500, 3-6x at 10 000),
+#: because a sparse pass has a fixed cost and zeros are cheap in C.
 _VECTOR_MIN = 512
-#: Values per chunk of the vectorised writer, which bounds its scratch memory.
+#: Values per dense pass of the vectorised writer, and nonzero values per
+#: sparse pass, which bounds its scratch memory.
 _CHUNK = 8192
+#: Values per sparse pass, zeros included.  With it a sparse pass's scratch is
+#: about a dense pass's (tracemalloc: 1.4-1.9 MB against 1.4-1.5 MB for CSV and
+#: JSON at two indent depths; 1.5-3.2 MB at twice this span).
+_SPAN = 4 * _CHUNK
+#: A pass is sparse, with no text row per zero, when at least one in
+#: ``_SPARSE`` of its first ``_CHUNK`` values is zero.  Below that the zero
+#: rows cost less than the sparse layout (1.2x at 2 % zeros, 1.0x at 20-25 %).
+_SPARSE = 5
 #: One value's text bytes: a sign and 23 characters.  C ``%.17g`` and
 #: ``repr`` text fill at most 24 (``-2.2250738585072014e-308``), the
 #: fixed-point text at most 23 (``-0.00012345678901234567``).
@@ -108,29 +128,87 @@ def _csv_rows(rows: np.ndarray) -> str:
     if rows.size < _VECTOR_MIN:
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         return "".join([line % tuple(row) for row in rows.tolist()])
-    flat, cols = rows.ravel(), rows.shape[1]
-    return "".join([_text_chunk(flat[i:i + _CHUNK], False, b",",
-                                slice((cols - 1 - i) % cols, None, cols))
-                    for i in range(0, flat.size, _CHUNK)])
+    return "".join(_text(rows.ravel(), False, b",", rows.shape[1]))
 
 
-def _repr_list(values: list, sep: str) -> str:
-    """The JSON text of each float of ``values``, joined by ``sep``."""
-    x = np.array(values, dtype=np.float64)
-    chunks = [_text_chunk(x[i:i + _CHUNK], True, sep.encode()) for i in range(0, x.size, _CHUNK)]
+def _repr_list(x: np.ndarray, sep: str) -> str:
+    """The JSON text of each value of the float64 array ``x``, joined by ``sep``."""
+    chunks = _text(x, True, sep.encode())
     chunks[-1] = chunks[-1][:-len(sep)]
     return "".join(chunks)
 
 
-def _text_chunk(x: np.ndarray, shortest: bool, sep: bytes, newlines=slice(0)) -> str:
-    """The ``%.17g`` text of each value of ``x``, or with ``shortest`` its
-    JSON ``repr``, each followed by ``sep``, or by a newline at
-    ``x[newlines]``.
+def _text(x: np.ndarray, shortest: bool, sep: bytes, cols: int = 0) -> list[str]:
+    """The ``%.17g`` text of each value of the flat array ``x``, or with
+    ``shortest`` its JSON ``repr``, each followed by ``sep``, or by a newline
+    after every ``cols``-th value, in passes.
 
-    Each value gets one row of ``_TEXT`` bytes and ``sep``, NUL where it has
-    no character, and the NULs are deleted at the end.  The rows are laid out
-    in the order of a stable sort by exponent, so that each exponent's layout
-    is a few slices, and put back in input order before the deletion.
+    A pass is the next ``_CHUNK`` values, each given a text row, unless at
+    least one in ``_SPARSE`` of them is zero.  Then it is sparse: the next
+    ``_SPAN`` values, cut before the nonzero value past the ``_CHUNK``-th.
+    """
+    chunks, i = [], 0
+    while i < x.size:
+        newlines = slice((cols - 1 - i) % cols, None, cols) if cols else slice(0)
+        dense = x[i:i + _CHUNK]
+        if np.count_nonzero(dense == 0) * _SPARSE < dense.size:
+            text = _text_rows(dense, shortest, sep)
+            text[newlines, _TEXT] = ord("\n")
+            chunks.append(text.tobytes().translate(None, b"\0").decode("ascii"))
+            i += dense.size
+            continue
+        span = x[i:i + _SPAN]
+        nonzero = np.flatnonzero(span != 0)  # NaN counts as nonzero
+        if nonzero.size > _CHUNK:
+            span, nonzero = span[:nonzero[_CHUNK]], nonzero[:_CHUNK]
+        chunks.append(_sparse_chunk(span, nonzero, shortest, sep, newlines))
+        i += span.size
+    return chunks
+
+
+def _sparse_chunk(x: np.ndarray, nonzero: np.ndarray, shortest: bool, sep: bytes,
+                  newlines: slice) -> str:
+    """The text of ``_text`` for the values ``x``, whose nonzero values are
+    ``x[nonzero]``, with a text row for the nonzero values only.
+
+    The text is laid out in units of a zero's text and ``sep``, and every
+    unit starts out as a zero.  A negative zero takes one unit more, ``-``
+    and NULs, before its own.  A nonzero value takes the units of its text
+    row, ``_TEXT`` bytes and then ``sep`` at the row's end.  Each value's
+    units follow the previous value's, so a value's first unit is counted
+    from the nonzero values and negative zeros before it.  A newline
+    replaces the last byte of a value's last unit, and one NUL deletion
+    gives the text.
+    """
+    zero = b"0.0" if shortest else b"0"
+    size = len(zero) + len(sep)
+    tail = -(-(_TEXT + len(sep)) // size) * size - _TEXT  # a row fills whole units
+    rows = _text_rows(x.take(nonzero), shortest, sep.rjust(tail, b"\0"))
+    width = rows.shape[1] // size  # units per row
+    negative = np.flatnonzero(np.signbit(x) & (x == 0))
+
+    def unit(i, nonzero_before, side):  # the first ("left") or last unit of the values i, sorted
+        return i + (width - 1) * nonzero_before + np.searchsorted(negative, i, side)
+
+    text = bytearray(zero + sep) * (x.size + (width - 1) * nonzero.size + negative.size)
+    units = np.frombuffer(text, f"V{size}")
+    units[unit(negative, np.searchsorted(nonzero, negative), "left")] = b"-".ljust(size, b"\0")
+    # each nonzero value's row is one element of a view whose elements overlap
+    slots = np.ndarray(max(units.size - width + 1, 0), f"V{rows.shape[1]}", units, strides=(size,))
+    slots[unit(nonzero, np.arange(nonzero.size), "left")] = rows.view(slots.dtype).ravel()
+    newline = np.arange(x.size)[newlines]
+    last = unit(newline, np.searchsorted(nonzero, newline, "right"), "right")
+    units.view(np.uint8)[(last + 1) * size - 1] = ord("\n")  # each value ends in its separator
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _text_rows(x: np.ndarray, shortest: bool, tail: bytes) -> np.ndarray:
+    """One row of ``_TEXT`` bytes and ``tail`` per value of ``x``, in input
+    order: its ``%.17g`` text, or with ``shortest`` its JSON
+    ``repr``, NUL where it has no character.
+
+    The rows are laid out in the order of a stable sort by exponent, so that
+    each exponent's layout is a few slices, and put back in input order.
     """
     n = len(x)
     a = np.abs(x)
@@ -143,11 +221,11 @@ def _text_chunk(x: np.ndarray, shortest: bool, sep: bytes, newlines=slice(0)) ->
     key = key.take(order)
     zeros, fixed = np.searchsorted(key, (-4, 17))
     xs = x.take(order)
-    text = np.zeros((n, _TEXT + len(sep)), np.uint8)
+    text = np.zeros((n, _TEXT + len(tail)), np.uint8)
     text[:, 0] = np.signbit(xs) * np.uint8(ord("-"))
     zero = b"0.0" if shortest else b"0"
     text[:zeros, 1:1 + len(zero)] = np.frombuffer(zero, np.uint8)
-    text[:, _TEXT:] = np.frombuffer(sep, np.uint8)
+    text[:, _TEXT:] = np.frombuffer(tail, np.uint8)
     e = key[zeros:fixed]
     a = np.abs(xs[zeros:fixed])
     digits, fraction, ok = _digits17(a, e)
@@ -161,9 +239,7 @@ def _text_chunk(x: np.ndarray, shortest: bool, sep: bytes, newlines=slice(0)) ->
         text[c_route, :_TEXT] = np.array(c_text, dtype="S24").view(np.uint8).reshape(-1, _TEXT)
     inverse = np.empty(n, np.intp)
     inverse[order] = np.arange(n)
-    text = text.take(inverse, axis=0)
-    text[newlines, _TEXT] = ord("\n")
-    return text.tobytes().translate(None, b"\0").decode("ascii")
+    return text.take(inverse, axis=0)
 
 
 def _digits17(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,23 +370,27 @@ def matrix_from_csv(text: str) -> np.ndarray:
 
 def matrix_to_json(m: np.ndarray) -> str:
     m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    obj = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": m.ravel().tolist()}
+    obj = {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": m.ravel()}
     return _json(obj, "") + "\n"
 
 
 def matrix_from_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-        rows, cols = obj["rows"], obj["cols"]
-        entries = np.asarray(obj["entries"], dtype=np.float64)
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"malformed matrix JSON: {exc}") from None
     for name, size in (("rows", rows), ("cols", cols)):
         if type(size) is not int or size < 0:  # bool is not int here
             raise ValueError(f"malformed matrix JSON: {name} must be a non-negative "
                              f"integer, not {size!r}")
-    if entries.ndim != 1:
+    # NaN and +-Infinity read as floats; strings, null, booleans and lists do not
+    if type(entries) is not list or not set(map(type, entries)) <= {int, float}:
         raise ValueError("malformed matrix JSON: entries must be a flat list of numbers")
+    try:
+        entries = np.array(entries, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"malformed matrix JSON: {exc}") from None
     if entries.size != rows * cols:
         raise ValueError(f"matrix JSON claims {rows}x{cols} but has {entries.size} entries")
     return entries.reshape(rows, cols)
@@ -328,7 +408,7 @@ def trajectory_to_csv(rec: TrajectoryRecord) -> str:
 
 
 def trajectory_to_json(rec: TrajectoryRecord) -> str:
-    obj = {"system": rec.system, "times": rec.times.tolist(), "states": rec.states.tolist()}
+    obj = {"system": rec.system, "times": rec.times, "states": rec.states.tolist()}
     return _json(obj, "") + "\n"
 
 
@@ -343,11 +423,11 @@ _FLAT = frozenset((float, int, str, bool, type(None)))
 
 def _json(obj, indent: str) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, allow_nan=True)`` writes it on a
-    line indented by ``indent``.
+    line indented by ``indent``, with an ndarray written as its ``.tolist()``.
 
     With ``indent`` set the json module runs its pure-Python encoder.  Here
-    only dicts and lists are walked in Python.  A flat list of at least
-    ``_VECTOR_MIN`` floats is formatted by numpy, and any other flat list of
+    only dicts and lists are walked in Python.  A 1-D float64 array of at
+    least ``_VECTOR_MIN`` values is formatted by numpy, and any flat list of
     plain scalars is one call of the C encoder, each with the indented item
     separator.  Each container's text is built with one copy of its body.
     """
@@ -363,14 +443,17 @@ def _json(obj, indent: str) -> str:
             return "[]"
         inner = indent + "  "
         sep = ",\n" + inner
-        types = set(map(type, obj))
-        if types == {float} and len(obj) >= _VECTOR_MIN:
-            body = _repr_list(obj, sep)
-        elif types <= _FLAT:
+        if set(map(type, obj)) <= _FLAT:
             body = json.dumps(obj, separators=(sep, ": "))[1:-1]
         else:
             body = sep.join([_json(v, inner) for v in obj])
         return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size and obj.size >= _VECTOR_MIN:
+            inner = indent + "  "
+            body = _repr_list(obj, ",\n" + inner)
+            return f"[\n{inner}{body}\n{indent}]"
+        return _json(obj.tolist(), indent)
     return _scalar(obj)
 
 

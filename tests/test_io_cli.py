@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -86,12 +87,33 @@ def test_cli_compound_malformed_input_exit_2(tmp_path, capsys):
     {"rows": "2", "cols": 2, "entries": [1, 2, 3, 4]},
     {"rows": -2, "cols": -2, "entries": [1, 2, 3, 4]},
     {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 4]]},
-], ids=["float rows", "boolean rows", "string rows", "negative shape", "nested entries"])
+    {"rows": 1, "cols": 3, "entries": ["1.5", None, True]},
+    {"rows": 1, "cols": 2, "entries": [1.5, "2"]},
+    {"rows": 1, "cols": 2, "entries": [1.5, None]},
+    {"rows": 1, "cols": 2, "entries": [False, 1.5]},
+    {"rows": 1, "cols": 1, "entries": {"0": 1.5}},
+    {"rows": 1, "cols": 1, "entries": [10**400]},
+], ids=["float rows", "boolean rows", "string rows", "negative shape", "nested entries",
+        "string, null and boolean entries", "string entry", "null entry", "boolean entry",
+        "object entries", "integer entry beyond the float range"])
 def test_cli_compound_malformed_matrix_json_exit_2(tmp_path, capsys, fields):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(fields))
     assert main(["compound", "--input", str(f), "--k", "1"]) == 2
     assert "malformed matrix JSON" in capsys.readouterr().err
+
+
+def test_cli_compound_reads_the_matrix_json_it_writes(tmp_path, capsys):
+    m = np.array([[0.1, -0.0], [3.0, 1e-300]])
+    f = tmp_path / "m.json"
+    f.write_text(matio.matrix_to_json(m))
+    assert main(["compound", "--input", str(f), "--k", "1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == f.read_text()
+    # NaN and Infinity tokens parse, and reach the non-finite guard
+    f.write_text(matio.matrix_to_json(np.array([[math.nan, 1.5], [math.inf, -math.inf]])))
+    assert main(["compound", "--input", str(f), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "malformed" not in err
 
 
 def test_cli_compound_dimension_guard_exit_3(tmp_path, capsys):

@@ -3,6 +3,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,13 +139,37 @@ def test_matrix_to_json_matches_stdlib():
     )
 
 
+@pytest.mark.parametrize("entries", [
+    ["1.5", None, True], ["1.5", 2.0, 3.0], [1.0, None, 3.0], [1.0, 2.0, False], [[1.0], 2.0, 3.0],
+    {"a": 1.0}, "1.5",
+], ids=["string, null and boolean", "string", "null", "boolean", "nested", "object", "string list"])
+def test_matrix_from_json_refuses_entries_that_are_not_numbers(entries):
+    text = json.dumps({"rows": 1, "cols": 3, "entries": entries})
+    with pytest.raises(ValueError, match="entries must be a flat list of numbers"):
+        matio.matrix_from_json(text)
+
+
+def test_matrix_from_json_reads_back_what_the_writer_writes():
+    m = np.array([[math.nan, math.inf, -math.inf], [-0.0, 5e-324, 3]])
+    text = matio.matrix_to_json(m)
+    assert "NaN" in text and "Infinity" in text
+    again = matio.matrix_from_json(text)
+    assert np.array_equal(again, m, equal_nan=True) and np.signbit(again[1, 0])
+    assert np.array_equal(matio.matrix_from_json('{"rows": 1, "cols": 2, "entries": [1, -2]}'),
+                          [[1.0, -2.0]])
+
+
 # The vectorised %.17g writer takes matrices of at least matio._VECTOR_MIN
 # values.  The `route` fixture runs a case through each writer regardless of
-# its size, so every case is checked on both sides of the crossover.
+# its size, so every case is checked on both sides of the crossover.  The
+# vectorised writer gives a pass with at least one zero in matio._SPARSE no
+# text row per zero; "rows" gives every zero a text row and "sparse" none.
 
-@pytest.fixture(params=["template", "vectorised"])
+@pytest.fixture(params=["template", "vectorised", "rows", "sparse"])
 def route(request, monkeypatch):
     monkeypatch.setattr(matio, "_VECTOR_MIN", 10**12 if request.param == "template" else 0)
+    if request.param in ("rows", "sparse"):
+        monkeypatch.setattr(matio, "_SPARSE", 0 if request.param == "rows" else 10**12)
     return request.param
 
 
@@ -300,6 +325,8 @@ def test_json_edge_values_match_stdlib(route):
         items = values.tolist()
         _assert_same_text(matio.dump_json(items), _stdlib(items))
         _assert_same_text(matio.dump_json({"a": [{"b": items}]}), _stdlib({"a": [{"b": items}]}))
+        _assert_same_text(matio.dump_json(values), _stdlib(items))
+        _assert_same_text(matio.dump_json({"a": [{"b": values}]}), _stdlib({"a": [{"b": items}]}))
         m = values.reshape(1, -1)
         want = {"rows": 1, "cols": m.shape[1], "entries": items}
         _assert_same_text(matio.matrix_to_json(m), _stdlib(want))
@@ -315,8 +342,89 @@ def test_json_chunk_boundaries_and_zeros(route):
     values = rng.standard_normal(2 * matio._CHUNK + 7) * 10.0 ** rng.integers(-6, 18, 2 * matio._CHUNK + 7)
     values[rng.random(values.size) < 0.8] = 0.0
     values[::11] = -0.0
-    for items in (values.tolist(), values[: matio._CHUNK].tolist(), [0.0] * 600, [-0.0]):
+    for x in (values, values[: matio._CHUNK], np.zeros(600), np.array([-0.0])):
+        items = x.tolist()
         _assert_same_text(matio.dump_json(items), _stdlib(items))
+        _assert_same_text(matio.dump_json(x), _stdlib(items))
+
+
+# A sparse pass gives its zeros no text row: their texts, the separators and
+# the newlines are placed by the text lengths of its nonzero values.
+
+def _zero_layouts():
+    n = 700
+    first, last, runs, c_route = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    first[0], last[-1] = 1.5, -2.5e-3
+    for start, stop in ((0, 3), (10, 60), (100, 103), (200, 260), (699, 700)):
+        runs[start:stop] = -0.0
+    runs[[5, 61, 400]] = [0.1, -3.0, 1e-4]
+    c_route[[3, 4, 50, 51, 52, 300, 301, 302, 303, 698]] = [
+        math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e17, -1e17, 1.0000000000000002e16,
+        2.2250738585072014e-308, math.nan]
+    c_route[5:9] = -0.0
+    return {"all zero": np.zeros(n), "all negative zero": np.full(n, -0.0),
+            "nonzero first": first, "nonzero last": last, "negative zero runs": runs,
+            "C route among zeros": c_route}
+
+
+ZERO_LAYOUTS = _zero_layouts()
+
+
+@pytest.mark.parametrize("name", list(ZERO_LAYOUTS))
+def test_zero_layouts_match_the_per_value_writers(route, name):
+    x = ZERO_LAYOUTS[name]
+    items = x.tolist()
+    for cols in (1, 7, 35, x.size):
+        m = x.reshape(-1, cols)
+        _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+    _assert_same_text(matio.dump_json(x), _stdlib(items))
+    _assert_same_text(matio.dump_json(x), matio.dump_json(items))
+    nested = {"a": [x, {"b": x}]}
+    _assert_same_text(matio.dump_json(nested), _stdlib({"a": [items, {"b": items}]}))
+
+
+def test_csv_newlines_on_zeros_and_c_route_values(route):
+    m = np.zeros((60, 9))
+    m[:, 0] = np.arange(60) * 0.25  # each row starts with a zero or a fixed-point value
+    m[::3, -1] = np.resize([math.nan, 1e-300, -math.inf, 1e17, 5e-324], 20)  # a C-route value
+    m[1::3, -1] = np.resize([-0.0, 0.0], 20)  # a zero
+    m[2::6, -1] = 0.1  # a fixed-point value
+    m[4::7, 3:6] = [-0.0, 2.5, 1e-5]
+    _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+
+
+def test_sparse_passes_are_cut_by_their_nonzero_count(route):
+    rng = np.random.default_rng(40)
+    n = 21 * matio._CHUNK
+    head = np.zeros(n)  # _CHUNK + 5 nonzero values, all early in a list many times longer
+    head[np.sort(rng.choice(2 * matio._CHUNK, matio._CHUNK + 5, replace=False))] = 1.5
+    spread = np.where(rng.random(n) < 0.3, rng.standard_normal(n), 0.0)  # every span cut
+    spread[rng.random(n) < 0.05] = -0.0
+    for x in (head, spread, -head):
+        m = x.reshape(-1, 7)
+        _assert_same_text(matio.matrix_to_csv(m), _reference_csv(m))
+        items = x.tolist()
+        want = "[\n  " + json.dumps(items, separators=(",\n  ", ": "))[1:-1] + "\n]\n"
+        _assert_same_text(matio.dump_json(x), want)
+
+
+def test_mostly_zero_writes_keep_their_scratch_memory_bounded():
+    """The peak memory of writing 2 M values, 1 % of them nonzero, is the
+    output text, held twice while the texts of the passes are joined, plus a
+    fixed bound: each pass's scratch is about 1.5 MB, whatever the input's
+    size."""
+    rng = np.random.default_rng(41)
+    x = np.zeros(2_000_000)
+    picked = rng.random(x.size) < 0.01
+    x[picked] = rng.standard_normal(np.count_nonzero(picked))
+    for write in (lambda: matio.matrix_to_csv(x.reshape(-1, 1000)), lambda: matio.dump_json(x)):
+        tracemalloc.start()
+        try:
+            text = write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text) + 3 * 2**20, (peak, len(text))
 
 
 def test_a_million_random_bit_patterns_match_the_json_encoder():
@@ -331,20 +439,37 @@ def test_a_million_random_bit_patterns_match_the_json_encoder():
     # the C encoder with the indented separator writes what indent=2 writes
     want = "[\n  " + json.dumps(items, separators=(",\n  ", ": "))[1:-1] + "\n]\n"
     _assert_same_text(matio.dump_json(items), want)
+    _assert_same_text(matio.dump_json(bits.view(np.float64)), want)
 
 
 @pytest.mark.parametrize("other", [1, True, np.float64(0.5)])
 def test_mixed_float_lists_stay_on_the_c_encoder(monkeypatch, other):
-    items = np.random.default_rng(3).standard_normal(matio._VECTOR_MIN).tolist() + [other]
-    want = _stdlib({"entries": items})
+    """Lists of any item types take the C encoder, 1-D float64 arrays of at
+    least matio._VECTOR_MIN values the numpy writer, and other arrays go
+    through ``.tolist()``."""
+    floats = np.random.default_rng(3).standard_normal(matio._VECTOR_MIN)
+    items = floats.tolist() + [other]
+    same = np.array([other] * matio._VECTOR_MIN)  # int64, bool or float64
+    others = [same.reshape(2, -1), floats.astype(np.float32), floats[:-1], np.zeros(0)]
+    if same.dtype != np.float64:
+        others.append(same)
+    want = [_stdlib({"entries": x.tolist()}) for x in [floats] + others]
 
     def refuse(*args):
-        raise AssertionError("a mixed list reached the numpy writer")
+        raise AssertionError("the numpy writer was reached")
 
-    monkeypatch.setattr(matio, "_text_chunk", refuse)
-    assert matio.dump_json({"entries": items}) == want
+    monkeypatch.setattr(matio, "_text", refuse)
+    assert matio.dump_json({"entries": items}) == _stdlib({"entries": items})
+    assert matio.dump_json({"entries": items[:-1]}) == want[0]
+    for x, text in zip(others, want[1:]):
+        assert matio.dump_json({"entries": x}) == text
     with pytest.raises(AssertionError):
-        matio.dump_json({"entries": items[:-1]})
+        matio.dump_json({"entries": floats})
+    if same.dtype == np.float64:
+        with pytest.raises(AssertionError):
+            matio.dump_json({"entries": same})
+    monkeypatch.undo()
+    assert matio.dump_json({"entries": floats}) == want[0]
 
 
 def test_shortest_digits_are_taken_only_when_proven():
