@@ -142,6 +142,8 @@ def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
+    if t_eval.size == 0:
+        raise ValueError("the output grid is empty")
     status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, record)
     records: list[Optional[TrajectoryRecord]] = []
     for x0, failed, path in zip(x0s, status, states):
@@ -191,13 +193,15 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     lockstep; ``substeps`` holds each step's m.  So ``sys.f`` takes states
     as columns, as for ``integrate_many``, once a step is split.
 
-    Step matrices are built as stacks, kept as M - I, and multiplied into
-    one product per output interval (the steps up to one that ends on an
-    output time), BATCH_BYTES of stage matrices at a time; the chunking
-    does not change any bit.  ``compound_gap`` is
-    max_t |Phi(t)^(k) - Psi(t)|_F / |Psi(t)|_F over the samples where Psi
-    has not underflowed: how far the two routes to the compound flow drift
-    apart.
+    Step matrices are built as stacks, BATCH_BYTES of stage matrices at a
+    time, and kept as D = M - I.  The steps are then taken in order, and the
+    product P of the open output interval's steps is kept as E = P - I:
+    E <- D at its first step, E <- E + D + D E at each further one, and
+    Y <- Y + E Y moves Phi and Psi at the step that ends on an output time.
+    An interval may span batches, so the chunking does not change any bit.
+    ``compound_gap`` is max_t |Phi(t)^(k) - Psi(t)|_F / |Psi(t)|_F over the
+    samples where Psi has not underflowed: how far the two routes to the
+    compound flow drift apart.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
@@ -216,15 +220,14 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     t0, h, closes = run.t, run.h, run.hit
     stage_t = (t0[:, None] + _DP_C * h[:, None]).ravel()
     stage_x = run.stages.reshape(-1, n).T
-    # interval of each step: a step that ends on an output time closes one
-    interval = np.cumsum(closes) - closes
     substeps = np.ones(h.size, dtype=np.int64)
 
     flow = np.empty((times.size, n, n))
     compound_flow = np.empty((times.size, r, r))
     flow[0], compound_flow[0] = np.eye(n), np.eye(r)
     chunk = max(1, indexing.BATCH_BYTES // (56 * (n * n + r * r)))  # 7 stage matrices a step
-    carry = None  # product increments of the current interval's earlier steps
+    product = None  # P - I of Phi and of Psi over the open interval's steps so far
+    j = 0  # the output time the open interval starts from
     for lo in range(0, h.size, chunk):
         hi = min(lo + chunk, h.size)
         stages = stage_t[7 * lo : 7 * hi], stage_x[:, 7 * lo : 7 * hi]
@@ -236,19 +239,13 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
             parts = _split_steps(sys, index, t0[at], h[at], stage_x[:, 7 * at], substeps[at])
             for inc, part in zip(increments, parts):
                 inc[split] = part
-        counts = np.bincount(interval[lo:hi] - interval[lo])
-        if carry is not None:
-            counts[0] += 1
-        product = [
-            _chain(d if part is None else np.concatenate([part, d]), counts)
-            for d, part in zip(increments, carry or (None, None))
-        ]
-        closed = counts.size if closes[hi - 1] else counts.size - 1
-        first = interval[lo]
-        for j in range(closed):
-            for out, e in zip((flow, compound_flow), product):
-                out[first + j + 1] = out[first + j] + e[j] @ out[first + j]
-        carry = None if closes[hi - 1] else [e[-1:] for e in product]
+        for ds, hit in zip(zip(*increments), closes[lo:hi]):
+            product = ds if product is None else [e + d + d @ e for e, d in zip(product, ds)]
+            if hit:
+                for out, e in zip((flow, compound_flow), product):
+                    out[j + 1] = out[j] + e @ out[j]
+                product = None
+                j += 1
     phi_k = minor_dets(flow, index.seqs, index.seqs)
     gap = np.sqrt(np.add.reduce((phi_k - compound_flow) ** 2, axis=(1, 2)))
     size = np.sqrt(np.add.reduce(compound_flow**2, axis=(1, 2)))
@@ -341,25 +338,6 @@ def _split_steps(sys, index, t, h, x, m):
     return out
 
 
-def _chain(d: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """P - I for each product P = (I + D_s) ... (I + D_1) over consecutive
-    runs of a (S, d, d) stack of step increments D in step order, run i
-    taking the next ``counts[i]`` >= 1 steps; returns (len(counts), d, d).
-    Each run is chained step by step, the runs side by side, the longest
-    first, so a run's result does not depend on the others."""
-    starts = np.cumsum(counts) - counts
-    order = np.argsort(-counts, kind="stable")
-    longest = counts[order]
-    e = d[starts[order]]
-    for j in range(1, int(longest[0])):
-        m = int(np.count_nonzero(longest > j))
-        dj = d[starts[order[:m]] + j]
-        e[:m] = e[:m] + dj + dj @ e[:m]
-    out = np.empty_like(e)
-    out[order] = e
-    return out
-
-
 def _generator_matrix(generators) -> np.ndarray:
     """The generators as an n x k matrix of columns, 1 <= k <= n."""
     x = np.asarray(generators, dtype=np.float64)
@@ -411,7 +389,7 @@ def fit_exponential_rate(times, volumes) -> VolumeFit:
     times = np.asarray(times, dtype=np.float64)
     volumes = np.asarray(volumes, dtype=np.float64)
     valid = volumes > 1e-300
-    if valid.any() and not valid.all():
+    if not valid.all():
         cut = int(np.argmin(valid))  # first invalid index
         times, volumes = times[:cut], volumes[:cut]
     if times.size < 2:

@@ -277,7 +277,7 @@ class SeriesModel:
             jacobian=self.jacobian_full,
             name=self.name,
         )
-        object.__setattr__(self, "_full", sysm)
+        self._full = sysm
         return sysm
 
 
@@ -542,7 +542,7 @@ def lti_series(a, b, c, name: Optional[str] = None) -> SeriesModel:
     full[n:, :n] = b
     full[n:, n:] = c
     sysm = lti(full, name=model.name)
-    object.__setattr__(model, "_full", sysm)
+    model._full = sysm
     return model
 
 

@@ -356,14 +356,16 @@ def _flow_cases():
 
 @pytest.mark.parametrize("name", list(_flow_cases()))
 def test_variational_flow_matches_the_co_integrated_reference(name):
+    # two samples make one output interval of every step of the run
     sysm, x0 = _flow_cases()[name]
-    rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
-    for k in range(1, sysm.state_dim + 1):
-        var = variational_flow(sysm, rec, k)
-        _, flow, compound_flow = dopri_variational_flow(sysm, rec, k, var.substeps)
-        assert np.array_equal(var.states, rec.states)
-        assert rel_err(var.flow, flow) <= 1e-12
-        assert rel_err(var.compound_flow, compound_flow) <= 1e-12
+    for n_out in (31, 2):
+        rec = integrate(sysm, x0, (0.0, 3.0), n_out=n_out)
+        for k in range(1, sysm.state_dim + 1):
+            var = variational_flow(sysm, rec, k)
+            _, flow, compound_flow = dopri_variational_flow(sysm, rec, k, var.substeps)
+            assert np.array_equal(var.states, rec.states)
+            assert rel_err(var.flow, flow) <= 1e-12
+            assert rel_err(var.compound_flow, compound_flow) <= 1e-12
 
 
 @pytest.mark.parametrize("name", list(_flow_cases()))
@@ -420,7 +422,8 @@ def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chun
     # (seven stages); its intervals take one to three steps, and about half
     # its steps are split for the flows, so batches of one step, of three
     # steps (ending inside an interval) and of ten steps (several whole
-    # intervals and parts of two) cover every layout
+    # intervals and parts of two) cover every layout; on a grid of two
+    # samples every batch edge falls inside the one interval
     sysm = thomas_controlled()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=61)
     closes = rec.steps.hit.tolist()
@@ -429,12 +432,11 @@ def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chun
         assert not all(ends)  # some batch ends inside an interval
     if chunk == 10:
         assert sum(closes[:chunk]) >= 2
-    whole = variational_flow(sysm, rec, 2)
+    one_interval = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=2)
+    whole = [variational_flow(sysm, r, 2) for r in (rec, one_interval)]
     monkeypatch.setattr(indexing, "BATCH_BYTES", chunk * 56 * 18 + 100)
-    part = variational_flow(sysm, rec, 2)
-    assert np.array_equal(part.states, whole.states)
-    assert np.array_equal(part.flow, whole.flow)
-    assert np.array_equal(part.compound_flow, whole.compound_flow)
+    for r, want in zip((rec, one_interval), whole):
+        _assert_same_flows(variational_flow(sysm, r, 2), want)
 
 
 @pytest.mark.parametrize("name", list(_flow_cases()))
@@ -635,6 +637,19 @@ def test_fit_truncates_underflow():
     fit = fit_exponential_rate(t, v)
     assert fit.n_used == 8
     assert abs(fit.rate + 60.0) < 1e-6
+
+
+def test_fit_refuses_a_series_with_no_positive_volume():
+    with pytest.raises(ValueError, match="not enough positive volume samples"):
+        fit_exponential_rate(np.linspace(0.0, 1.0, 5), np.zeros(5))
+
+
+def test_integrate_refuses_an_empty_output_grid():
+    sysm = thomas_controlled()
+    with pytest.raises(ValueError, match="output grid is empty"):
+        integrate(sysm, [0.1, 0.2, 0.3], (0.0, 1.0), n_out=0)
+    with pytest.raises(ValueError, match="output grid is empty"):
+        integrate_many(sysm, [[0.1, 0.2, 0.3]], (0.0, 1.0), t_eval=[])
 
 
 def test_detect_convergence_scalar():

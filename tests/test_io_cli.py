@@ -355,6 +355,23 @@ def test_cli_simulate_serializes_the_summary_once(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().out == (tmp_path / "summary.json").read_text()
 
 
+@pytest.mark.parametrize("preset", ["fig2", "growth"])
+def test_cli_simulate_empty_output_grid_exit_2(tmp_path, capsys, preset):
+    assert main(["simulate", "--preset", preset, "--grid", "0", "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: the output grid is empty")
+
+
+def test_cli_simulate_growth_without_a_positive_volume_exit_2(tmp_path, capsys):
+    # two equal generator columns span no area at any time
+    code, out = _simulate_config(tmp_path, "flat", {
+        "system": "lti_series", "params": {"zeta1": -0.5, "zeta2": -2.0}, "horizon": 2.0,
+        "n_out": 21, "volume_generators": [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    })
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: not enough positive volume samples")
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_simulate_requires_config_or_preset():
     assert main(["simulate"]) == 2
 
