@@ -340,9 +340,9 @@ def _cmd_simulate(args) -> int:
     if args.grid is not None:
         cfg["n_out"] = args.grid
     outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     if "volume_generators" in cfg:
+        outdir.mkdir(parents=True, exist_ok=True)
         summary, code = _simulate_growth(cfg, outdir)
         _write_summary(outdir, {"preset": args.preset or "config", **summary})
         return code
@@ -364,9 +364,17 @@ def _cmd_simulate(args) -> int:
     tol = float(cfg.get("tol", 1e-10))
     n_out = int(cfg.get("n_out", 1001))
     detect_tol = float(cfg.get("detect_tol", 1e-6))
+    # the convergence check reads two samples per trajectory: refuse a
+    # shorter grid before integrating, so that nothing is written
+    if n_out < 2:
+        raise ValueError(
+            "the output grid is empty" if n_out < 1
+            else "convergence classification needs at least two samples (n_out >= 2)"
+        )
 
     if ics.shape[1] == written < sysm.state_dim:  # the unwritten states start at 1
         ics = np.hstack([ics, np.ones((ics.shape[0], sysm.state_dim - written))])
+    outdir.mkdir(parents=True, exist_ok=True)
     runs = integrate_many(sysm, ics, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
     records: list[TrajectoryRecord] = []
     files = []

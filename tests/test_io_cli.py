@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kcontract import matio
+from kcontract import cli, matio
 from kcontract.cli import _build_parser, main
 from kcontract.compounds import block_diag_mult_decompose
 from kcontract.dynamics import TrajectoryRecord
@@ -359,6 +359,29 @@ def test_cli_simulate_serializes_the_summary_once(tmp_path, capsys, monkeypatch,
 def test_cli_simulate_empty_output_grid_exit_2(tmp_path, capsys, preset):
     assert main(["simulate", "--preset", preset, "--grid", "0", "--output", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: the output grid is empty")
+
+
+@pytest.mark.parametrize("argv", [["--preset", "fig2"], ["--preset", "fig3"], ["--input"]])
+def test_cli_simulate_one_sample_grid_exit_2_before_integrating(tmp_path, capsys, monkeypatch, argv):
+    # the convergence check needs two samples per trajectory, so a grid of
+    # one is refused before any start is integrated or any file written
+    if argv == ["--input"]:
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({"system": "thomas_controlled", "horizon": 1.0, "n_out": 1}))
+        argv = ["--input", str(cfg)]
+    else:
+        argv = [*argv, "--grid", "1", "--horizon", "1"]
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a one-sample grid")
+
+    monkeypatch.setattr(cli, "integrate_many", never)
+    out = tmp_path / "out"
+    assert main(["simulate", *argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: convergence classification needs at least two samples"
+    )
+    assert not out.exists()
 
 
 def test_cli_simulate_growth_without_a_positive_volume_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The numpy kernels: fixed-step RK4 order, adaptive-step failure, the
-lockstep Dormand-Prince stepper's per-row parity, its step record and its
-accuracy against an independent solver."""
+lockstep Dormand-Prince stepper's per-row parity across its numpy and
+Python-float tails, its step record and its accuracy against an
+independent solver."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from kcontract.systems import (
     lti,
     lti_series_zeta,
     thomas,
+    thomas_controlled,
     thomas_controller_gain,
     thomas_perturbed,
 )
@@ -138,3 +140,107 @@ def test_lockstep_runs_match_an_independent_solver():
     status, states = _kernels.rk45_solve(thomas(d).f, starts, t_eval, 1e-10, 1e-10)
     assert not status.any()
     assert np.abs(states[:, -1]).max() <= (1.0 / d) * (1.0 + 1e-9)
+
+
+def test_numpy_sums_fewer_than_eight_entries_left_to_right():
+    # the premise of the stepper's float tail: numpy reduces fewer than 8
+    # entries from its identity 0.0, one entry after another, along the
+    # last axis and along the stage axis alike
+    rng = np.random.default_rng(20)
+    for n in range(1, 8):
+        a = rng.normal(size=(200, n)) * 10.0 ** rng.integers(-8, 8, (200, n))
+        for row, got in zip(a.tolist(), np.add.reduce(a, axis=-1).tolist()):
+            total = 0.0
+            for v in row:
+                total += v
+            assert got == total
+        stages = a[:, None, :].repeat(5, axis=1) * rng.normal(size=(200, 5, 1))
+        got = np.add.reduce(stages, axis=-2)
+        total = 0.0
+        for s in range(5):
+            total = total + stages[:, s]
+        assert np.array_equal(got, total)
+
+
+def _widths(f):
+    """``f`` and the list of live-row counts it sees, one per stage call."""
+    seen = []
+
+    def counted(t, x):
+        seen.append(1 if x.ndim == 1 else x.shape[1])
+        return f(t, x)
+
+    return counted, seen
+
+
+@pytest.mark.parametrize(
+    "name, n, rows",
+    [("thomas", 3, 4), ("thomas", 3, 5), ("thomas_perturbed", 4, 3), ("lti", 2, 5)],
+)
+def test_stacks_that_retire_into_the_float_tail_equal_their_single_start_runs(name, n, rows):
+    # the rows need different step counts and retire one by one, so a stack
+    # starts on the numpy tail and ends on the float tail, while each single
+    # start runs on the float tail throughout; every row must still be
+    # bitwise its own B = 1 run
+    rng = np.random.default_rng(rows)
+    sysm = {
+        "thomas": thomas(),
+        "thomas_perturbed": thomas_perturbed(),
+        "lti": lti(np.array([[-0.5, 3.0], [-3.0, -0.5]])),
+    }[name]
+    starts = rng.uniform(-2.0, 2.0, (rows, n)) * 10.0 ** np.arange(rows)[:, None]
+    if name == "thomas_perturbed":
+        starts[:, 3] = 1.0
+    t_eval = np.linspace(0.0, 5.0, 26)
+    f, seen = _widths(sysm.f)
+    status, states = _kernels.rk45_solve(f, starts, t_eval, 1e-10, 1e-10)
+    assert not status.any()
+    float_rows = _kernels._FLOAT_TAIL // n
+    assert max(seen) == rows > float_rows >= min(seen)
+    for start, row in zip(starts, states):
+        single_status, single = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10, 1e-10)
+        assert single_status == 0
+        assert np.array_equal(row, single)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_lti_stacks_either_side_of_the_reduce_order_limit(n):
+    # a row's squared errors are summed left to right only below 8 entries,
+    # so one 7-state row takes the float tail and an 8-state row never does
+    rng = np.random.default_rng(n)
+    sysm = lti(rng.normal(size=(n, n)) - 3.0 * np.eye(n))
+    starts = rng.normal(size=(3, n)) * [[1.0], [1e-3], [1e3]]
+    t_eval = np.linspace(0.0, 4.0, 41)
+    status, states = _kernels.rk45_solve(sysm.f, starts, t_eval, 1e-10, 1e-10)
+    assert not status.any()
+    for start, row in zip(starts, states):
+        single_status, single = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10, 1e-10)
+        assert single_status == 0
+        assert np.array_equal(row, single)
+
+
+def test_a_nan_start_fails_beside_a_finite_one_that_runs_unchanged():
+    sysm = thomas_controlled()
+    starts = np.array([[np.nan, 0.0, 0.0], [0.1, 0.2, 0.3]])
+    t_eval = np.linspace(0.0, 2.0, 21)
+    status, states = _kernels.rk45_solve(sysm.f, starts, t_eval, 1e-10, 1e-10)
+    assert status.tolist() == [1, 0]
+    single_status, single = _kernels.rk45_solve(sysm.f, starts[1], t_eval, 1e-10, 1e-10)
+    assert single_status == 0
+    assert np.array_equal(states[1], single)
+
+
+def test_an_error_scale_that_underflows_to_zero_fails_the_row_on_either_tail():
+    # with atol = 0 the scale rtol * max(|x|, |xnew|) of a decaying state
+    # underflows to 0; numpy's q / 0 and the float tail must both reject the
+    # step until the step size underflows
+    f = lambda t, x: -1000.0 * x
+    t_eval = np.linspace(0.0, 2.0, 9)
+    status, states = _kernels.rk45_solve(f, np.array([1.0]), t_eval, 1e-6, 0.0)
+    assert status == 1
+    reached = int(np.searchsorted(t_eval, 0.75))  # x < 1e-308 from t = 0.71
+    stack = np.ones((_kernels._FLOAT_TAIL + 1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stack_status, stack_states = _kernels.rk45_solve(f, stack, t_eval, 1e-6, 0.0)
+    assert stack_status.tolist() == [1] * stack.shape[0]
+    assert all(np.array_equal(row[:reached], states[:reached]) for row in stack_states)
