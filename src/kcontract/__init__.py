@@ -47,12 +47,8 @@ from .dynamics import (
 )
 from .indexing import (
     BlockPermutation,
-    BlockSplit,
     DimensionGuardError,
-    block_lex_order,
     build_permutation,
-    enumerate_sequences,
-    split_index,
 )
 from .measures import (
     L1,
@@ -60,11 +56,9 @@ from .measures import (
     LINF,
     HierarchicNormSpec,
     MeasureKind,
-    block_diag_compound_measure,
     compound_measure,
     hierarchic_measure_bounds,
     hierarchic_operator_norm_upper,
-    hierarchic_vector_norm,
     induced_norm,
     interval_measure_upper,
     matrix_measure,

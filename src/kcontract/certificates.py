@@ -41,7 +41,6 @@ from .measures import (
     LINF,
     HierarchicNormSpec,
     MeasureKind,
-    _broadcast_kinds,
     compound_measure,
     compound_measures,
     hierarchic_measure_bounds,
@@ -141,6 +140,15 @@ def _analytic_scale_vector(kind: MeasureKind, n: int, k: int) -> Optional[np.nda
         f"scaling dimension {t.shape[0]} matches neither the state ({n}) nor "
         f"the order-{k} compound ({comb(n, k)})"
     )
+
+
+def _broadcast_kinds(kinds, count: int) -> list[MeasureKind]:
+    if isinstance(kinds, MeasureKind):
+        return [kinds] * count
+    kinds = list(kinds)
+    if len(kinds) != count:
+        raise ValueError(f"expected {count} measure kinds, got {len(kinds)}")
+    return kinds
 
 
 def _exact(bounds: EntryBounds, k: int) -> bool:

@@ -292,18 +292,11 @@ _PRESETS = {
 }
 
 
-def _simulate_growth(cfg: dict, outdir: Path) -> tuple[dict, int]:
+def _simulate_growth(cfg: dict, outdir: Path, tol: float, n_out: int) -> tuple[dict, int]:
     model = _series_from_config(cfg)
     x0 = np.asarray(cfg["volume_generators"], dtype=float)
     horizon = float(cfg["horizon"])
-    fit = volume_growth_rate(
-        model.full_system(),
-        x0,
-        horizon,
-        n_out=int(cfg.get("n_out", 201)),
-        rtol=float(cfg.get("tol", 1e-10)),
-        atol=float(cfg.get("tol", 1e-10)),
-    )
+    fit = volume_growth_rate(model.full_system(), x0, horizon, n_out=n_out, rtol=tol, atol=tol)
     (outdir / "volume.csv").write_text(matio.columns_to_csv(["t", "vol"], fit.times, fit.volumes))
     summary = {
         "system": model.name,
@@ -340,10 +333,24 @@ def _cmd_simulate(args) -> int:
     if args.grid is not None:
         cfg["n_out"] = args.grid
     outdir = Path(args.output)
+    growth = "volume_generators" in cfg
+    tol = float(cfg.get("tol", 1e-10))
+    n_out = int(cfg.get("n_out", 201 if growth else 1001))
+    # refused before anything is integrated or written: a tolerance of 0 or
+    # below fails or silently misreads every step, and both the convergence
+    # check and the growth fit read two samples
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if n_out < 2:
+        raise ValueError(
+            f"the output grid is empty (n_out = {n_out})" if n_out < 1
+            else ("the growth-rate fit" if growth else "convergence classification")
+            + " needs at least two samples (n_out >= 2)"
+        )
 
-    if "volume_generators" in cfg:
+    if growth:
         outdir.mkdir(parents=True, exist_ok=True)
-        summary, code = _simulate_growth(cfg, outdir)
+        summary, code = _simulate_growth(cfg, outdir, tol, n_out)
         _write_summary(outdir, {"preset": args.preset or "config", **summary})
         return code
 
@@ -361,16 +368,7 @@ def _cmd_simulate(args) -> int:
         ics = systems.STANDARD_INITIAL_CONDITIONS
     ics = np.atleast_2d(np.asarray(ics, dtype=float))
     horizon = float(cfg.get("horizon", 100.0))
-    tol = float(cfg.get("tol", 1e-10))
-    n_out = int(cfg.get("n_out", 1001))
     detect_tol = float(cfg.get("detect_tol", 1e-6))
-    # the convergence check reads two samples per trajectory: refuse a
-    # shorter grid before integrating, so that nothing is written
-    if n_out < 2:
-        raise ValueError(
-            "the output grid is empty" if n_out < 1
-            else "convergence classification needs at least two samples (n_out >= 2)"
-        )
 
     if ics.shape[1] == written < sysm.state_dim:  # the unwritten states start at 1
         ics = np.hstack([ics, np.ones((ics.shape[0], sysm.state_dim - written))])

@@ -1,11 +1,12 @@
-"""Increasing index sequences, the compound index table, block-lexicographic
-order and the block permutation.
+"""The compound index table, block-lexicographic order and the block
+permutation.
 
-Sequences are 1-based tuples at the interface; anything 0-based is internal.
-Every sequence list is read from the one cached ``CompoundIndex`` table of
-its (n, k).  The block-lexicographic order on sequences over {1..n+m}
-groups sequences by how many entries point past the first n indices, which
-is what diagonalizes compounds of two-block block-diagonal matrices.
+The increasing k-sequences over n indices are held 0-based in the one cached
+``CompoundIndex`` table of their (n, k), which every compound-space operation
+reads.  The block-lexicographic order on sequences over n + m indices groups
+sequences by how many entries point past the first n indices, which is what
+diagonalizes compounds of two-block block-diagonal matrices;
+``build_permutation`` gives it as positions in the standard-lex table.
 """
 
 from __future__ import annotations
@@ -72,15 +73,18 @@ class CompoundIndex:
     each sequence, the position of the sequence without its j-th entry in the
     (k-1)-table: the gather indices of the Laplace recursion for minors.
 
-    Build tables through ``compound_index``, which caches them.  The scatter
-    and the drop-one ranks are built on first use, so the closed forms, which
-    need only the sequences, never pay for them.  All arrays are read-only.
+    Build tables through ``compound_index``, which caches them; a table of
+    more than MAX_COMPOUND_DIM sequences is refused before any is listed, so
+    the guard costs nothing on a cache hit.  The scatter and the drop-one
+    ranks are built on first use, so the closed forms, which need only the
+    sequences, never pay for them.  All arrays are read-only.
     """
 
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
             raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
         self.n, self.k, self.r = n, k, comb(n, k)
+        check_dimension_guard(self.r)
         seqs = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(self.r, k)
         outside = np.ones((self.r, n), dtype=bool)
         outside[np.arange(self.r)[:, None], seqs] = False
@@ -196,45 +200,6 @@ def compound_index(n: int, k: int) -> CompoundIndex:
     return CompoundIndex(n, k)
 
 
-def _as_tuples(seqs: np.ndarray) -> list[tuple[int, ...]]:
-    """0-based sequence rows as 1-based tuples."""
-    return [tuple(row) for row in (seqs + 1).tolist()]
-
-
-def enumerate_sequences(k: int, n: int) -> list[tuple[int, ...]]:
-    """All increasing sequences of k integers from {1..n} in lexicographic order."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    check_dimension_guard(comb(n, k))
-    return _as_tuples(compound_index(n, k).seqs)
-
-
-@dataclass(frozen=True)
-class BlockSplit:
-    """Decomposition of a sequence over {1..n+m} at the first entry past n.
-
-    ``s_alpha`` is the 1-based position of the first entry exceeding n
-    (k+1 when none does), ``head`` the entries <= n and ``tail`` the
-    remaining entries shifted down by n.
-    """
-
-    s_alpha: int
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
-def split_index(seq: tuple[int, ...], n: int) -> BlockSplit:
-    """Split ``seq`` into its {1..n} head and its shifted-down tail."""
-    s_alpha = len(seq) + 1
-    for pos, v in enumerate(seq, start=1):
-        if v > n:
-            s_alpha = pos
-            break
-    head = tuple(seq[: s_alpha - 1])
-    tail = tuple(v - n for v in seq[s_alpha - 1 :])
-    return BlockSplit(s_alpha, head, tail)
-
-
 def block_range(k: int, n: int, m: int) -> tuple[int, int]:
     """Inclusive range (i1, i2) of tail lengths occurring in Q(k, n, m)."""
     return max(0, k - n), min(m, k)
@@ -246,16 +211,6 @@ def _check_split(k: int, n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise ValueError("block sizes n and m must be positive")
     check_dimension_guard(comb(n + m, k))
-
-
-def block_lex_order(k: int, n: int, m: int) -> list[tuple[int, ...]]:
-    """Sequences over {1..n+m} sorted block-lexicographically.
-
-    Primary key: position of the first entry past n, descending (equivalently
-    ascending number of tail entries); secondary key: standard lexicographic.
-    """
-    _check_split(k, n, m)
-    return _as_tuples(compound_index(n + m, k).seqs[_block_lex_positions(k, n, m)])
 
 
 @dataclass(frozen=True)
@@ -282,10 +237,6 @@ class BlockPermutation:
         p[self.positions, np.arange(self.size)] = 1.0
         return p
 
-    def apply(self, items: list) -> list:
-        """Reorder a standard-lex list into block-lex order."""
-        return [items[j] for j in self.positions]
-
     def conjugate(self, m: np.ndarray) -> np.ndarray:
         """P^{-1} M P: rewrite a compound-space matrix in block-lex coordinates."""
         return m[np.ix_(self.positions, self.positions)]
@@ -295,11 +246,6 @@ class BlockPermutation:
         out = np.empty_like(d)
         out[np.ix_(self.positions, self.positions)] = d
         return out
-
-    def inverse_positions(self) -> np.ndarray:
-        inv = np.empty_like(self.positions)
-        inv[self.positions] = np.arange(self.size)
-        return inv
 
 
 @lru_cache(maxsize=64)

@@ -19,7 +19,7 @@ from math import comb
 
 from . import indexing
 from .compounds import _interval_matrix, add_compound, as_matrix, require_square
-from .indexing import block_range, check_dimension_guard, compound_index
+from .indexing import check_dimension_guard, compound_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,61 +273,7 @@ def hierarchic_measure_bounds(m, spec: HierarchicNormSpec):
     return lower, upper, c
 
 
-def hierarchic_vector_norm(x, spec: HierarchicNormSpec) -> float:
-    v = np.asarray(x, dtype=np.float64).ravel()
-    if v.size != spec.size:
-        raise ValueError("vector does not match the partition")
-    parts = []
-    for (a, b), kind in zip(spec.offsets(), spec.block_measures):
-        seg = v[a:b]
-        if kind.p == "1":
-            parts.append(np.abs(seg).sum())
-        elif kind.p == "2":
-            parts.append(np.sqrt((seg * seg).sum()))
-        else:
-            parts.append(np.abs(seg).max() if seg.size else 0.0)
-    parts = np.array(parts)
-    if spec.outer == "1":
-        return float(parts.sum())
-    if spec.outer == "2":
-        return float(np.sqrt((parts * parts).sum()))
-    return float(parts.max())
-
-
 def hierarchic_operator_norm_upper(m, spec: HierarchicNormSpec) -> float:
     """Upper bound for the operator norm induced by the hierarchic norm:
     the outer-induced norm of the nonnegative matrix of block-norm bounds."""
     return induced_norm(_block_norms(require_square(as_matrix(m)), spec), spec.outer)
-
-
-def block_diag_compound_measure(a, b, k: int, per_i_kinds) -> tuple[float, float]:
-    """Measure of diag(A, B)^[k] under the permuted hierarchic norm.
-
-    Equals max_i { mu_i(A^[k-i]) + mu_i(B^[i]) } over the block range, with
-    the matching lower bound min_i { -mu_i(-A^[k-i]) - mu_i(-B^[i]) }.
-    ``per_i_kinds`` is one MeasureKind per i in i1..i2, or a single kind.
-    """
-    a = require_square(as_matrix(a, "A"), "A")
-    b = require_square(as_matrix(b, "B"), "B")
-    n, m = a.shape[0], b.shape[0]
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    i1, i2 = block_range(k, n, m)
-    kinds = _broadcast_kinds(per_i_kinds, i2 - i1 + 1)
-    value = -np.inf
-    lower = np.inf
-    for kind, i in zip(kinds, range(i1, i2 + 1)):
-        if kind.scaling is not None:
-            raise ValueError("per-block measures must be plain Lp measures")
-        value = max(value, compound_measure(a, k - i, kind) + compound_measure(b, i, kind))
-        lower = min(lower, -compound_measure(-a, k - i, kind) - compound_measure(-b, i, kind))
-    return float(value), float(lower)
-
-
-def _broadcast_kinds(kinds, count: int) -> list[MeasureKind]:
-    if isinstance(kinds, MeasureKind):
-        return [kinds] * count
-    kinds = list(kinds)
-    if len(kinds) != count:
-        raise ValueError(f"expected {count} measure kinds, got {len(kinds)}")
-    return kinds

@@ -229,6 +229,29 @@ def hierarchic_block_diag_norm(m, spec, tol=1e-12):
     return max(induced_norm(a[lo:hi, lo:hi], kind.p) for (lo, hi), kind in zip(offs, kinds))
 
 
+def hierarchic_vector_norm(x, spec):
+    """The hierarchic vector norm: the outer norm of the per-block Lp norms,
+    the vector-norm side of the operator-norm bound tests."""
+    v = np.asarray(x, dtype=np.float64).ravel()
+    if v.size != spec.size:
+        raise ValueError("vector does not match the partition")
+    parts = []
+    for (a, b), kind in zip(spec.offsets(), spec.block_measures):
+        seg = v[a:b]
+        if kind.p == "1":
+            parts.append(np.abs(seg).sum())
+        elif kind.p == "2":
+            parts.append(np.sqrt((seg * seg).sum()))
+        else:
+            parts.append(np.abs(seg).max() if seg.size else 0.0)
+    parts = np.array(parts)
+    if spec.outer == "1":
+        return float(parts.sum())
+    if spec.outer == "2":
+        return float(np.sqrt((parts * parts).sum()))
+    return float(parts.max())
+
+
 def meshgrid_box_grid(lo, hi, g):
     """The lattice of g points per axis of the box [lo, hi] by meshgrid in ij
     order, then the lattice of its cell midpoints (none for g = 1)."""

@@ -131,6 +131,13 @@ def test_criterion_03_block_diagonal_decomposition():
     )
 
 
+def _split_max(a, b, k, kinds) -> float:
+    """max_i mu_i(A^[k-i]) + mu_i(B^[i]): the largest condition bound of the
+    series certificate of the uncoupled cascade diag(A, B)."""
+    model = kc.lti_series(a, np.zeros((b.shape[0], a.shape[0])), b)
+    return max(c.bound for c in kc.certify_series(model, k, per_i_kinds=kinds).conditions)
+
+
 def test_criterion_04_block_measure_equality():
     rng = np.random.default_rng(104)
     worst = 0.0
@@ -144,7 +151,8 @@ def test_criterion_04_block_measure_equality():
         b = rng.standard_normal((m, m))
         i1, i2 = max(0, k - n), min(m, k)
         kinds = [KINDS[int(rng.integers(0, 3))] for _ in range(i1, i2 + 1)]
-        value, lower = kc.block_diag_compound_measure(a, b, k, kinds)
+        value = _split_max(a, b, k, kinds)
+        lower = -_split_max(-a, -b, k, kinds)  # (-A)^[j] = -A^[j]
         c = np.zeros((n + m, n + m))
         c[:n, :n], c[n:, n:] = a, b
         perm, spec = series_norm_data(n, m, k, kinds)

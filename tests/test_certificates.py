@@ -418,14 +418,13 @@ def test_exp_input_diagonal_pass_with_note():
 
 
 def test_series_margins_match_block_measure_when_uncoupled():
-    model = lti_series_zeta(-1.5)
-    rep = certify_series(model, 2, per_i_kinds=L1)
-    from kcontract.measures import block_diag_compound_measure
-
-    value, _ = block_diag_compound_measure(
-        np.diag([1.0, -2.0]), np.diag([-1.5, -2.0]), 2, L1
-    )
-    assert abs(value - max(-m for m in rep.margins)) < 1e-9
+    # condition i is the paper's sum mu(A^[2-i]) + mu(B^[i]), bit for bit
+    a, b = np.diag([1.0, -2.0]), np.diag([-1.5, -2.0])
+    rep = certify_series(lti_series_zeta(-1.5), 2, per_i_kinds=L1)
+    sums = [compound_measure(a, 2 - i, L1) + compound_measure(b, i, L1) for i in range(3)]
+    assert [c.index for c in rep.conditions] == [0, 1, 2]
+    assert [c.bound for c in rep.conditions] == sums
+    assert abs(max(sums) - max(-m for m in rep.margins)) < 1e-9
 
 
 def test_series_grid_mode_samples_nonlinear_cascade():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,28 +7,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcontract.compounds import lift_diagonal_scaling
 from kcontract.indexing import (
     DimensionGuardError,
-    block_lex_order,
     block_range,
     build_permutation,
     compound_index,
-    enumerate_sequences,
-    split_index,
 )
 
 
+def _sequences(k, n):
+    """Q(k, n) from the index table, as 1-based tuples."""
+    return [tuple(row) for row in (compound_index(n, k).seqs + 1).tolist()]
+
+
+def _lex(k, n):
+    """Q(k, n) by itertools, the independent oracle."""
+    return list(itertools.combinations(range(1, n + 1), k))
+
+
+def _block_lex(k, n, m):
+    """Q(k, n, m): the table of Q(k, n + m) read in block-lex positions."""
+    seqs = compound_index(n + m, k).seqs[build_permutation(k, n, m).positions]
+    return [tuple(row) for row in (seqs + 1).tolist()]
+
+
 def test_q34_matches_display():
-    assert enumerate_sequences(3, 4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert _sequences(3, 4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
 def test_singletons_in_order():
-    assert enumerate_sequences(1, 3) == [(1,), (2,), (3,)]
+    assert _sequences(1, 3) == [(1,), (2,), (3,)]
 
 
 def test_q25_against_exhaustive_enumeration():
-    got = enumerate_sequences(2, 5)
-    assert got == list(itertools.combinations(range(1, 6), 2))
+    got = _sequences(2, 5)
+    assert got == _lex(2, 5)
     assert len(got) == 10
     assert got[0] == (1, 2) and got[-1] == (4, 5)
 
@@ -46,21 +61,22 @@ def test_ranks_and_drop_one_ranks_against_enumeration():
             assert not table.drop_rank.flags.writeable
 
 
-@pytest.mark.parametrize("k", [0, 5, -1])
-def test_enumerate_rejects_out_of_range_k(k):
-    with pytest.raises(ValueError):
-        enumerate_sequences(k, 4)
+@pytest.mark.parametrize("k", [5, -1])
+def test_compound_index_rejects_out_of_range_k(k):
+    with pytest.raises(ValueError, match="k must satisfy"):
+        compound_index(4, k)
 
 
 @given(st.integers(1, 8), st.integers(1, 8))
 def test_enumerate_cardinality(k, n):
     if k > n:
         return
-    assert len(enumerate_sequences(k, n)) == comb(n, k)
+    table = compound_index(n, k)
+    assert table.r == comb(n, k) and table.seqs.shape == (comb(n, k), k)
 
 
 def test_block_lex_232_matches_display():
-    assert block_lex_order(2, 3, 2) == [
+    assert _block_lex(2, 3, 2) == [
         (1, 2),
         (1, 3),
         (2, 3),
@@ -75,11 +91,11 @@ def test_block_lex_232_matches_display():
 
 
 def test_block_lex_223_is_plain_lex():
-    assert block_lex_order(2, 2, 3) == enumerate_sequences(2, 5)
+    assert _block_lex(2, 2, 3) == _lex(2, 5)
 
 
 def test_block_lex_full_order_single_sequence():
-    assert block_lex_order(5, 3, 2) == [(1, 2, 3, 4, 5)]
+    assert _block_lex(5, 3, 2) == [(1, 2, 3, 4, 5)]
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 10))
@@ -87,9 +103,8 @@ def test_block_lex_full_order_single_sequence():
 def test_block_lex_is_permutation_of_lex(n, m, k):
     if k > n + m:
         return
-    blocked = block_lex_order(k, n, m)
-    plain = enumerate_sequences(k, n + m)
-    assert sorted(blocked) == plain
+    blocked = _block_lex(k, n, m)
+    assert sorted(blocked) == _lex(k, n + m)
     assert len(set(blocked)) == len(blocked)
 
 
@@ -99,15 +114,6 @@ def test_vandermonde_identity(n, m, k):
         return
     i1, i2 = block_range(k, n, m)
     assert sum(comb(n, k - i) * comb(m, i) for i in range(i1, i2 + 1)) == comb(n + m, k)
-
-
-def test_split_examples():
-    s = split_index((1, 4), 3)
-    assert (s.s_alpha, s.head, s.tail) == (2, (1,), (1,))
-    s = split_index((4, 5), 3)
-    assert (s.s_alpha, s.head, s.tail) == (1, (), (1, 2))
-    s = split_index((1, 2, 3), 3)
-    assert (s.s_alpha, s.head, s.tail) == (4, (1, 2, 3), ())
 
 
 def test_permutation_k1_is_identity():
@@ -123,7 +129,7 @@ def test_permutation_full_order_is_scalar():
 
 def test_permutation_reorders_standard_list():
     perm = build_permutation(2, 3, 2)
-    assert perm.apply(enumerate_sequences(2, 5)) == block_lex_order(2, 3, 2)
+    assert [_lex(2, 5)[j] for j in perm.positions] == _block_lex(2, 3, 2)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8))
@@ -132,7 +138,6 @@ def test_permutation_inverse_composition(n, m, k):
     if k > n + m:
         return
     perm = build_permutation(k, n, m)
-    assert np.array_equal(perm.positions[perm.inverse_positions()], np.arange(perm.size))
     p = perm.matrix()
     assert np.array_equal(p @ p.T, np.eye(perm.size))
 
@@ -151,7 +156,7 @@ def test_permutation_matches_head_tail_enumeration(n, m, k):
         for tail in itertools.combinations(range(1, m + 1), i)
     ]
     assert build_permutation(k, n, m).positions.tolist() == [lex[s] for s in blocked]
-    assert block_lex_order(k, n, m) == blocked
+    assert _block_lex(k, n, m) == blocked
 
 
 def test_permutation_positions_are_cached_read_only():
@@ -164,8 +169,6 @@ def test_permutation_positions_are_cached_read_only():
 def test_permutation_rejects_empty_block(n, m):
     with pytest.raises(ValueError, match="positive"):
         build_permutation(1, n, m)
-    with pytest.raises(ValueError, match="positive"):
-        block_lex_order(1, n, m)
 
 
 def test_permutation_matrix_conjugation_consistency():
@@ -178,7 +181,17 @@ def test_permutation_matrix_conjugation_consistency():
 
 
 def test_dimension_guard():
-    with pytest.raises(DimensionGuardError):
-        enumerate_sequences(10, 40)
-    with pytest.raises(DimensionGuardError):
-        build_permutation(10, 20, 20)
+    # C(40, 10) ~ 8.5e8 sequences: each call is refused before the table
+    # lists any of them
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionGuardError):
+            compound_index(40, 10)
+        with pytest.raises(DimensionGuardError):
+            lift_diagonal_scaling(np.ones(40), 10)
+        with pytest.raises(DimensionGuardError):
+            build_permutation(10, 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -384,6 +384,47 @@ def test_cli_simulate_one_sample_grid_exit_2_before_integrating(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("1", "the growth-rate fit needs at least two samples (n_out >= 2)"),
+    ("0", "the output grid is empty (n_out = 0)"),
+])
+def test_cli_simulate_short_growth_grid_exit_2_before_integrating(
+    tmp_path, capsys, monkeypatch, grid, message
+):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated a growth run on a short grid")
+
+    monkeypatch.setattr(cli, "volume_growth_rate", never)
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "growth", "--grid", grid, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+@pytest.mark.parametrize("route", ["config", "preset growth", "preset fig2"])
+def test_cli_simulate_refuses_a_tolerance_that_is_not_positive(
+    tmp_path, capsys, monkeypatch, tol, route
+):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated with a refused tolerance")
+
+    monkeypatch.setattr(cli, "integrate_many", never)
+    monkeypatch.setattr(cli, "volume_growth_rate", never)
+    if route == "config":
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps(
+            {"system": "thomas_controlled", "horizon": 1.0, "n_out": 11, "tol": tol}
+        ))
+        argv = ["--input", str(cfg)]
+    else:
+        argv = ["--preset", route.split()[1], f"--tol={tol!r}"]  # "=" keeps -1e-10 a value
+    out = tmp_path / "out"
+    assert main(["simulate", *argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: tol must be a finite number > 0, got {tol!r}\n"
+    assert not out.exists()
+
+
 def test_cli_simulate_growth_without_a_positive_volume_exit_2(tmp_path, capsys):
     # two equal generator columns span no area at any time
     code, out = _simulate_config(tmp_path, "flat", {

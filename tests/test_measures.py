@@ -11,19 +11,17 @@ from kcontract.measures import (
     LINF,
     HierarchicNormSpec,
     MeasureKind,
-    block_diag_compound_measure,
     compound_measure,
     compound_measures,
     hierarchic_measure_bounds,
     hierarchic_operator_norm_upper,
-    hierarchic_vector_norm,
     induced_norm,
     interval_measure_upper,
     matrix_measure,
     parse_kind,
 )
 
-from .helpers import brute_compound_measure, hierarchic_block_diag_norm
+from .helpers import brute_compound_measure, hierarchic_block_diag_norm, hierarchic_vector_norm
 
 KINDS = (L1, L2, LINF)
 
@@ -234,26 +232,43 @@ def test_hierarchic_measure_bounds_take_block_measures_and_off_diagonal_norms():
         assert upper == matrix_measure(want, MeasureKind(outer))
 
 
+def _permuted_hierarchic_bounds(a, b, k, kinds):
+    """Lower and upper hierarchic-norm bounds of diag(A, B)^[k] in block-lex
+    coordinates, the norm measuring split i's block in kinds[i - i1]."""
+    from kcontract.certificates import series_norm_data
+
+    n, m = a.shape[0], b.shape[0]
+    c = np.zeros((n + m, n + m))
+    c[:n, :n], c[n:, n:] = a, b
+    perm, spec = series_norm_data(n, m, k, kinds)
+    lower, upper, _ = hierarchic_measure_bounds(perm.conjugate(add_compound(c, k).data), spec)
+    return lower, upper
+
+
 def test_block_diag_compound_measure_diagonal_example():
+    # the paper's max_i mu(A^[2-i]) + mu(B^[i]) over i = 0, 1, 2
     a = np.diag([1.0, -2.0])
     b = np.diag([-1.5, -2.0])
-    value, lower = block_diag_compound_measure(a, b, 2, L1)
+    value = max(compound_measure(a, 2 - i, L1) + compound_measure(b, i, L1) for i in range(3))
     assert value == pytest.approx(-0.5)
-    assert lower <= value
+    lower, upper = _permuted_hierarchic_bounds(a, b, 2, [L1] * 3)
+    assert lower == pytest.approx(value) and upper == pytest.approx(value)
 
 
 def test_block_diag_compound_measure_full_order_is_trace_sum():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal((2, 2))
-    value, lower = block_diag_compound_measure(a, b, 5, [L2])
+    # k = n + m leaves the one split i = m
+    value = compound_measure(a, 3, L2) + compound_measure(b, 2, L2)
     assert value == pytest.approx(np.trace(a) + np.trace(b), rel=1e-12)
+    lower = -compound_measure(-a, 3, L2) - compound_measure(-b, 2, L2)
     assert lower == pytest.approx(value, rel=1e-12)
+    lo_b, up_b = _permuted_hierarchic_bounds(a, b, 5, [L2])
+    assert lo_b == pytest.approx(value, rel=1e-12) and up_b == pytest.approx(value, rel=1e-12)
 
 
 def test_block_diag_compound_measure_matches_permuted_hierarchic():
-    from kcontract.certificates import series_norm_data
-
     rng = np.random.default_rng(12)
     for _ in range(10):
         n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -262,11 +277,10 @@ def test_block_diag_compound_measure_matches_permuted_hierarchic():
         b = rng.standard_normal((m, m))
         i1, i2 = block_range(k, n, m)
         kinds = [KINDS[int(rng.integers(0, 3))] for _ in range(i1, i2 + 1)]
-        value, lower = block_diag_compound_measure(a, b, k, kinds)
-        c = np.zeros((n + m, n + m))
-        c[:n, :n], c[n:, n:] = a, b
-        perm, spec = series_norm_data(n, m, k, kinds)
-        lo_b, up_b, _ = hierarchic_measure_bounds(perm.conjugate(add_compound(c, k).data), spec)
+        splits = list(zip(range(i1, i2 + 1), kinds))
+        value = max(compound_measure(a, k - i, c) + compound_measure(b, i, c) for i, c in splits)
+        lower = min(-compound_measure(-a, k - i, c) - compound_measure(-b, i, c) for i, c in splits)
+        lo_b, up_b = _permuted_hierarchic_bounds(a, b, k, kinds)
         assert abs(value - up_b) < 1e-9 * max(1.0, abs(value))
         assert abs(value - lo_b) < 1e-9 * max(1.0, abs(value))
         assert lower <= value + 1e-12
