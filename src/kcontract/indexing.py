@@ -205,14 +205,6 @@ def block_range(k: int, n: int, m: int) -> tuple[int, int]:
     return max(0, k - n), min(m, k)
 
 
-def _check_split(k: int, n: int, m: int) -> None:
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    if n < 1 or m < 1:
-        raise ValueError("block sizes n and m must be positive")
-    check_dimension_guard(comb(n + m, k))
-
-
 @dataclass(frozen=True)
 class BlockPermutation:
     """Position map between standard-lex Q(k, n+m) and block-lex Q(k, n, m).
@@ -268,5 +260,8 @@ def build_permutation(k: int, n: int, m: int) -> BlockPermutation:
     pairs head number j // binom(m, i) in Q(k-i, n) with tail number
     j % binom(m, i) in Q(i, m), matching Kronecker-product index order.
     """
-    _check_split(k, n, m)
+    if not 1 <= k <= n + m:
+        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
+    if n < 1 or m < 1:
+        raise ValueError("block sizes n and m must be positive")
     return BlockPermutation(k, n, m, _block_lex_positions(k, n, m))
