@@ -140,10 +140,16 @@ def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
     if t_eval is None:
-        t_eval = np.linspace(t0, t1, n_out)
+        check_dense_guard(n_out * x0s.size, "output grid")  # the sampled states
+        with np.errstate(invalid="ignore"):  # an infinite t1 gives NaN times, refused below
+            t_eval = np.linspace(t0, t1, n_out)
     t_eval = np.asarray(t_eval, dtype=np.float64)
     if t_eval.size == 0:
         raise ValueError("the output grid is empty")
+    # the stepper runs until it reaches the last output time: a NaN or an
+    # infinite one (linspace to an infinite t1) would never end it
+    if not (np.isfinite(t_eval).all() and (np.diff(t_eval) > 0).all()):
+        raise ValueError("output times must be finite and strictly increasing")
     status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, record)
     records: list[Optional[TrajectoryRecord]] = []
     for x0, failed, path in zip(x0s, status, states):
@@ -423,6 +429,7 @@ def volume_growth_rate(
     x0 = _generator_matrix(generators)
     n, k = x0.shape
     check_dimension_guard(comb(n, k))
+    check_dense_guard(n_out * x0.size, "output grid")  # the sampled columns
     t_eval = np.linspace(0.0, float(horizon), n_out)
     if base_point is not None:
         base = integrate(sys, base_point, (0.0, horizon), rtol, atol, t_eval=t_eval)

@@ -91,7 +91,7 @@ def test_perturbed_thomas_views_share_one_field_exactly():
 
 
 def _builtin_systems():
-    from kcontract.cli import _system_from_config
+    from kcontract.cli import _read_config, _system_from_config
 
     rng = np.random.default_rng(12)
     bounds = {"lo": (-np.ones((3, 3))).tolist(), "hi": np.ones((3, 3)).tolist()}
@@ -104,10 +104,12 @@ def _builtin_systems():
         "lti": lti(rng.standard_normal((4, 4))),
         "lti_series": series.full_system(),
         "remark2": remark2(),
-        "bounds": _system_from_config({"system": "bounds", "bounds": bounds}),
-        "bounds_jacobian_from": _system_from_config(
-            {"system": "bounds", "bounds": bounds, "jacobian_from": {"system": "thomas"}}
+        "bounds": _system_from_config(
+            _read_config({"system": "bounds", "bounds": bounds}, "simulate")
         ),
+        "bounds_jacobian_from": _system_from_config(_read_config(
+            {"system": "bounds", "bounds": bounds, "jacobian_from": {"system": "thomas"}}, "simulate"
+        )),
     }
 
 
@@ -271,6 +273,31 @@ def test_a_nan_start_fails_without_stopping_the_other_starts():
 def test_perturbed_thomas_requires_a_three_component_input(factory, b):
     with pytest.raises(ValueError, match="3 components"):
         factory(b=b)
+
+
+@pytest.mark.parametrize("t_span, t_eval", [
+    ((0.0, np.inf), None),
+    ((0.0, 1.0), [0.0, np.nan, 1.0]),
+    ((0.0, 1.0), [0.0, 0.5, 0.5, 1.0]),
+    ((0.0, 1.0), [0.0, 1.0, 0.5]),
+])
+def test_integrate_refuses_output_times_that_are_not_finite_and_increasing(t_span, t_eval):
+    # an infinite horizon gives the grid [nan, inf, ...], which the stepper
+    # never reaches; the field raises after 10 000 calls, so a stepper that
+    # runs on fails this test at once instead of hanging it
+    calls = 0
+
+    def f(t, x):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("the stepper ran on")
+        return -x
+
+    sysm = SystemModel(state_dim=1, f=f, jacobian=lambda t, x: -np.ones((1, 1)))
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        integrate(sysm, [1.0], t_span, n_out=5, t_eval=t_eval)
+    assert calls == 0
 
 
 def test_escaping_declared_box_warns():
