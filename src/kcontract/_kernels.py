@@ -11,7 +11,7 @@ described in ``perfbench/README.md``.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, inf, prod, sqrt
+from math import comb, prod, sqrt
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -218,7 +218,7 @@ def _live_layout(x, k):
     return x, k, [k[..., :s, :] for s in range(7)], [k[..., s, :] for s in range(7)]
 
 
-def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
+def rk45_solve(f, x0, t_eval, tol, *, record=None):
     """Adaptive Dormand-Prince 5(4) runs of B starts in lockstep, each
     sampled exactly at ``t_eval``.
 
@@ -232,6 +232,10 @@ def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
     as its own B = 1 run whenever ``f`` computes each column as it computes a
     1-D state, as the built-in fields do: each is one whole-array expression
     that takes either form (the linear field is one gemv per column).
+
+    ``tol`` > 0 is both the relative and the absolute tolerance: a step's
+    error in each entry is measured against tol + tol * max(|x|, |xnew|),
+    a scale that is never zero.
 
     The stepper's own arithmetic drops the row axis too while one row is
     live, and stays bitwise that of a stack's row: a stage point is
@@ -290,7 +294,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
     idx = [1] * n_rows
     k = np.empty((n_rows, 7, n))  # stage derivatives of the live rows
     k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T).T
-    scale = atol + rtol * np.abs(x)
+    scale = tol + tol * np.abs(x)
     d0 = np.sqrt(np.add.reduce((x / scale) ** 2, axis=1) / n).tolist()
     d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
     h_rec = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
@@ -352,9 +356,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
                     m, mn = abs(xi), abs(yi)
                     if not m >= mn and m == m:
                         m = mn
-                    d = atol + rtol * m
-                    # numpy's q / 0 is inf or NaN; either rejects the step
-                    r = qi * hj / d if d else inf
+                    r = qi * hj / (tol + tol * m)
                     v += r * r
                     row.append(yi)
                 sums.append(v)
@@ -367,7 +369,7 @@ def rk45_solve(f, x0, t_eval, rtol, atol, record=None):
             ax_new = np.abs(xnew)
             q = _DP_E @ k
             q *= h_col
-            q /= atol + rtol * np.maximum(ax, ax_new)
+            q /= tol + tol * np.maximum(ax, ax_new)
             q *= q
             # each row's RMS norm finished on Python floats: / and sqrt are
             # correctly rounded in both, so the bits are numpy's

@@ -95,10 +95,13 @@ def _cmd_compound(args) -> int:
     m = matio.load_matrix(args.input)
     comp = mult_compound(m, args.k) if args.kind == "mult" else add_compound(m, args.k)
     text = matio.matrix_to_json(comp.data) if args.format == "json" else matio.matrix_to_csv(comp.data)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    return _write_output(args, text)
+
+
+def _write_output(args, text: str) -> int:
+    """Write a command's text to --output, or to stdout without one."""
+    write = Path(args.output).write_text if args.output else sys.stdout.write
+    write(text)
     return EXIT_PASS
 
 
@@ -116,28 +119,22 @@ def _cmd_decompose(args) -> int:
     fn = block_diag_mult_decompose if args.kind == "mult" else block_diag_add_decompose
     dec = fn(a, b, args.k)
     if args.format == "csv":
-        text = matio.matrix_to_csv(dec.reconstruct())
-    else:
-        obj = {
-            "kind": dec.kind,
-            "k": dec.k,
-            "n": dec.n,
-            "m": dec.m,
-            "i1": dec.i1,
-            "i2": dec.i2,
-            "partition": dec.partition(),
-            "permutation": (dec.permutation.positions + 1).tolist(),
-            "blocks": [
-                {"i": i, "rows": int(blk.shape[0]), "cols": int(blk.shape[1]), "entries": blk.ravel()}
-                for i, blk in dec.blocks
-            ],
-        }
-        text = matio.dump_json(obj)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_PASS
+        return _write_output(args, matio.matrix_to_csv(dec.reconstruct()))
+    obj = {
+        "kind": dec.kind,
+        "k": dec.k,
+        "n": dec.n,
+        "m": dec.m,
+        "i1": dec.i1,
+        "i2": dec.i2,
+        "partition": dec.partition(),
+        "permutation": (dec.permutation.positions + 1).tolist(),
+        "blocks": [
+            {"i": i, "rows": int(blk.shape[0]), "cols": int(blk.shape[1]), "entries": blk.ravel()}
+            for i, blk in dec.blocks
+        ],
+    }
+    return _write_output(args, matio.dump_json(obj))
 
 
 #: certify and simulate configs: one key table (_KEYS), one reader (_read_config).  A
@@ -207,12 +204,14 @@ _KEYS = {
 
 def _array(value, depth: int):
     """``value`` as a float array if it is ``depth`` levels of non-empty,
-    rectangular JSON lists of integers and floats, else None."""
+    rectangular JSON lists of integers and floats (no bools), else None."""
     try:
         a = np.array(value)
+        # np.array reads a bool among numbers as 0 or 1
+        numbers = a.dtype.kind in "iuf" and bool not in map(type, np.array(value, dtype=object).flat)
     except ValueError:  # ragged rows
         return None
-    return a.astype(float) if a.dtype.kind in "iuf" and a.ndim == depth and a.size else None
+    return a.astype(float) if numbers and a.ndim == depth and a.size else None
 
 
 def _value(key: str, value, label: str):
@@ -305,7 +304,10 @@ def _factory(system: str, params: dict):
     try:
         _signature(factory).bind(**kwargs)
     except TypeError as exc:
-        raise ValueError(f"params of system {system!r}: {exc}") from None
+        message = str(exc)
+        for key, arg in renames.items():  # the config's names, as B for lti_series' b
+            message = message.replace(f"'{arg}'", f"'{key}'")
+        raise ValueError(f"params of system {system!r}: {message}") from None
     return functools.partial(factory, **kwargs)
 
 
@@ -412,9 +414,7 @@ def _cmd_simulate(args) -> int:
     preset = args.preset or "config"
 
     if conf["mode"] == "growth":
-        fit = volume_growth_rate(
-            model.full_system(), conf["volume_generators"], horizon, n_out=n_out, rtol=tol, atol=tol
-        )
+        fit = volume_growth_rate(model.full_system(), conf["volume_generators"], horizon, n_out, tol=tol)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "volume.csv").write_text(matio.columns_to_csv(["t", "vol"], fit.times, fit.volumes))
         _write_summary(outdir, {"preset": preset, "system": model.name, "horizon": horizon,
@@ -431,7 +431,7 @@ def _cmd_simulate(args) -> int:
     ics = conf["initial_conditions"]
     if ics.shape[1] == written < model.state_dim:  # the unwritten states start at 1
         ics = np.hstack([ics, np.ones((ics.shape[0], model.state_dim - written))])
-    runs = integrate_many(model, ics, (0.0, horizon), rtol=tol, atol=tol, n_out=n_out)
+    runs = integrate_many(model, ics, (0.0, horizon), tol=tol, n_out=n_out)
     outdir.mkdir(parents=True, exist_ok=True)
     records: list[TrajectoryRecord] = []
     files = []

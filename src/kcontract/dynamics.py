@@ -1,6 +1,6 @@
 """ODE integration, variational and compound flows, and parallelotope volumes.
 
-The integrator is an adaptive Dormand-Prince 5(4) pair (default tolerances
+The integrator is an adaptive Dormand-Prince 5(4) pair (default tolerance
 1e-10) sampled exactly at the requested output times.  ``integrate_many``
 moves many starts in lockstep, each with its own step size and step
 control, and calls the vector field once per stage for all of them with the
@@ -13,7 +13,7 @@ derivatives of that run: the stage Jacobians along it are evaluated in one
 stacked call, and the flows advance by the Dormand-Prince step matrices of
 the linear systems y' = J(t) y and y' = J(t)^[k] y, built for all steps at
 once.  So the state is integrated once: the flows of a trajectory from
-``integrate`` at its default tolerances reuse its run and its states.
+``integrate`` at its default tolerance reuse its run and its states.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ class IntegrationError(RuntimeError):
 
 class StepRecord(NamedTuple):
     """The accepted steps of one Dormand-Prince run, in order, and the
-    tolerances it was taken at: S steps reach the last output time, and the
+    tolerance it was taken at: S steps reach the last output time, and the
     steps with ``hit`` set end on the n_out - 1 later output times."""
 
     t: np.ndarray  # (S,) start time of each step
     h: np.ndarray  # (S,) step size
     hit: np.ndarray  # (S,) bool: the step ended on an output time
     stages: np.ndarray  # (S, 7, n) states where the field was evaluated, stages 1..7
-    rtol: float
-    atol: float
+    tol: float
 
 
 @dataclass
@@ -78,8 +77,8 @@ def integrate(
     sys: SystemModel,
     x0,
     t_span,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    tol: float = 1e-10,
+    *,
     n_out: int = 1001,
     t_eval=None,
 ) -> TrajectoryRecord:
@@ -92,7 +91,7 @@ def integrate(
     """
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     steps = []
-    (rec,) = _integrate(sys, x0[None], t_span, rtol, atol, n_out, t_eval, steps)
+    (rec,) = _integrate(sys, x0[None], t_span, tol, n_out, t_eval, steps)
     if rec is None:
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
     # one flat copy of all stage states (none for a run of no steps)
@@ -102,8 +101,7 @@ def integrate(
         np.array([step[1] for step in steps]),
         np.array([step[2] for step in steps], dtype=bool),
         np.concatenate(points).reshape(-1, 7, x0.size),
-        float(rtol),
-        float(atol),
+        float(tol),
     )
     return rec
 
@@ -112,25 +110,29 @@ def integrate_many(
     sys: SystemModel,
     x0s,
     t_span,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    tol: float = 1e-10,
+    *,
     n_out: int = 1001,
     t_eval=None,
 ) -> list[Optional[TrajectoryRecord]]:
     """Integrate the system from each row of ``x0s`` (shape (B, n)) in
-    lockstep over ``t_span`` and sample at ``t_eval``.
+    lockstep over ``t_span`` and sample at ``t_eval``, with ``tol`` > 0 as
+    both the relative and the absolute tolerance.
 
     ``sys.f`` must take states as columns.  Returns one record per start,
     or None for a start whose step size underflowed; the other starts are
     not affected by it.  Escaping a declared invariant box triggers a
     warning, not a failure.
     """
-    return _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval)
+    return _integrate(sys, x0s, t_span, tol, n_out, t_eval)
 
 
-def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
+def _integrate(sys, x0s, t_span, tol, n_out, t_eval, record=None):
     """``integrate_many``, appending the accepted steps of a single start to
-    the list ``record`` if one is given (see ``rk45_solve``)."""
+    the list ``record`` if one is given (see ``rk45_solve``).  A ``tol`` that
+    is not a finite number > 0 is refused before the field is called."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2:
         raise ValueError("initial states must be a (B, n) stack, one start per row")
@@ -150,7 +152,7 @@ def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
     # infinite one (linspace to an infinite t1) would never end it
     if not (np.isfinite(t_eval).all() and (np.diff(t_eval) > 0).all()):
         raise ValueError("output times must be finite and strictly increasing")
-    status, states = rk45_solve(sys.f, x0s, t_eval, rtol, atol, record)
+    status, states = rk45_solve(sys.f, x0s, t_eval, tol, record=record)
     records: list[Optional[TrajectoryRecord]] = []
     for x0, failed, path in zip(x0s, status, states):
         if failed:
@@ -164,8 +166,8 @@ def _integrate(sys, x0s, t_span, rtol, atol, n_out, t_eval, record=None):
     return records
 
 
-#: ``integrate``'s default rtol and atol, which the flows' run and their
-#: error control use.
+#: ``integrate``'s default tol, which the flows' run and their error
+#: control use.
 _TOL = 1e-10
 
 
@@ -180,10 +182,10 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     so that Phi(t)^(k) and Psi(t) agree up to discretisation error.
 
     The run differentiated is ``trajectory.steps`` when it was taken at
-    ``integrate``'s default tolerances (1e-10), and the returned states are
+    ``integrate``'s default tol (1e-10), and the returned states are
     then ``trajectory.states``: the state is not integrated again.  Any
     other trajectory (a hand-built record, a row of ``integrate_many``,
-    other tolerances) gets that run from ``integrate`` from its first state
+    another tol) gets that run from ``integrate`` from its first state
     on its time grid, so the flows are always those of the default run.
     With the stage matrices A_1..A_7 of one step of size h, K_1 = A_1 and
     K_s = A_s (I + h sum_{j<s} a_sj K_j), the step matrix
@@ -192,7 +194,7 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
 
     The state's step control does not see the flows, so each step's
     embedded error estimate of M is measured, applied to the columns of I,
-    in ``integrate``'s norm and tolerances.  A step whose flows miss the
+    in ``integrate``'s norm and tolerance.  A step whose flows miss the
     tolerance by the ratio e > 1 (long steps where the state has settled,
     say) is split for the flows into m = ceil(e^(1/5)) equal steps along
     the state stepped again from that step's start, all such steps in
@@ -219,7 +221,7 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     times, states, run = trajectory.times, trajectory.states, trajectory.steps
     if not np.isfinite(states[0]).all():
         raise ValueError("initial state contains non-finite entries")
-    if run is None or (run.rtol, run.atol) != (_TOL, _TOL):
+    if run is None or run.tol != _TOL:
         # the time grid alone sets the horizon, which may be its one sample
         rec = integrate(sys, states[0], (times[0], np.inf), t_eval=times)
         states, run = rec.states, rec.steps
@@ -412,8 +414,8 @@ def volume_growth_rate(
     generators,
     horizon: float,
     n_out: int = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
+    tol: float = 1e-10,
+    *,
     base_point=None,
 ) -> VolumeFit:
     """Fitted exponential growth rate of a k-parallelotope volume.
@@ -421,10 +423,11 @@ def volume_growth_rate(
     By default each generator column evolves as a solution of the system
     (the right object for linear systems, where solutions and variational
     vectors coincide); the columns move in lockstep through one
-    ``integrate_many`` call, so ``sys.f`` takes states as columns, and a
-    column whose step size underflows raises ``IntegrationError``.  Passing
-    ``base_point`` instead evolves the columns under the variational flow
-    along the trajectory from that point.
+    ``integrate_many`` call at ``tol``, so ``sys.f`` takes states as
+    columns, and a column whose step size underflows raises
+    ``IntegrationError``.  Passing ``base_point`` instead evolves the
+    columns under the variational flow along the trajectory from that point,
+    integrated at ``tol``.
     """
     x0 = _generator_matrix(generators)
     n, k = x0.shape
@@ -432,11 +435,11 @@ def volume_growth_rate(
     check_dense_guard(n_out * x0.size, "output grid")  # the sampled columns
     t_eval = np.linspace(0.0, float(horizon), n_out)
     if base_point is not None:
-        base = integrate(sys, base_point, (0.0, horizon), rtol, atol, t_eval=t_eval)
+        base = integrate(sys, base_point, (0.0, horizon), tol, t_eval=t_eval)
         var = variational_flow(sys, base, k=1)
         columns = np.einsum("tij,jk->tik", var.flow, x0)
     else:
-        runs = integrate_many(sys, x0.T, (0.0, horizon), rtol, atol, t_eval=t_eval)
+        runs = integrate_many(sys, x0.T, (0.0, horizon), tol, t_eval=t_eval)
         if any(rec is None for rec in runs):
             raise IntegrationError(f"step-size underflow while integrating {sys.name}")
         columns = np.stack([rec.states for rec in runs], axis=-1)

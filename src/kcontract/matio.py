@@ -78,8 +78,6 @@ pass with no zeros formats exactly as before.
 from __future__ import annotations
 
 import json
-import math
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -426,65 +424,37 @@ def _json(obj, indent: str) -> str:
     line indented by ``indent``, with an ndarray written as its ``.tolist()``.
 
     With ``indent`` set the json module runs its pure-Python encoder.  Here
-    only dicts and lists are walked in Python.  A 1-D float64 array of at
+    only non-empty dicts and lists are walked in Python, and the json module
+    writes every scalar, empty container and key.  A 1-D float64 array of at
     least ``_VECTOR_MIN`` values is formatted by numpy, and any flat list of
     plain scalars is one call of the C encoder, each with the indented item
     separator.  Each container's text is built with one copy of its body.
     """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        body = sep.join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        sep = ",\n" + inner
-        if set(map(type, obj)) <= _FLAT:
-            body = json.dumps(obj, separators=(sep, ": "))[1:-1]
-        else:
-            body = sep.join([_json(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{indent}]"
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size and obj.size >= _VECTOR_MIN:
+        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size >= _VECTOR_MIN:
             inner = indent + "  "
             body = _repr_list(obj, ",\n" + inner)
             return f"[\n{inner}{body}\n{indent}]"
-        return _json(obj.tolist(), indent)
-    return _scalar(obj)
-
-
-def _scalar(obj) -> str:
-    """A JSON scalar as the json module writes it (``allow_nan=True``)."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    return json.dumps(obj)  # raises the json module's TypeError
+        obj = obj.tolist()
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        body = sep.join([f"{_json_key(k)}: {_json(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if set(map(type, obj)) <= _FLAT:
+        body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+    else:
+        body = sep.join([_json(v, inner) for v in obj])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _json_key(key) -> str:
     """A dict key as the json module writes it: non-string keys as the JSON
     text of the scalar, quoted."""
     if isinstance(key, str):
-        return encode_basestring_ascii(key)
+        return json.dumps(key)
     if isinstance(key, (int, float)) or key is None:
-        return encode_basestring_ascii(_scalar(key))
+        return json.dumps(json.dumps(key))
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")

@@ -306,13 +306,13 @@ def dopri_variational_flow(sysm, trajectory, k, substeps):
     """States, Phi and Psi along the trajectory's grid by the Dormand-Prince
     tableau applied to the stacked vector (x, Phi, Psi), one stage at a
     time, over the accepted steps of the library's run from the
-    trajectory's start (rtol = atol = 1e-10): step i is taken as
+    trajectory's start (tol = 1e-10): step i is taken as
     ``substeps[i]`` equal steps from its recorded start state, Phi and Psi
     carried over."""
     from kcontract._kernels import _DP_A, _DP_B5, _DP_C, rk45_solve
 
     steps = []
-    rk45_solve(sysm.f, trajectory.states[0], trajectory.times, 1e-10, 1e-10, record=steps)
+    rk45_solve(sysm.f, trajectory.states[0], trajectory.times, 1e-10, record=steps)
     u, rhs, split = _stacked_flow(sysm, trajectory, [k])
     out = [u]
     for (t, h, hit, points), m in zip(steps, substeps):

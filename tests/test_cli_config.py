@@ -75,6 +75,17 @@ PROBES = [
     ("simulate", {**TRAJECTORIES, "domain": [1, 2]}, "domain must be an object"),
     ("certify", {**BOUNDS, "jacobian_from": ["remark2"]}, "jacobian_from must be"),
     ("certify", {**BOUNDS, "jacobian_from": {"system": "remark2", "k": 2}}, "jacobian_from.k"),
+    # a bool inside a matrix or list read as 0 or 1
+    ("certify", {"system": "lti", "params": {"A": [[True, 0], [0, -1.0]]}, "k": 1}, "params.A"),
+    ("certify", {**BOUNDS, "bounds": {**BOUNDS["bounds"], "lo": [[True, 0.0], [0.0, -2.0]]}}, "bounds.lo"),
+    ("simulate", {**TRAJECTORIES, "initial_conditions": [[True, 0.2, 0.3]]}, "initial_conditions"),
+    ("simulate", {**TRAJECTORIES, "initial_conditions": [0.1, False, 0.3]}, "initial_conditions"),
+    ("simulate", {**GROWTH, "volume_generators": [[True, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]},
+     "volume_generators"),
+    ("certify", {**BOUNDS, "domain": {"lo": [True, 0.0], "hi": [1.0, 1.0]}}, "domain.lo"),
+    # a missing matrix parameter was named by the factory's argument (b)
+    ("certify", {"system": "lti_series", "params": {"A": [[-1.0]], "C": [[-2.0]]}, "k": 1},
+     "missing a required argument: 'B'"),
 ]
 
 

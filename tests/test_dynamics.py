@@ -300,6 +300,28 @@ def test_integrate_refuses_output_times_that_are_not_finite_and_increasing(t_spa
     assert calls == 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+def test_integrators_refuse_a_tol_that_is_not_finite_and_positive(tol):
+    # the field raises, so a call that runs before it refuses fails with a
+    # RuntimeError, not the ValueError
+    def f(t, x):
+        raise RuntimeError("the field was called")
+
+    sysm = SystemModel(state_dim=1, f=f, jacobian=lambda t, x: -np.ones((1, 1)))
+    calls = [
+        lambda: integrate(sysm, [1.0], (0.0, 1.0), tol, n_out=5),
+        lambda: integrate_many(sysm, [[1.0], [2.0]], (0.0, 1.0), tol=tol, n_out=5),
+        lambda: volume_growth_rate(sysm, [[1.0]], 1.0, 5, tol),
+        lambda: volume_growth_rate(sysm, [[1.0]], 1.0, 5, tol, base_point=[1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            call()
+    # the old positional rtol, atol pair no longer runs
+    with pytest.raises(TypeError):
+        integrate(sysm, [1.0], (0.0, 1.0), 1e-10, 1e-10)
+
+
 def test_escaping_declared_box_warns():
     growing = SystemModel(
         state_dim=1,
@@ -511,7 +533,7 @@ def test_variational_flow_of_another_run_is_that_of_the_default_run():
     sysm, x0 = _flow_cases()["thomas_controlled"]
     rec = integrate(sysm, x0, (0.0, 3.0), n_out=31)
     want = variational_flow(sysm, rec, 2)
-    for other in ({"rtol": 1e-8}, {"atol": 1e-8}):
+    for other in ({"tol": 1e-8},):
         run = integrate(sysm, x0, (0.0, 3.0), n_out=31, **other)
         assert run.steps.h.size != rec.steps.h.size
         _assert_same_flows(variational_flow(sysm, run, 2), want)
@@ -530,7 +552,7 @@ def test_integrate_keeps_its_accepted_steps(name):
     size = steps.h.size
     assert steps.t.shape == (size,) and steps.hit.shape == (size,) and steps.hit.dtype == bool
     assert steps.stages.shape == (size, 7, sysm.state_dim)
-    assert (steps.rtol, steps.atol) == (1e-10, 1e-10)
+    assert steps.tol == 1e-10
     assert np.count_nonzero(steps.hit) == rec.times.size - 1
     # each step starts where the one before it ended: at t + h, or on the
     # output time it reached, from the state sampled there
@@ -598,13 +620,13 @@ def test_growth_volumes_are_bitwise_the_per_time_volumes():
     x0 = np.array([[1.0, 0.2], [0.0, 0.0], [0.3, 1.0], [0.0, -0.4]])
     sysm = lti_series_zeta(-1.5).full_system()
     fit = volume_growth_rate(sysm, x0, 20.0, n_out=41)
-    runs = integrate_many(sysm, x0.T, (0.0, 20.0), 1e-10, 1e-10, t_eval=fit.times)
+    runs = integrate_many(sysm, x0.T, (0.0, 20.0), 1e-10, t_eval=fit.times)
     columns = np.stack([rec.states for rec in runs], axis=-1)
     assert np.array_equal(fit.volumes, [parallelotope_volume(c) for c in columns])
     # along a trajectory the columns are Phi(t) x0 of the variational flow
     sysm, t_eval = remark2(), np.linspace(0.0, 6.0, 31)
     fit = volume_growth_rate(sysm, np.eye(2), 6.0, n_out=31, base_point=[1.0, 1.0])
-    base = integrate(sysm, [1.0, 1.0], (0.0, 6.0), 1e-10, 1e-10, t_eval=t_eval)
+    base = integrate(sysm, [1.0, 1.0], (0.0, 6.0), 1e-10, t_eval=t_eval)
     flow = variational_flow(sysm, base, k=1).flow
     assert np.array_equal(fit.volumes, [parallelotope_volume(phi) for phi in flow])
 
