@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import sqrt
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import indexing
 from ._kernels import _DP_A, _DP_B5, _DP_C, _DP_E, minor_dets, rk45_solve
 from .compounds import mult_compound
-from .indexing import check_dense_guard, check_dimension_guard, compound_index
+from .indexing import check_dense_guard, compound_index
 from .systems import SystemModel
 
 
@@ -131,7 +131,7 @@ def _integrate(sys, x0s, t_span, tol, n_out, t_eval, record=None):
     """``integrate_many``, appending the accepted steps of a single start to
     the list ``record`` if one is given (see ``rk45_solve``).  A ``tol`` that
     is not a finite number > 0 is refused before the field is called."""
-    if not 0.0 < tol < np.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2:
@@ -214,10 +214,9 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     n = sys.state_dim
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    r = comb(n, k)
-    check_dimension_guard(r)
-    check_dense_guard(trajectory.times.size * r * r, "compound flow")
     index = compound_index(n, k)
+    r = index.r
+    check_dense_guard(trajectory.times.size * r * r, "compound flow")
     times, states, run = trajectory.times, trajectory.states, trajectory.steps
     if not np.isfinite(states[0]).all():
         raise ValueError("initial state contains non-finite entries")
@@ -410,44 +409,32 @@ def fit_exponential_rate(times, volumes) -> VolumeFit:
 
 
 def volume_growth_rate(
-    sys: SystemModel,
-    generators,
-    horizon: float,
-    n_out: int = 201,
-    tol: float = 1e-10,
-    *,
-    base_point=None,
+    sys: SystemModel, generators, horizon: float, n_out: int = 201, tol: float = 1e-10
 ) -> VolumeFit:
     """Fitted exponential growth rate of a k-parallelotope volume.
 
-    By default each generator column evolves as a solution of the system
-    (the right object for linear systems, where solutions and variational
-    vectors coincide); the columns move in lockstep through one
-    ``integrate_many`` call at ``tol``, so ``sys.f`` takes states as
-    columns, and a column whose step size underflows raises
-    ``IntegrationError``.  Passing ``base_point`` instead evolves the
-    columns under the variational flow along the trajectory from that point,
-    integrated at ``tol``.
+    Each generator column evolves as a solution of the system (the right
+    object for linear systems, where solutions and variational vectors
+    coincide); the columns move in lockstep through one ``integrate_many``
+    call at ``tol``, so ``sys.f`` takes states as columns, and a column
+    whose step size underflows raises ``IntegrationError``.  For the
+    variational flow along one trajectory, fit the volumes of
+    ``variational_flow(sys, rec, 1).flow`` applied to the generators.
     """
     x0 = _generator_matrix(generators)
     n, k = x0.shape
-    check_dimension_guard(comb(n, k))
+    index = compound_index(n, k)
     check_dense_guard(n_out * x0.size, "output grid")  # the sampled columns
     t_eval = np.linspace(0.0, float(horizon), n_out)
-    if base_point is not None:
-        base = integrate(sys, base_point, (0.0, horizon), tol, t_eval=t_eval)
-        var = variational_flow(sys, base, k=1)
-        columns = np.einsum("tij,jk->tik", var.flow, x0)
-    else:
-        runs = integrate_many(sys, x0.T, (0.0, horizon), tol, t_eval=t_eval)
-        if any(rec is None for rec in runs):
-            raise IntegrationError(f"step-size underflow while integrating {sys.name}")
-        columns = np.stack([rec.states for rec in runs], axis=-1)
+    runs = integrate_many(sys, x0.T, (0.0, horizon), tol, t_eval=t_eval)
+    if any(rec is None for rec in runs):
+        raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    columns = np.stack([rec.states for rec in runs], axis=-1)
     if not np.isfinite(columns).all():
         raise ValueError("matrix contains non-finite entries")
     # one stacked call; each time's minors, and so its norm, are bitwise
     # those parallelotope_volume gives the columns at that time
-    minors = minor_dets(columns, compound_index(n, k).seqs, compound_index(k, k).seqs)
+    minors = minor_dets(columns, index.seqs, compound_index(k, k).seqs)
     volumes = np.array([_norm(col) for col in minors])
     return fit_exponential_rate(t_eval, volumes)
 

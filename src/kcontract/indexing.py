@@ -38,13 +38,6 @@ class DimensionGuardError(ValueError):
     compound-space array would exceed MAX_DENSE_BYTES."""
 
 
-def check_dimension_guard(r: int) -> None:
-    if r > MAX_COMPOUND_DIM:
-        raise DimensionGuardError(
-            f"compound dimension {r} exceeds the supported maximum {MAX_COMPOUND_DIM}"
-        )
-
-
 def check_dense_guard(entries: int, what: str = "compound") -> None:
     """Refuse a dense float64 allocation of ``entries`` values before it happens."""
     if 8 * entries > MAX_DENSE_BYTES:
@@ -73,18 +66,25 @@ class CompoundIndex:
     each sequence, the position of the sequence without its j-th entry in the
     (k-1)-table: the gather indices of the Laplace recursion for minors.
 
-    Build tables through ``compound_index``, which caches them; a table of
-    more than MAX_COMPOUND_DIM sequences is refused before any is listed, so
-    the guard costs nothing on a cache hit.  The scatter and the drop-one
-    ranks are built on first use, so the closed forms, which need only the
-    sequences, never pay for them.  All arrays are read-only.
+    Build tables through ``compound_index``, which caches them.  The table
+    is the one check that a compound space exists and may be indexed: an
+    order k outside 0..n, or more than MAX_COMPOUND_DIM sequences, is
+    refused before any sequence is listed, so neither check costs anything
+    on a cache hit.  Every compound-space operation takes its table first
+    and guards its dense arrays by ``r``; k = 0 is the one empty sequence.
+    The scatter and the drop-one ranks are built on first use, so the
+    closed forms, which need only the sequences, never pay for them.  All
+    arrays are read-only.
     """
 
     def __init__(self, n: int, k: int):
         if not 0 <= k <= n:
             raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
         self.n, self.k, self.r = n, k, comb(n, k)
-        check_dimension_guard(self.r)
+        if self.r > MAX_COMPOUND_DIM:
+            raise DimensionGuardError(
+                f"compound dimension {self.r} exceeds the supported maximum {MAX_COMPOUND_DIM}"
+            )
         seqs = np.array(list(combinations(range(n), k)), dtype=np.int64).reshape(self.r, k)
         outside = np.ones((self.r, n), dtype=bool)
         outside[np.arange(self.r)[:, None], seqs] = False
@@ -194,9 +194,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def compound_index(n: int, k: int) -> CompoundIndex:
-    """The cached index table of the k-th compound space over n indices."""
+    """The cached index table of the k-th compound space over n indices.
+    Typed, as is ``_block_lex_positions``: a float k equals and hashes as
+    an int, and must miss the int's entry to be refused."""
     return CompoundIndex(n, k)
 
 
@@ -240,7 +242,7 @@ class BlockPermutation:
         return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _block_lex_positions(k: int, n: int, m: int) -> np.ndarray:
     """Standard-lex positions of the block-lex sequences, read-only.
 

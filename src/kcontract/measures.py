@@ -15,11 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from math import comb
-
 from . import indexing
 from .compounds import _interval_matrix, add_compound, as_matrix, require_square
-from .indexing import check_dimension_guard, compound_index
+from .indexing import compound_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,17 +121,14 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     n = a.shape[1]
-    if not 0 <= k <= n:
-        raise ValueError(f"k must satisfy 0 <= k <= {n}, got {k}")
+    index = compound_index(n, k)
     if k == 0:
         return np.zeros(a.shape[0])
-    check_dimension_guard(comb(n, k))
     if kind.scaling is not None:
         return np.array([matrix_measure(add_compound(m, k).data, kind) for m in a])
     if kind.p == "2":
         eig = np.linalg.eigvalsh((a + np.swapaxes(a, 1, 2)) / 2.0)
         return np.ascontiguousarray(eig[:, n - k :]).sum(axis=1)
-    index = compound_index(n, k)
     inside, outside = index.seqs, index.complement
     if kind.p == "1":  # column mass: rows outside alpha, columns in alpha
         rows, cols = outside[:, :, None], inside[:, None, :]

@@ -195,6 +195,22 @@ def _nonlinear_series():
     )
 
 
+def test_full_system_of_a_hand_built_series_stacks_its_blocks():
+    model = _nonlinear_series()
+    full = model.full_system()
+    assert full is model.full_system()
+    assert (full.state_dim, full.name) == (4, model.name)
+    zeros = np.zeros((2, 2))
+    for t, x in zip((0.0, 0.7, 2.5), np.random.default_rng(11).uniform(-2.0, 2.0, (3, 4))):
+        x1, x2 = x[:2], x[2:]
+        f = np.concatenate([model.sub1.f(t, x1), model.f2(t, x1, x2)])
+        jac = np.block(
+            [[model.sub1.jacobian(t, x1), zeros], [model.j21(t, x1, x2), model.j22(t, x1, x2)]]
+        )
+        assert np.array_equal(full.f(t, x), f)
+        assert np.array_equal(full.jacobian(t, x), jac)
+
+
 def test_nonlinear_series_certificate_and_epsilon_star_audit():
     model = _nonlinear_series()
     rep = certify_series(model, 2, per_i_kinds=L1)

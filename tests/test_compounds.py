@@ -160,6 +160,8 @@ def test_order_zero_conventions():
     m = np.diag([2.0, 3.0])
     assert np.array_equal(mult_compound(m, 0).data, [[1.0]])
     assert np.array_equal(add_compound(m, 0).data, [[0.0]])
+    lo, hi = add_compound_interval(m - 1.0, m + 1.0, 0)
+    assert np.array_equal(lo, [[0.0]]) and np.array_equal(hi, [[0.0]])
 
 
 def test_triangular_4x4_closed_form():

@@ -67,6 +67,15 @@ def test_compound_index_rejects_out_of_range_k(k):
         compound_index(4, k)
 
 
+def test_a_float_k_is_refused_with_the_int_tables_cached():
+    compound_index(4, 2)
+    build_permutation(2, 2, 3)
+    with pytest.raises(TypeError):
+        compound_index(4, 2.0)
+    with pytest.raises(TypeError):
+        build_permutation(2.0, 2, 3)
+
+
 @given(st.integers(1, 8), st.integers(1, 8))
 def test_enumerate_cardinality(k, n):
     if k > n:
