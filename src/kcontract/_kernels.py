@@ -293,120 +293,123 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     t = [out_times[0]] * n_rows
     idx = [1] * n_rows
     k = np.empty((n_rows, 7, n))  # stage derivatives of the live rows
-    k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T).T
-    scale = tol + tol * np.abs(x)
-    d0 = np.sqrt(np.add.reduce((x / scale) ** 2, axis=1) / n).tolist()
-    d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
-    h_rec = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
-    x, k, lead, stage = _live_layout(x, k)
-    ax = np.abs(x)  # |x| of the live rows, carried over from an accepted |xnew|
-    # while at most this many rows are live, an attempt ends on Python floats
-    float_rows = _FLOAT_TAIL // n if n < 8 else 0
-    b0, b2, b3, b4, b5 = _B5_WEIGHTS
-    while True:
-        # retire finished and underflowed rows; size the next step of the rest
-        h, hit, drop = [], [], []
-        for j, tj in enumerate(t):
-            i = idx[j]
-            if i == n_out or not h_rec[j] >= 1e-14 * max(1.0, abs(tj)):
-                if i < n_out:
-                    status[live[j]] = 1
-                drop.append(j)
-                continue
-            dt_out = out_times[i] - tj
-            hit.append(h_rec[j] >= dt_out)
-            h.append(min(h_rec[j], dt_out))
-        n_live = len(h)
-        if n_live == 0:
-            break
-        if drop:
-            keep = [j for j in range(len(t)) if j not in drop]
-            x, k, lead, stage = _live_layout(x[keep], k[keep])
-            ax = np.abs(x)
-            live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
-        one = n_live == 1
-        if one:
-            h_col = h[0]
-            ts = [t[0] + c * h_col for c in _DP_NODES]
-        else:
-            h_now = np.array(h)
-            h_col = h_now[:, None]
-            ts = np.array(t) + _DP_C_COL * h_now  # (7, A): row s is stage s's times
-        points = [x]
-        for s in range(1, 7):
-            # x + h * (row . lead), the product scaled and shifted in place
-            xs = _DP_ROWS[s].dot(lead[s]) if one else _DP_ROWS[s] @ lead[s]
-            xs *= h_col
-            xs += x
-            stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T).T
-            if record is not None:
-                points.append(xs)
-        # stage 6 evaluation point is the 5th-order solution itself:
-        # x + h * (b0 k0 + b2 k2 + b3 k3 + b4 k4 + b5 k5), summed in that order;
-        # a small attempt finishes it and the error norm on Python floats
-        if n_live <= float_rows:
-            q, ks, xl = (_DP_E @ k).tolist(), k.tolist(), x.tolist()
+    # a row whose states overflow or turn NaN ends with status 1, which
+    # reports it; numpy's warnings about it would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T).T
+        scale = tol + tol * np.abs(x)
+        d0 = np.sqrt(np.add.reduce((x / scale) ** 2, axis=1) / n).tolist()
+        d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
+        h_rec = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
+        x, k, lead, stage = _live_layout(x, k)
+        ax = np.abs(x)  # |x| of the live rows, carried over from an accepted |xnew|
+        # while at most this many rows are live, an attempt ends on Python floats
+        float_rows = _FLOAT_TAIL // n if n < 8 else 0
+        b0, b2, b3, b4, b5 = _B5_WEIGHTS
+        while True:
+            # retire finished and underflowed rows; size the next step of the rest
+            h, hit, drop = [], [], []
+            for j, tj in enumerate(t):
+                i = idx[j]
+                if i == n_out or not h_rec[j] >= 1e-14 * max(1.0, abs(tj)):
+                    if i < n_out:
+                        status[live[j]] = 1
+                    drop.append(j)
+                    continue
+                dt_out = out_times[i] - tj
+                hit.append(h_rec[j] >= dt_out)
+                h.append(min(h_rec[j], dt_out))
+            n_live = len(h)
+            if n_live == 0:
+                break
+            if drop:
+                keep = [j for j in range(len(t)) if j not in drop]
+                x, k, lead, stage = _live_layout(x[keep], k[keep])
+                ax = np.abs(x)
+                live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
+            one = n_live == 1
             if one:
-                q, ks, xl = [q], [ks], [xl]
-            sums, rows = [], []
-            for hj, xr, qr, (k0, _, k2, k3, k4, k5, _) in zip(h, xl, q, ks):
-                v, row = 0.0, []
-                for xi, qi, a0, a2, a3, a4, a5 in zip(xr, qr, k0, k2, k3, k4, k5):
-                    yi = (((((0.0 + b0 * a0) + b2 * a2) + b3 * a3) + b4 * a4) + b5 * a5) * hj + xi
-                    m, mn = abs(xi), abs(yi)
-                    if not m >= mn and m == m:
-                        m = mn
-                    r = qi * hj / (tol + tol * m)
-                    v += r * r
-                    row.append(yi)
-                sums.append(v)
-                rows.append(row)
-            xnew = ax_new = None
-        else:
-            xnew = np.add.reduce(_B5_COL * k.take(_B5_STAGES, -2), axis=-2)
-            xnew *= h_col
-            xnew += x
-            ax_new = np.abs(xnew)
-            q = _DP_E @ k
-            q *= h_col
-            q /= tol + tol * np.maximum(ax, ax_new)
-            q *= q
-            # each row's RMS norm finished on Python floats: / and sqrt are
-            # correctly rounded in both, so the bits are numpy's
-            sums = np.add.reduce(q, axis=-1).tolist()
-            if one:
-                sums = [sums]
-        accepted, reached = [], []
-        for j, v in enumerate(sums):
-            e = sqrt(v / n)
-            # the step factor on Python floats: numpy's vectorised pow rounds
-            # differently from the scalar pow
-            factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
-            if e <= 1.0:
-                accepted.append(j)
-                if record is not None:
-                    record.append((t[j], h[j], hit[j], points))
-                if hit[j]:
-                    t[j] = out_times[idx[j]]
-                    reached.append(j)
-                    h_rec[j] = max(h_rec[j], h[j] * factor)
-                else:
-                    t[j] = t[j] + h[j]
-                    h_rec[j] = h[j] * factor
+                h_col = h[0]
+                ts = [t[0] + c * h_col for c in _DP_NODES]
             else:
-                h_rec[j] = h[j] * factor
-        if xnew is None and accepted:
-            xnew = np.array(rows[0] if one else rows)
-        if len(accepted) == n_live:
-            x, ax = xnew, ax_new
-            stage[0][...] = stage[6]
-        elif accepted:
-            x[accepted] = xnew[accepted]
-            k[accepted, 0] = k[accepted, 6]
-            ax = np.abs(x)
-        for j in reached:
-            states[live[j], idx[j]] = x if one else x[j]
-            idx[j] += 1
+                h_now = np.array(h)
+                h_col = h_now[:, None]
+                ts = np.array(t) + _DP_C_COL * h_now  # (7, A): row s is stage s's times
+            points = [x]
+            for s in range(1, 7):
+                # x + h * (row . lead), the product scaled and shifted in place
+                xs = _DP_ROWS[s].dot(lead[s]) if one else _DP_ROWS[s] @ lead[s]
+                xs *= h_col
+                xs += x
+                stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T).T
+                if record is not None:
+                    points.append(xs)
+            # stage 6 evaluation point is the 5th-order solution itself:
+            # x + h * (b0 k0 + b2 k2 + b3 k3 + b4 k4 + b5 k5), summed in that order;
+            # a small attempt finishes it and the error norm on Python floats
+            if n_live <= float_rows:
+                q, ks, xl = (_DP_E @ k).tolist(), k.tolist(), x.tolist()
+                if one:
+                    q, ks, xl = [q], [ks], [xl]
+                sums, rows = [], []
+                for hj, xr, qr, (k0, _, k2, k3, k4, k5, _) in zip(h, xl, q, ks):
+                    v, row = 0.0, []
+                    for xi, qi, a0, a2, a3, a4, a5 in zip(xr, qr, k0, k2, k3, k4, k5):
+                        yi = (((((0.0 + b0 * a0) + b2 * a2) + b3 * a3) + b4 * a4) + b5 * a5) * hj + xi
+                        m, mn = abs(xi), abs(yi)
+                        if not m >= mn and m == m:
+                            m = mn
+                        r = qi * hj / (tol + tol * m)
+                        v += r * r
+                        row.append(yi)
+                    sums.append(v)
+                    rows.append(row)
+                xnew = ax_new = None
+            else:
+                xnew = np.add.reduce(_B5_COL * k.take(_B5_STAGES, -2), axis=-2)
+                xnew *= h_col
+                xnew += x
+                ax_new = np.abs(xnew)
+                q = _DP_E @ k
+                q *= h_col
+                q /= tol + tol * np.maximum(ax, ax_new)
+                q *= q
+                # each row's RMS norm finished on Python floats: / and sqrt are
+                # correctly rounded in both, so the bits are numpy's
+                sums = np.add.reduce(q, axis=-1).tolist()
+                if one:
+                    sums = [sums]
+            accepted, reached = [], []
+            for j, v in enumerate(sums):
+                e = sqrt(v / n)
+                # the step factor on Python floats: numpy's vectorised pow rounds
+                # differently from the scalar pow
+                factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+                if e <= 1.0:
+                    accepted.append(j)
+                    if record is not None:
+                        record.append((t[j], h[j], hit[j], points))
+                    if hit[j]:
+                        t[j] = out_times[idx[j]]
+                        reached.append(j)
+                        h_rec[j] = max(h_rec[j], h[j] * factor)
+                    else:
+                        t[j] = t[j] + h[j]
+                        h_rec[j] = h[j] * factor
+                else:
+                    h_rec[j] = h[j] * factor
+            if xnew is None and accepted:
+                xnew = np.array(rows[0] if one else rows)
+            if len(accepted) == n_live:
+                x, ax = xnew, ax_new
+                stage[0][...] = stage[6]
+            elif accepted:
+                x[accepted] = xnew[accepted]
+                k[accepted, 0] = k[accepted, 6]
+                ax = np.abs(x)
+            for j in reached:
+                states[live[j], idx[j]] = x if one else x[j]
+                idx[j] += 1
     if x0.ndim == 1:
         return int(status[0]), states[0]
     return status, states

@@ -432,20 +432,16 @@ def _cmd_simulate(args) -> int:
     if ics.shape[1] == written < model.state_dim:  # the unwritten states start at 1
         ics = np.hstack([ics, np.ones((ics.shape[0], model.state_dim - written))])
     runs = integrate_many(model, ics, (0.0, horizon), tol=tol, n_out=n_out)
+    # a failed start writes no file, and the others keep their numbers
+    records = [TrajectoryRecord(rec.times, rec.states[:, :written], system=model.name)
+               for rec in runs if rec is not None]
+    files = [f"traj_{idx:02d}.{args.format}" for idx, rec in enumerate(runs, start=1) if rec is not None]
+    failures = len(runs) - len(records)
+    texts = (map(matio.trajectory_to_json, records) if args.format == "json"
+             else matio.trajectories_to_csv(records))
     outdir.mkdir(parents=True, exist_ok=True)
-    records: list[TrajectoryRecord] = []
-    files = []
-    failures = 0
-    for idx, rec in enumerate(runs, start=1):
-        if rec is None:
-            failures += 1
-            continue
-        rec = TrajectoryRecord(rec.times, rec.states[:, :written], system=model.name)
-        records.append(rec)
-        fname = f"traj_{idx:02d}.{args.format}"
-        text = matio.trajectory_to_json(rec) if args.format == "json" else matio.trajectory_to_csv(rec)
+    for fname, text in zip(files, texts):
         (outdir / fname).write_text(text)
-        files.append(fname)
 
     summary_detect = detect_equilibrium_convergence(records, field, tol=conf["detect_tol"])
 

@@ -451,7 +451,8 @@ class ConvergenceSummary:
 
     @property
     def all_converged(self) -> bool:
-        return all(self.converged)
+        """Whether there are records and every one converged."""
+        return bool(self.converged) and all(self.converged)
 
     @property
     def none_converged(self) -> bool:

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -401,8 +402,40 @@ def load_matrix(path) -> np.ndarray:
 
 
 def trajectory_to_csv(rec: TrajectoryRecord) -> str:
-    header = ["t"] + [f"x{i + 1}" for i in range(rec.states.shape[1])]
-    return columns_to_csv(header, rec.times, rec.states)
+    return trajectories_to_csv([rec])[0]
+
+
+def trajectories_to_csv(records: Sequence[TrajectoryRecord]) -> list[str]:
+    """The CSV text of each record: a header line ``t,x1,...`` and one
+    line per sample.
+
+    Records under ``_VECTOR_MIN`` values, which the C formatter would write
+    row by row, are stacked with their neighbours of the same width and
+    formatted together, up to ``_SPAN`` values per group, and the group's
+    text is cut back at each record's last line.  A larger record is a group
+    of its own, as cutting its text would cost more than sharing a pass saves.
+    """
+    shapes = [(rec.times.size, rec.states.shape[1] + 1) for rec in records]
+    texts, start = [], 0
+    while start < len(records):
+        (length, width), stop = shapes[start], start + 1
+        size = length * width
+        while (stop < len(records) and shapes[stop][1] == width
+               and max(length, shapes[stop][0]) * width < _VECTOR_MIN
+               and size + shapes[stop][0] * width <= _SPAN):
+            size += shapes[stop][0] * width
+            stop += 1
+        group = records[start:stop]
+        text = _csv_rows(np.concatenate([np.column_stack((rec.times, rec.states)) for rec in group]))
+        cuts = [0, len(text)]
+        if len(group) > 1:  # the offset of each line's start, and of the text's end
+            newlines = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord("\n"))
+            line_starts = np.concatenate([[0], newlines + 1])
+            cuts = line_starts[np.cumsum([0] + [rec.times.size for rec in group])].tolist()
+        header = ",".join(["t"] + [f"x{i}" for i in range(1, width)]) + "\n"
+        texts += [header + text[a:b] for a, b in zip(cuts, cuts[1:])]
+        start = stop
+    return texts
 
 
 def trajectory_to_json(rec: TrajectoryRecord) -> str:

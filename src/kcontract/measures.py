@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import indexing
-from .compounds import _interval_matrix, add_compound, as_matrix, require_square
+from .compounds import _interval_matrix, as_matrix, require_square
 from .indexing import compound_index
 
 
@@ -112,8 +112,8 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
     maximizes, over increasing k-sequences alpha, the sum of the selected
     diagonal entries plus the absolute column [row] mass that the remaining
     indices contribute; no compound is formed.  For L2 it is the sum of the k
-    largest eigenvalues of the symmetric part.  Scaled kinds assemble each
-    compound.  By convention the 0-th compound has measure 0.
+    largest eigenvalues of the symmetric part.  Scaled kinds assemble the
+    compounds, ``BATCH_BYTES`` of them at a time.  By convention the 0-th compound has measure 0.
     """
     a = np.asarray(mats, dtype=np.float64)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -125,7 +125,13 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
     if k == 0:
         return np.zeros(a.shape[0])
     if kind.scaling is not None:
-        return np.array([matrix_measure(add_compound(m, k).data, kind) for m in a])
+        indexing.check_dense_guard(index.r**2)
+        out = np.empty(a.shape[0])
+        step = max(1, indexing.BATCH_BYTES // (8 * index.r**2))
+        for lo in range(0, a.shape[0], step):
+            compounds = index.additive(a[lo : lo + step])
+            out[lo : lo + step] = [matrix_measure(c, kind) for c in compounds]
+        return out
     if kind.p == "2":
         eig = np.linalg.eigvalsh((a + np.swapaxes(a, 1, 2)) / 2.0)
         return np.ascontiguousarray(eig[:, n - k :]).sum(axis=1)

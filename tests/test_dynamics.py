@@ -691,6 +691,13 @@ def test_detect_convergence_scalar():
     assert np.abs(summary.clusters[0][0]).max() < 1e-6
 
 
+def test_detect_convergence_of_no_records_is_neither_all_nor_some():
+    summary = detect_equilibrium_convergence([], thomas().f)
+    assert not summary.all_converged
+    assert summary.none_converged
+    assert summary.n_clusters == 0
+
+
 def test_detect_no_convergence_on_attractor():
     sysm = thomas()
     rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 100.0), n_out=501)

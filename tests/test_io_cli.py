@@ -479,6 +479,47 @@ def test_cli_simulate_nan_start_exit_5(tmp_path):
     assert (out / "traj_02.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
 
 
+def test_cli_simulate_every_start_failing_exit_5_without_warnings(tmp_path):
+    cfg = {"system": "lti", "params": {"A": [[1000.0]]}, "initial_conditions": [[1.0], [2.0]],
+           "horizon": 100.0, "n_out": 11}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing start is reported by its status alone
+        code, out = _simulate_config(tmp_path, "overflow", cfg)
+    assert code == 5
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_trajectories"] == 0
+    assert summary["integration_failures"] == 2
+    assert summary["all_converged"] is False
+    assert summary["none_converged"] is True
+    assert summary["files"] == []
+
+
+def test_cli_simulate_shared_csv_passes_keep_numbers_and_per_row_bytes(tmp_path):
+    # remark2 blows up from x1 = -3 and -4; the seven other files keep their
+    # numbers, and their text is the per-row %.17g of the values they hold
+    starts = [[0.5, 0.5], [-3.0, 1.0], [1.0, 0.2], [0.1, 2.0], [0.0, 0.0],
+              [-4.0, 0.5], [0.3, -0.7], [-0.2, 0.9], [2.0, 2.0]]
+    code, out = _simulate_config(tmp_path, "batch", {"system": "remark2", "horizon": 4.0,
+                                                     "n_out": 81, "initial_conditions": starts})
+    assert code == 5
+    kept = [1, 3, 4, 5, 7, 8, 9]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["files"] == [f"traj_{i:02d}.csv" for i in kept]
+    assert sorted(p.name for p in out.glob("traj_*")) == summary["files"]
+    for i in kept:
+        text = (out / f"traj_{i:02d}.csv").read_text()
+        header, body = text.split("\n", 1)
+        assert header == "t,x1,x2"
+        rows = np.array([[float(v) for v in line.split(",")] for line in body.splitlines()])
+        assert rows.shape == (81, 3)
+        assert body == "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    code, alone = _simulate_config(tmp_path, "alone", {"system": "remark2", "horizon": 4.0,
+                                                       "n_out": 81, "initial_conditions": starts[8:]})
+    assert code == 0
+    assert (out / "traj_09.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", ["thomas_copy", "thomas_perturbed_copy"])
 def test_cli_simulate_user_bounds_system_is_not_augmented_by_its_name(tmp_path, name):
     bounds = {"lo": [[-1.0, -1.0, 0.0], [0.0, -1.0, -1.0], [-1.0, 0.0, -1.0]],

@@ -408,6 +408,89 @@ def test_sparse_passes_are_cut_by_their_nonzero_count(route):
         _assert_same_text(matio.dump_json(x), want)
 
 
+def _trajectories(b, n_out, seed, width=3):
+    """``b`` seeded records of ``n_out`` samples and ``width`` states: edge
+    values in every record, and an all-zero trajectory among three or more."""
+    rng = np.random.default_rng(seed)
+    edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-5, 1e17, -1e-5, -1e17, 0.1]
+    records = []
+    for i in range(b):
+        times = np.cumsum(rng.uniform(0.01, 2.0, n_out)) - 0.01
+        states = rng.standard_normal((n_out, width)) * 10.0 ** rng.integers(-6, 18, (n_out, width))
+        if b >= 3 and i == b // 2:
+            states[:] = 0.0
+        else:
+            picked = rng.random(states.shape) < 0.2
+            states[picked] = rng.choice(edges, np.count_nonzero(picked))
+            states[-1] = edges[i % len(edges)]
+        records.append(TrajectoryRecord(times, states, system="ref"))
+    return records
+
+
+@pytest.fixture(params=["shared", "template", "rows", "sparse"])
+def trajectory_route(request, monkeypatch):
+    """Records under matio._VECTOR_MIN values share the digit engine's
+    passes ("shared"), or with a larger _VECTOR_MIN the C formatter's rows
+    ("template"); "rows" and "sparse" fix the layout of the shared passes."""
+    if request.param == "template":
+        monkeypatch.setattr(matio, "_VECTOR_MIN", 10**12)
+    if request.param in ("rows", "sparse"):
+        monkeypatch.setattr(matio, "_SPARSE", 0 if request.param == "rows" else 10**12)
+    return request.param
+
+
+def _reference_trajectory_csv(rec) -> str:
+    width = rec.states.shape[1]
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(width)]) + "\n"
+    return header + _reference_csv(np.column_stack([rec.times, rec.states]))
+
+
+@pytest.mark.parametrize("b", [1, 2, 9])
+@pytest.mark.parametrize("n_out", [2, 81, 1001])
+def test_trajectory_texts_match_the_per_row_reference(trajectory_route, b, n_out):
+    records = _trajectories(b, n_out, seed=100 * b + n_out)
+    texts = matio.trajectories_to_csv(records)
+    assert len(texts) == b
+    for rec, text in zip(records, texts):
+        _assert_same_text(text, _reference_trajectory_csv(rec))
+        assert matio.trajectory_to_csv(rec) == text
+
+
+def test_trajectories_of_mixed_widths_and_lengths_match_the_per_row_reference(trajectory_route):
+    records = []
+    for seed, (n_out, width) in enumerate([(81, 3), (5, 3), (81, 2), (200, 2), (2, 2), (81, 3), (700, 3)]):
+        records += _trajectories(1, n_out, seed, width)
+    records.append(TrajectoryRecord(np.arange(3.0), np.zeros((3, 1))))
+    texts = matio.trajectories_to_csv(records)
+    assert len(texts) == len(records)
+    for rec, text in zip(records, texts):
+        _assert_same_text(text, _reference_trajectory_csv(rec))
+    assert matio.trajectories_to_csv([]) == []
+
+
+def test_trajectory_passes_cover_at_most_a_span_or_one_record(monkeypatch):
+    calls = []
+
+    def spy(x, *args, **kwargs):
+        calls.append(x.size)
+        return real(x, *args, **kwargs)
+
+    real = matio._text
+    monkeypatch.setattr(matio, "_text", spy)
+    small = _trajectories(230, 81, seed=7)  # 324 values each: shared passes
+    large = _trajectories(1, 9000, seed=8)  # 36 000 values, over _SPAN alone
+    records = small[:120] + large + small[120:]
+    texts = matio.trajectories_to_csv(records)
+    for rec, text in zip(records, texts):
+        _assert_same_text(text, _reference_trajectory_csv(rec))
+    bound = max(matio._SPAN, large[0].times.size * 4)
+    assert calls and max(calls) <= bound
+    # 120 small records are 38 880 values, two groups; the large one alone;
+    # the last 110 are 35 640 values, two groups
+    assert len(calls) == 5
+    assert sum(calls) == sum(rec.times.size * 4 for rec in records)
+
+
 def test_mostly_zero_writes_keep_their_scratch_memory_bounded():
     """The peak memory of writing 2 M values, 1 % of them nonzero, is the
     output text, held twice while the texts of the passes are joined, plus a

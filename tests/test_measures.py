@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kcontract import indexing
 from kcontract.compounds import add_compound, kron_sum
 from kcontract.indexing import block_range
 from kcontract.measures import (
@@ -373,6 +374,22 @@ def test_compound_measures_validation():
     stack = np.random.default_rng(32).standard_normal((5, 3, 3))
     expected = [matrix_measure(add_compound(m, 2).data, scaled) for m in stack]
     assert np.array_equal(compound_measures(stack, 2, scaled), expected)
+
+
+def test_scaled_compound_measures_equal_per_matrix_compounds(monkeypatch):
+    # the stack's compounds are assembled in BATCH_BYTES chunks: here 24, 1 and
+    # 341 matrices a chunk (a 3 x 3 compound at k = 2 is 72 bytes)
+    kind = MeasureKind("1", np.diag([1.0, 2.0, 3.0]))
+    stack = np.random.default_rng(33).standard_normal((341, 3, 3))
+    expected = [matrix_measure(add_compound(m, 2).data, kind) for m in stack]
+    for batch_bytes in (24 * 72, 1, indexing.BATCH_BYTES):
+        monkeypatch.setattr(indexing, "BATCH_BYTES", batch_bytes)
+        assert np.array_equal(compound_measures(stack, 2, kind), expected)
+    scaled_l2 = MeasureKind("2", np.diag([1.0, 3.0, 0.5, 2.0]))
+    stack = np.random.default_rng(34).standard_normal((7, 4, 4))
+    expected = [matrix_measure(add_compound(m, 3).data, scaled_l2) for m in stack]
+    monkeypatch.setattr(indexing, "BATCH_BYTES", 2 * 8 * 16)  # two matrices a chunk
+    assert np.array_equal(compound_measures(stack, 3, scaled_l2), expected)
 
 
 def test_closed_form_keeps_the_larger_dimension_limit():
