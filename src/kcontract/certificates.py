@@ -262,7 +262,7 @@ def _certify(
     kinds,
     blocks: tuple,
     sample,
-    coupling: Optional[tuple] = None,
+    coupling: Optional[np.ndarray] = None,
     notes: Sequence[str] = (),
 ) -> CertificateReport:
     """Evaluate the split conditions of one certificate.
@@ -275,10 +275,10 @@ def _certify(
     index without a fixed kind searches L1, L2, Linf, where L2 is tried only
     when every term of order >= 1 is evaluated exactly (``_exact``).  With
     two blocks every fixed kind must be plain, since the hierarchic norm
-    measures each block in a plain Lp norm.  ``coupling`` = (magnitudes, n,
-    m) of a series coupling block: a pass then reports epsilon_star and the
-    rate min_i eta_i / 2, and otherwise the rate min_i eta_i.  The notes are
-    ``notes`` and then those of epsilon_star.
+    measures each block in a plain Lp norm.  ``coupling``, the m x n matrix
+    bounding a series coupling block |J21| entry by entry, makes a pass
+    report epsilon_star and the rate min_i eta_i / 2, and otherwise the rate
+    is min_i eta_i.  The notes are ``notes`` and then those of epsilon_star.
     """
     if method not in ("analytic", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
@@ -323,7 +323,7 @@ def _certify(
     if passed and coupling is None:
         rate = min(margins)
     elif passed:
-        eps, eps_notes = _series_epsilon_star(*coupling, k, used, margins)
+        eps, eps_notes = _series_epsilon_star(coupling, k, used, margins)
         notes.extend(eps_notes)
         rate = min(margins) / 2.0
     verdict = ("pass" if analytic else "inconclusive") if passed else "fail"
@@ -381,9 +381,7 @@ def series_norm_data(
     return perm, HierarchicNormSpec(partition, list(kinds), outer="inf")
 
 
-def _series_epsilon_star(
-    model_mag: np.ndarray, n: int, m: int, k: int, kinds, margins
-) -> tuple[float, list[str]]:
+def _series_epsilon_star(model_mag: np.ndarray, k: int, kinds, margins) -> tuple[float, list[str]]:
     """Concrete epsilon for the scaled norm T(eps) = diag(I_n, eps I_m).
 
     The conjugated compound is the block part plus eps times the compound of
@@ -394,8 +392,7 @@ def _series_epsilon_star(
     magnitude bounds dominates the compound of every admissible coupling.
     """
     notes = []
-    if not np.isfinite(model_mag).all():
-        raise ValueError("series coupling block must be uniformly bounded")
+    m, n = model_mag.shape
     if np.all(model_mag == 0):
         return 1.0, ["coupling block vanishes; any positive scaling realizes the rate"]
     e = np.zeros((n + m, n + m))
@@ -448,7 +445,7 @@ def certify_series(
         per_i_kinds,
         (model.sub1.entry_bounds, model.sub2_bounds),
         sample,
-        coupling=(model.j21_magnitude_bounds(), n, m),
+        coupling=model.j21_mag,
     )
     if rep.verdict == "fail":
         worst = min(rep.conditions, key=lambda c: c.margin)
@@ -588,7 +585,7 @@ def certify_exp_input(
         None if kinds is None else _broadcast_kinds(kinds, 2)[::-1],
         (EntryBounds([[alpha]], [[alpha]]), sys.entry_bounds),
         sample,
-        coupling=(np.full((n, 1), float(g_jacobian_bound)), 1, n),
+        coupling=np.full((n, 1), float(g_jacobian_bound)),
         notes=[
             f"i={k}: open-loop condition on the {k}-compound; "
             f"i={k - 1}: {k - 1}-compound plus input rate alpha = {alpha:g}",

@@ -120,15 +120,16 @@ def _cmd_decompose(args) -> int:
     dec = fn(a, b, args.k)
     if args.format == "csv":
         return _write_output(args, matio.matrix_to_csv(dec.reconstruct()))
+    perm = dec.permutation
     obj = {
         "kind": dec.kind,
-        "k": dec.k,
-        "n": dec.n,
-        "m": dec.m,
-        "i1": dec.i1,
-        "i2": dec.i2,
+        "k": perm.k,
+        "n": perm.n,
+        "m": perm.m,
+        "i1": dec.blocks[0][0],
+        "i2": dec.blocks[-1][0],
         "partition": dec.partition(),
-        "permutation": (dec.permutation.positions + 1).tolist(),
+        "permutation": (perm.positions + 1).tolist(),
         "blocks": [
             {"i": i, "rows": int(blk.shape[0]), "cols": int(blk.shape[1]), "entries": blk.ravel()}
             for i, blk in dec.blocks
@@ -419,7 +420,7 @@ def _cmd_simulate(args) -> int:
         (outdir / "volume.csv").write_text(matio.columns_to_csv(["t", "vol"], fit.times, fit.volumes))
         _write_summary(outdir, {"preset": preset, "system": model.name, "horizon": horizon,
                                 "fitted_rate": fit.rate, "fit_residual": fit.residual,
-                                "n_points": fit.n_used, "files": ["volume.csv"]})
+                                "n_points": fit.times.size, "files": ["volume.csv"]})
         return EXIT_PASS
 
     # the records keep the first `written` states, and the convergence check
@@ -431,6 +432,8 @@ def _cmd_simulate(args) -> int:
     ics = conf["initial_conditions"]
     if ics.shape[1] == written < model.state_dim:  # the unwritten states start at 1
         ics = np.hstack([ics, np.ones((ics.shape[0], model.state_dim - written))])
+    if ics.shape[1] == model.state_dim and (ics[:, written:] != 1.0).any():  # the model's y(0) = 1
+        raise ValueError(f"initial_conditions: {conf['system']} defines its input state y(0) = 1.0")
     runs = integrate_many(model, ics, (0.0, horizon), tol=tol, n_out=n_out)
     # a failed start writes no file, and the others keep their numbers
     records = [TrajectoryRecord(rec.times, rec.states[:, :written], system=model.name)

@@ -142,19 +142,15 @@ def kron_sum(a, b) -> np.ndarray:
 class BlockDecomposition:
     """Compound of diag(A, B) as a permutation-conjugated block diagonal.
 
-    ``blocks`` lists (i, block) for i = i1..i2, where block i couples the
-    (k-i)-compound of A with the i-compound of B (Kronecker product for the
-    multiplicative case, Kronecker sum for the additive case).
+    ``blocks`` lists (i, block) for i = i1..i2 of ``block_range``, where
+    block i couples the (k-i)-compound of A with the i-compound of B
+    (Kronecker product for the multiplicative case, Kronecker sum for the
+    additive case).  k and the sizes n of A and m of B are the permutation's.
     """
 
     kind: str
-    k: int
-    n: int
-    m: int
     permutation: BlockPermutation
     blocks: list[tuple[int, np.ndarray]]
-    i1: int
-    i2: int
 
     def block_diagonal(self) -> np.ndarray:
         sizes = [b.shape[0] for _, b in self.blocks]
@@ -188,7 +184,7 @@ def _block_decompose(a, b, k: int, kind: str) -> BlockDecomposition:
         else:
             blk = kron_sum(add_compound(a, k - i).data, add_compound(b, i).data)
         blocks.append((i, blk))
-    return BlockDecomposition(kind, k, n, m, perm, blocks, i1, i2)
+    return BlockDecomposition(kind, perm, blocks)
 
 
 def block_diag_mult_decompose(a, b, k: int) -> BlockDecomposition:

@@ -372,23 +372,21 @@ def parallelotope_volume(generators) -> float:
 
 def gram_volume(generators) -> float:
     """Independent volume route: sqrt(det(X^T X))."""
-    x = np.asarray(generators, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _generator_matrix(generators)
     g = x.T @ x
     return float(np.sqrt(max(np.linalg.det(g), 0.0)))
 
 
 @dataclass
 class VolumeFit:
-    """Least-squares exponential rate of a volume series."""
+    """Least-squares exponential rate of a volume series, fitted to the
+    points ``times``, ``volumes`` it kept."""
 
     rate: float
     intercept: float
     residual: float  # max |log v - fit| over the points used
-    n_used: int
-    times: np.ndarray = field(repr=False, default=None)
-    volumes: np.ndarray = field(repr=False, default=None)
+    times: np.ndarray = field(repr=False)
+    volumes: np.ndarray = field(repr=False)
 
 
 def fit_exponential_rate(times, volumes) -> VolumeFit:
@@ -405,7 +403,7 @@ def fit_exponential_rate(times, volumes) -> VolumeFit:
     a = np.vstack([times, np.ones_like(times)]).T
     coef, *_ = np.linalg.lstsq(a, logv, rcond=None)
     resid = float(np.max(np.abs(logv - a @ coef)))
-    return VolumeFit(float(coef[0]), float(coef[1]), resid, times.size, times, volumes)
+    return VolumeFit(float(coef[0]), float(coef[1]), resid, times, volumes)
 
 
 def volume_growth_rate(
@@ -447,7 +445,6 @@ class ConvergenceSummary:
     residuals: list[float]
     increments: list[float]
     clusters: list[tuple[np.ndarray, int]]
-    tol: float
 
     @property
     def all_converged(self) -> bool:
@@ -498,4 +495,4 @@ def detect_equilibrium_convergence(
         else:
             clusters.append([x])
     summary_clusters = [(cl[0].copy(), len(cl)) for cl in clusters]
-    return ConvergenceSummary(converged, residuals, increments, summary_clusters, tol)
+    return ConvergenceSummary(converged, residuals, increments, summary_clusters)

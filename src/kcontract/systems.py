@@ -222,9 +222,8 @@ class SeriesModel:
     """Cascade where sub-system 1 drives sub-system 2.
 
     The stacked Jacobian is block lower-triangular with blocks J11(t, x1),
-    J21(t, x), J22(t, x); ``j21_sup`` is a uniform bound on the coupling
-    block (operator norm in any of L1/L2/Linf), refined entrywise by
-    ``j21_mag`` when available.
+    J21(t, x), J22(t, x).  ``j21_mag``, the one coupling bound, is a finite
+    dim2 x dim1 matrix bounding |J21| entrywise over the domain and all t.
     """
 
     sub1: SystemModel
@@ -232,12 +231,17 @@ class SeriesModel:
     f2: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     j22: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     j21: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    j21_sup: float
+    j21_mag: np.ndarray
     sub2_bounds: Optional[EntryBounds] = None
     sub2_domain: Optional[Box] = None
-    j21_mag: Optional[np.ndarray] = None
     name: str = "series"
     _full: Optional[SystemModel] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        mag = as_matrix(self.j21_mag, "j21_mag")
+        if mag.shape != (self.dim2, self.dim1):
+            raise ValueError(f"j21_mag must be {self.dim2}x{self.dim1}, got {mag.shape}")
+        self.j21_mag = mag
 
     @property
     def dim1(self) -> int:
@@ -246,11 +250,6 @@ class SeriesModel:
     @property
     def state_dim(self) -> int:
         return self.dim1 + self.dim2
-
-    def j21_magnitude_bounds(self) -> np.ndarray:
-        if self.j21_mag is not None:
-            return np.asarray(self.j21_mag, dtype=np.float64)
-        return np.full((self.dim2, self.dim1), float(self.j21_sup))
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[: self.dim1], x[self.dim1 :]
@@ -532,9 +531,8 @@ def lti_series(a, b, c, name: Optional[str] = None) -> SeriesModel:
         f2=lambda t, x1, x2: b @ x1 + c @ x2,
         j22=lambda t, x1, x2: c,
         j21=lambda t, x1, x2: b,
-        j21_sup=float(np.linalg.norm(b, 2)) if b.size else 0.0,
-        sub2_bounds=EntryBounds(c, c),
         j21_mag=np.abs(b),
+        sub2_bounds=EntryBounds(c, c),
         name=name or "lti_series",
     )
     full = np.zeros((n + m, n + m))

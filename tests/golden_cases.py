@@ -169,9 +169,8 @@ def _nonlinear_series() -> SeriesModel:
         j22=lambda t, x1, x2: np.array([[-3.0 + 0.2 * np.sin(x2[0] * x1[1]), 0.1 * x2[1]],
                                         [0.4 * np.cos(x1[0]), -2.0 - 0.1 * x2[0] ** 2]]),
         j21=lambda t, x1, x2: np.array([[0.4, 0.0], [0.0, 0.2]]),
-        j21_sup=0.4,
-        sub2_domain=Box([-2.0, -2.0], [2.0, 2.0]),
         j21_mag=np.array([[0.4, 0.0], [0.0, 0.2]]),
+        sub2_domain=Box([-2.0, -2.0], [2.0, 2.0]),
         name="golden-cascade",
     )
 
@@ -260,7 +259,7 @@ def library_cases() -> dict[str, bytes]:
         f2=lambda t, x1, x2: np.zeros(2),
         j22=lambda t, x1, x2: np.array([[-3.0, 0.2 * x2[0]], [0.4 * x1[1], -2.0]]),
         j21=lambda t, x1, x2: np.array([[0.4, x1[0]], [0.0, 0.2]]),
-        j21_sup=1.0,
+        j21_mag=np.ones((2, 2)),
     )
     audit = [
         series_conjugated_compound_measure(cascade, 2, L1, 0.125, 0.0, x)

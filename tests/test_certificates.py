@@ -136,7 +136,7 @@ def test_series_compound_level_bounds_fail_instead_of_raising():
         f2=lambda t, x1, x2: j22 @ x2,
         j22=lambda t, x1, x2: j22,
         j21=lambda t, x1, x2: np.zeros((2, 2)),
-        j21_sup=0.0,
+        j21_mag=np.zeros((2, 2)),
         sub2_bounds=bounds,
     )
     rep = certify_series(model, 2)
@@ -187,10 +187,9 @@ def _nonlinear_series():
         j21=lambda t, x1, x2: np.array(
             [[0.4 * (1.0 - np.tanh(x1[0]) ** 2), 0.0], [0.0, 0.2 * np.cos(x1[1])]]
         ),
-        j21_sup=0.4,
+        j21_mag=np.array([[0.4, 0.0], [0.0, 0.2]]),
         sub2_bounds=EntryBounds(j22, j22),
         sub2_domain=Box([-2.0, -2.0], [2.0, 2.0]),
-        j21_mag=np.array([[0.4, 0.0], [0.0, 0.2]]),
         name="saturating-cascade",
     )
 
@@ -209,6 +208,16 @@ def test_full_system_of_a_hand_built_series_stacks_its_blocks():
         )
         assert np.array_equal(full.f(t, x), f)
         assert np.array_equal(full.jacobian(t, x), jac)
+
+
+def test_saturating_cascade_coupling_stays_inside_its_magnitude_bounds():
+    # the premise of epsilon_star: |J21| <= j21_mag entrywise over both domains
+    model = _nonlinear_series()
+    rng = np.random.default_rng(26)
+    x1s = rng.uniform(model.sub1.domain.lo, model.sub1.domain.hi, (500, 2))
+    x2s = rng.uniform(model.sub2_domain.lo, model.sub2_domain.hi, (500, 2))
+    for t, x1, x2 in zip(rng.uniform(0.0, 10.0, 500), x1s, x2s):
+        assert (np.abs(model.j21(t, x1, x2)) <= model.j21_mag).all()
 
 
 def test_nonlinear_series_certificate_and_epsilon_star_audit():

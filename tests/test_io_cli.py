@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ def test_cli_simulate_checks_the_box_of_the_perturbed_system(tmp_path, start, in
         assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["in_invariant_box"] is inside
+
+
+def test_cli_simulate_refuses_a_perturbed_start_whose_input_state_is_not_one(tmp_path, capsys):
+    # the model defines y(0) = 1, and its convergence check assumes y = exp(alpha t)
+    base = {"system": "thomas_perturbed", "horizon": 100.0, "n_out": 11}
+    code, out = _simulate_config(tmp_path, "y0", {**base, "initial_conditions": [[0.5, 0.25, 0.0, 0.0]]})
+    assert code == 2 and not out.exists()
+    assert "initial_conditions" in capsys.readouterr().err
+    runs = [_simulate_config(tmp_path, name, {**base, "initial_conditions": [start]})
+            for name, start in (("x", [0.5, 0.25, 0.0]), ("xy", [0.5, 0.25, 0.0, 1.0]))]
+    assert [code for code, _ in runs] == [0, 0]
+    for fname in ("traj_01.csv", "summary.json"):
+        assert (runs[0][1] / fname).read_bytes() == (runs[1][1] / fname).read_bytes()
+    # the refusal costs the CLI module no more than its 500-line cap
+    assert len(Path(cli.__file__).read_text().splitlines()) <= 500
 
 
 def test_cli_main_gives_fresh_results_on_repeated_calls(tmp_path, capsys):
