@@ -57,11 +57,24 @@ PASS_THRESHOLD = 1e-9
 
 @dataclass
 class ConditionRecord:
+    """Condition ``index`` holds with ``bound`` under ``kind``, the measure
+    that won its search; its label, margin and verdict follow from them."""
+
     index: int
-    measure: str
+    kind: MeasureKind
     bound: float
-    margin: float
-    passed: bool
+
+    @property
+    def measure(self) -> str:
+        return self.kind.label()
+
+    @property
+    def margin(self) -> float:
+        return -self.bound
+
+    @property
+    def passed(self) -> bool:
+        return self.bound <= -PASS_THRESHOLD
 
 
 @dataclass
@@ -88,13 +101,7 @@ class CertificateReport:
             "rate": self.rate,
             "epsilon_star": self.epsilon_star,
             "conditions": [
-                {
-                    "i": c.index,
-                    "measure": c.measure,
-                    "bound": c.bound,
-                    "margin": c.margin,
-                    "passed": c.passed,
-                }
+                dict(i=c.index, measure=c.measure, bound=c.bound, margin=c.margin, passed=c.passed)
                 for c in self.conditions
             ],
             "notes": list(self.notes),
@@ -116,26 +123,25 @@ class CertificateReport:
             lines.append(f"  certified rate: {self.rate:.6g}")
         if self.epsilon_star is not None:
             lines.append(f"  epsilon_star: {self.epsilon_star:.6g}")
-        for n in self.notes:
-            lines.append(f"  note: {n}")
+        lines.extend(f"  note: {n}" for n in self.notes)
         return "\n".join(lines)
 
 
-def _passes(bound: float) -> bool:
-    return bound <= -PASS_THRESHOLD
-
-
-def _analytic_scale_vector(kind: MeasureKind, n: int, k: int) -> Optional[np.ndarray]:
-    if kind.scaling is None:
-        return None
+def _kind_at_order(kind: MeasureKind, n: int, k: int) -> MeasureKind:
+    """``kind`` read at compound order k of an n-state system: unchanged when
+    plain or at k = 1; an n x n scaling at k >= 2 is a state scaling, which
+    must be diagonal and is lifted by ``lift_diagonal_scaling`` (which refuses
+    a non-positive one); a C(n, k)-square one belongs to the compound space;
+    other sizes are refused."""
     t = kind.scaling
-    d = np.diag(t).copy()
-    if not np.array_equal(t, np.diag(d)) or np.any(d <= 0):
-        raise ValueError("analytic-bounds mode supports only positive diagonal scalings")
-    if t.shape[0] == n:
-        return lift_diagonal_scaling(d, k)
+    if t is None:
+        return kind
+    if t.shape[0] == n and k > 1:
+        if not np.array_equal(t, np.diag(np.diag(t))):
+            raise ValueError(f"a state scaling read at order {k} must be diagonal")
+        return MeasureKind(kind.p, np.diag(lift_diagonal_scaling(np.diag(t), k)))
     if t.shape[0] == comb(n, k):
-        return d
+        return kind
     raise ValueError(
         f"scaling dimension {t.shape[0]} matches neither the state ({n}) nor "
         f"the order-{k} compound ({comb(n, k)})"
@@ -160,18 +166,17 @@ def _exact(bounds: EntryBounds, k: int) -> bool:
 def worst_case_compound_measure(bounds: EntryBounds, k: int, kind: MeasureKind) -> float:
     """Sound upper bound of sup mu(J^[k]) over all Jacobians inside ``bounds``.
 
-    Degenerate bounds (lo == hi, no interval compound data) evaluate exactly
-    for any measure; genuine intervals are restricted to L1/Linf, whose
-    worst case is attained entry by entry.
+    A scaled ``kind`` is read at order k (``_kind_at_order``): an n x n
+    scaling at k >= 2 is a positive diagonal state scaling, lifted to the
+    compound space, and a C(n, k)-square one is used as given.  Degenerate
+    bounds (lo == hi, no interval compound data) evaluate exactly for any
+    measure; genuine intervals take L1/Linf and diagonal scalings only.
     """
     if k == 0:
         return 0.0
+    kind = _kind_at_order(kind, bounds.dim, k)
     if _exact(bounds, k):
-        if kind.scaling is None or kind.scaling.shape[0] == comb(bounds.dim, k):
-            return compound_measure(bounds.constant_matrix(), k, kind)
-        # state-space scaling on a constant matrix: lift to the compound space
-        scale = _analytic_scale_vector(kind, bounds.dim, k)
-        return compound_measure(bounds.constant_matrix(), k, MeasureKind(kind.p, np.diag(scale)))
+        return compound_measure(bounds.constant_matrix(), k, kind)
     lo, hi = bounds.compound_interval(k)
     if kind.scaling is None and np.array_equal(lo, hi) and np.isfinite(lo).all():
         return matrix_measure(lo, kind)
@@ -180,7 +185,9 @@ def worst_case_compound_measure(bounds: EntryBounds, k: int, kind: MeasureKind) 
             "the L2 measure is not monotone in entry magnitudes; analytic bounds "
             "support L1/Linf (or degenerate bounds)"
         )
-    scale = _analytic_scale_vector(kind, bounds.dim, k)
+    scale = None if kind.scaling is None else np.diag(kind.scaling)
+    if scale is not None and not np.array_equal(kind.scaling, np.diag(scale)):
+        raise ValueError("interval bounds take only diagonal scalings")
     return interval_measure_upper(lo, hi, kind.p, scale_diag=scale)
 
 
@@ -190,29 +197,27 @@ def _candidate_kinds(fixed: Optional[MeasureKind], exact_ok: bool) -> list[Measu
     return [L1, L2, LINF] if exact_ok else [L1, LINF]
 
 
-def _best_condition(index, candidates, evaluate) -> tuple[ConditionRecord, MeasureKind]:
+def _best_condition(index, candidates, evaluate) -> ConditionRecord:
     """First passing measure wins; otherwise report the least-bad attempt."""
-    best = None
-    for cand in candidates:
-        bound = float(evaluate(cand))
-        if best is None or bound < best[0]:
-            best = (bound, cand)
-        if _passes(bound):
+    tried = []
+    for kind in candidates:
+        tried.append(ConditionRecord(index, kind, float(evaluate(kind))))
+        if tried[-1].passed:
             break
-    bound, kind = best
-    rec = ConditionRecord(index, kind.label(), float(bound), float(-bound), _passes(bound))
-    return rec, kind
+    return min(tried, key=lambda rec: rec.bound)
 
 
 def _grid_samples(
     domain: Optional[Box], grid_points: int, time_grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The domain's grid (P, n) and the sample times (T,).  A sample set
-    whose columns (``_columns``: T P times, n T P states) would exceed
-    MAX_DENSE_BYTES is refused before they are built."""
+    """The domain's grid (P, n) and the sample times (T,).  An empty time
+    grid, and a sample set whose columns (``_columns``: T P times, n T P
+    states) would exceed MAX_DENSE_BYTES, are refused before they are built."""
     if domain is None or not domain.is_finite:
         raise ValueError("grid sampling needs a finite box domain")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
+    if times.size == 0:
+        raise ValueError("time_grid is empty; grid sampling needs at least one sample time")
     points = domain.grid(grid_points)
     check_dense_guard(times.size * (points.size + len(points)), "grid sample set")
     return points, times
@@ -230,12 +235,14 @@ def _sampled_measures(jacobians, samples: tuple, dim: int, keys) -> dict:
     ``samples`` holds the sample times (S,) and the state arguments as
     columns, (d, S) each, and ``jacobians(t, *x)`` takes them as
     ``jacobian_stack`` does.  Returns, for every (order, kind) in ``keys``,
-    the array of mu_kind(J(sample)^[order]) over the samples.  Each sample's
-    Jacobian is evaluated once whatever the number of keys; Jacobians are
-    stacked at most BATCH_BYTES at a time, one ``jacobians`` call per stack,
-    and each key takes one batched closed-form call per stack.
+    the array of mu_kind(J(sample)^[order]) over the samples, the kind read
+    at that order by ``_kind_at_order``.  Each sample's Jacobian is
+    evaluated once whatever the number of keys; Jacobians are stacked at
+    most BATCH_BYTES at a time, one ``jacobians`` call per stack, and each
+    key takes one batched closed-form call per stack.
     """
     size = samples[0].size
+    kinds = {key: _kind_at_order(key[1], dim, key[0]) for key in keys}
     out = {key: np.empty(size) for key in keys}
     step = max(1, indexing.BATCH_BYTES // (8 * dim * dim))
     for lo in range(0, size, step):
@@ -244,7 +251,7 @@ def _sampled_measures(jacobians, samples: tuple, dim: int, keys) -> dict:
         if stack.shape != expected:
             raise ValueError(f"Jacobian stack has shape {stack.shape}, expected {expected}")
         for (order, kind), values in out.items():
-            values[lo : lo + step] = compound_measures(stack, order, kind)
+            values[lo : lo + step] = compound_measures(stack, order, kinds[order, kind])
     return out
 
 
@@ -311,21 +318,16 @@ def _certify(
 
         label = f"grid-sampling({grid_points})"
 
-    conditions, used = [], []
-    for i in indices:
-        cond, kind = _best_condition(i, candidates[i], partial(bound, i))
-        conditions.append(cond)
-        used.append(kind)
-    margins = [c.margin for c in conditions]
+    conditions = [_best_condition(i, candidates[i], partial(bound, i)) for i in indices]
     passed = all(c.passed for c in conditions)
     notes = list(notes)
     eps = rate = None
-    if passed and coupling is None:
-        rate = min(margins)
-    elif passed:
-        eps, eps_notes = _series_epsilon_star(coupling, k, used, margins)
+    if passed:
+        rate = min(c.margin for c in conditions)
+    if passed and coupling is not None:
+        eps, eps_notes = _series_epsilon_star(coupling, k, conditions)
         notes.extend(eps_notes)
-        rate = min(margins) / 2.0
+        rate /= 2.0
     verdict = ("pass" if analytic else "inconclusive") if passed else "fail"
     return CertificateReport(
         verdict, k, conditions, label, name, epsilon_star=eps, rate=rate, notes=notes
@@ -349,7 +351,9 @@ def certify_k_contraction(
 
     ``analytic`` mode proves sup mu(J^[k]) <= -eta from entry bounds; ``grid``
     mode only samples the domain and therefore reports at best an
-    inconclusive (sampled) certificate.
+    inconclusive (sampled) certificate.  Both modes read a scaled ``kind``
+    alike: an n x n scaling at k >= 2 is a positive diagonal state scaling,
+    lifted to the compound space, and a C(n, k)-square one is used as given.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
@@ -378,10 +382,10 @@ def series_norm_data(
     i1, i2 = block_range(k, n, m)
     partition = [comb(n, k - i) * comb(m, i) for i in range(i1, i2 + 1)]
     perm = build_permutation(k, n, m)
-    return perm, HierarchicNormSpec(partition, list(kinds), outer="inf")
+    return perm, HierarchicNormSpec(partition, list(kinds))
 
 
-def _series_epsilon_star(model_mag: np.ndarray, k: int, kinds, margins) -> tuple[float, list[str]]:
+def _series_epsilon_star(model_mag: np.ndarray, k: int, conditions) -> tuple[float, list[str]]:
     """Concrete epsilon for the scaled norm T(eps) = diag(I_n, eps I_m).
 
     The conjugated compound is the block part plus eps times the compound of
@@ -397,11 +401,11 @@ def _series_epsilon_star(model_mag: np.ndarray, k: int, kinds, margins) -> tuple
         return 1.0, ["coupling block vanishes; any positive scaling realizes the rate"]
     e = np.zeros((n + m, n + m))
     e[n:, :n] = model_mag
-    perm, spec = series_norm_data(n, m, k, kinds)
+    perm, spec = series_norm_data(n, m, k, [c.kind for c in conditions])
     rho = hierarchic_operator_norm_upper(perm.conjugate(np.abs(add_compound(e, k).data)), spec)
     if rho == 0.0:
         return 1.0, notes
-    eps = float(min(margins) / (2.0 * rho))
+    eps = float(min(c.margin for c in conditions) / (2.0 * rho))
     notes.append(
         f"scaled norm uses T(eps) = diag(I_{n}, eps I_{m}) with eps_star = {eps:.6g}"
     )

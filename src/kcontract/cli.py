@@ -114,10 +114,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    a = matio.load_matrix(args.input[0])
-    b = matio.load_matrix(args.input[1])
     fn = block_diag_mult_decompose if args.kind == "mult" else block_diag_add_decompose
-    dec = fn(a, b, args.k)
+    dec = fn(*map(matio.load_matrix, args.input), args.k)
     if args.format == "csv":
         return _write_output(args, matio.matrix_to_csv(dec.reconstruct()))
     perm = dec.permutation
@@ -319,6 +317,10 @@ def _read_config(cfg: dict, command: str, label: str = "") -> dict:
     mode = {"certify": cfg.get("mode", "series" if cfg.get("system") == "lti_series" else "single"),
             "simulate": "growth" if "volume_generators" in cfg else "trajectories"}.get(command, command)
     conf = _read(cfg, "", label, mode)
+    siblings = set(_CERTIFY if mode in _CERTIFY else _SIMULATE)  # the modes of cfg's command
+    stray = [key for key in cfg if mode not in _KEYS[key][3] and set(_KEYS[key][3]) <= siblings]
+    if stray:
+        raise ValueError(f"config key {label + stray[0]!r} is not read in {mode} mode")
     system = conf["system"]
     if (system == "lti_series") != (mode in ("series", "growth")):
         raise ValueError(f"system {system!r} does not run in {mode} mode")
@@ -475,8 +477,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    x = matio.load_matrix(args.input)
-    print(matio.fmt(parallelotope_volume(x)))
+    print(matio.fmt(parallelotope_volume(matio.load_matrix(args.input))))
     return EXIT_PASS
 
 

@@ -196,20 +196,17 @@ def interval_measure_upper(lo, hi, p: str, scale_diag=None) -> float:
 
 @dataclass(frozen=True)
 class HierarchicNormSpec:
-    """Partition of R^s into blocks with per-block Lp norms and an outer
-    monotonic norm combining the block norms (Linf by default)."""
+    """Partition of R^s into blocks with per-block Lp norms, combined by the
+    Linf norm of the block norms."""
 
     partition: Sequence[int]
     block_measures: Sequence[MeasureKind]
-    outer: str = "inf"
 
     def __post_init__(self):
         if len(self.partition) != len(self.block_measures):
             raise ValueError("partition and block_measures must have the same length")
         if any(s <= 0 for s in self.partition):
             raise ValueError("block sizes must be positive")
-        if self.outer not in ("1", "2", "inf"):
-            raise ValueError("outer norm must be one of '1', '2', 'inf'")
         for kind in self.block_measures:
             if kind.scaling is not None:
                 raise ValueError("hierarchic blocks must use plain Lp measures")
@@ -227,11 +224,6 @@ class HierarchicNormSpec:
         return out
 
 
-def _blocks_of(m: np.ndarray, spec: HierarchicNormSpec):
-    offs = spec.offsets()
-    return [[m[a:b, c:d] for (c, d) in offs] for (a, b) in offs]
-
-
 def _block_norms(m: np.ndarray, spec: HierarchicNormSpec, diagonal: bool = True) -> np.ndarray:
     """The r x r upper bounds of the block norms |M_ij| from L{p_j} to L{p_i}.
 
@@ -243,8 +235,10 @@ def _block_norms(m: np.ndarray, spec: HierarchicNormSpec, diagonal: bool = True)
     """
     ps = [kind.p for kind in spec.block_measures]
     out = np.zeros((len(ps), len(ps)))
-    for i, row in enumerate(_blocks_of(m, spec)):
-        for j, block in enumerate(row):
+    offs = spec.offsets()
+    for i, (a, b) in enumerate(offs):
+        for j, (c, d) in enumerate(offs):
+            block = m[a:b, c:d]
             if (i == j and not diagonal) or not np.any(block):
                 continue
             try:
@@ -260,7 +254,7 @@ def hierarchic_measure_bounds(m, spec: HierarchicNormSpec):
     Returns (lower, upper, C) where C holds the block measures mu_i(M_ii) on
     its diagonal and the block-norm bounds of ``_block_norms`` off it (the
     entry mass where a pair has no closed form, so every pair of plain Lp
-    blocks is accepted); lower = max_i mu_i(M_ii), upper = mu_outer(C).  The
+    blocks is accepted); lower = max_i mu_i(M_ii), upper = mu_inf(C).  The
     two coincide for block-diagonal input.
     """
     a = require_square(as_matrix(m))
@@ -270,11 +264,11 @@ def hierarchic_measure_bounds(m, spec: HierarchicNormSpec):
     for i, (lo, hi) in enumerate(spec.offsets()):
         c[i, i] = matrix_measure(a[lo:hi, lo:hi], spec.block_measures[i])
     lower = float(np.max(np.diag(c)))
-    upper = matrix_measure(c, MeasureKind(spec.outer))
+    upper = matrix_measure(c, LINF)
     return lower, upper, c
 
 
 def hierarchic_operator_norm_upper(m, spec: HierarchicNormSpec) -> float:
     """Upper bound for the operator norm induced by the hierarchic norm:
-    the outer-induced norm of the nonnegative matrix of block-norm bounds."""
-    return induced_norm(_block_norms(require_square(as_matrix(m)), spec), spec.outer)
+    the Linf-induced norm of the nonnegative matrix of block-norm bounds."""
+    return induced_norm(_block_norms(require_square(as_matrix(m)), spec), "inf")

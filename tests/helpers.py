@@ -230,7 +230,7 @@ def hierarchic_block_diag_norm(m, spec, tol=1e-12):
 
 
 def hierarchic_vector_norm(x, spec):
-    """The hierarchic vector norm: the outer norm of the per-block Lp norms,
+    """The hierarchic vector norm: the Linf norm of the per-block Lp norms,
     the vector-norm side of the operator-norm bound tests."""
     v = np.asarray(x, dtype=np.float64).ravel()
     if v.size != spec.size:
@@ -244,12 +244,7 @@ def hierarchic_vector_norm(x, spec):
             parts.append(np.sqrt((seg * seg).sum()))
         else:
             parts.append(np.abs(seg).max() if seg.size else 0.0)
-    parts = np.array(parts)
-    if spec.outer == "1":
-        return float(parts.sum())
-    if spec.outer == "2":
-        return float(np.sqrt((parts * parts).sum()))
-    return float(parts.max())
+    return float(max(parts))
 
 
 def meshgrid_box_grid(lo, hi, g):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from kcontract.certificates import (
     series_conjugated_compound_measure,
     worst_case_compound_measure,
 )
-from kcontract.measures import L1, L2, MeasureKind, compound_measure, parse_kind
+from kcontract.compounds import add_compound_interval
+from kcontract.measures import L1, L2, MeasureKind, compound_measure, matrix_measure, parse_kind
 from kcontract.systems import (
     Box,
     EntryBounds,
@@ -567,3 +569,76 @@ def test_grid_certificate_copies_a_reused_jacobian_buffer():
     flat = SystemModel(3, base.f, lambda t, x: np.ones(3), domain=base.domain)
     with pytest.raises(ValueError, match="shape"):
         certify_k_contraction(flat, 2, kind=L1, method="grid", grid_points=2)
+
+
+def test_an_empty_time_grid_is_refused_before_any_jacobian_is_sampled():
+    calls = {}
+    unit = Box([-1.0, -1.0], [1.0, 1.0])
+    sysm = thomas_controlled(D, C_GAIN)
+    sysm.jacobian = _counting(sysm.jacobian, calls, "single")
+    model = lti_series_zeta(-1.5)
+    model.sub1.domain = model.sub2_domain = unit
+    model.sub1.jacobian = _counting(model.sub1.jacobian, calls, "j11")
+    pair = _skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]])
+    pair = replace(pair, domain=Box([-1.0] * 4, [1.0] * 4), j11=_counting(pair.j11, calls, "pair"))
+    runs = [
+        lambda: certify_k_contraction(sysm, 2, method="grid", time_grid=[]),
+        lambda: certify_series(model, 2, per_i_kinds=L1, method="grid", time_grid=[]),
+        lambda: certify_skew_feedback(pair, 2, method="grid", time_grid=[]),
+        lambda: certify_exp_input(sysm, 0.5, alpha=-1.0, k=2, method="grid", time_grid=[]),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="time_grid is empty"):
+            run()
+    assert calls == {}
+
+
+def _boxed_lti(a):
+    sysm = lti(a)
+    sysm.domain = Box([-1.0] * len(a), [1.0] * len(a))
+    return sysm
+
+
+def test_grid_and_analytic_modes_read_a_state_scaling_alike():
+    # every sample of an lti is A, so the sampled bound is the exact one: the
+    # measure under the lifted (compound-space) diagonal of the state scaling
+    a = np.random.default_rng(27).normal(size=(4, 4)) - 2.0 * np.eye(4)
+    s = np.array([1.0, 2.0, 3.0, 4.0])
+    sysm, kind = _boxed_lti(a), MeasureKind("1", np.diag(s))
+    analytic = certify_k_contraction(sysm, 2, kind=kind).conditions[0].bound
+    grid = certify_k_contraction(sysm, 2, kind=kind, method="grid", grid_points=2)
+    assert grid.conditions[0].bound == analytic
+    lifted = MeasureKind("1", np.diag(lift_diagonal_scaling(s, 2)))
+    assert analytic == compound_measure(a, 2, lifted)
+
+
+def test_exact_and_interval_bounds_read_a_state_scaling_alike():
+    # n = 3, k = 2: C(3, 2) = n, and a 3 x 3 scaling is still a state scaling
+    a = np.random.default_rng(0).normal(size=(3, 3)) - 4.0 * np.eye(3)
+    s = np.array([1.0, 2.0, 3.0])
+    kind = MeasureKind("1", np.diag(s))
+    lifted = compound_measure(a, 2, MeasureKind("1", np.diag(lift_diagonal_scaling(s, 2))))
+    exact = worst_case_compound_measure(EntryBounds(a, a), 2, kind)
+    boxed = EntryBounds(a, a, compound={2: add_compound_interval(a, a, 2)})
+    assert exact == pytest.approx(lifted)
+    assert worst_case_compound_measure(boxed, 2, kind) == pytest.approx(lifted)
+
+
+def test_a_full_state_scaling_runs_at_order_one_in_both_modes():
+    sysm = _boxed_lti(np.array([[-2.0, 1.0], [0.5, -3.0]]))
+    kind = MeasureKind("1", np.array([[1.0, 0.5], [0.0, 2.0]]))
+    want = matrix_measure(sysm.entry_bounds.constant_matrix(), kind)
+    for method in ("analytic", "grid"):
+        rep = certify_k_contraction(sysm, 1, kind=kind, method=method, grid_points=2)
+        assert rep.conditions[0].bound == pytest.approx(want)
+
+
+def test_a_scaling_of_neither_size_is_refused_in_both_modes():
+    sysm = _boxed_lti(-np.eye(4) + 0.1)
+    for method in ("analytic", "grid"):
+        with pytest.raises(ValueError, match="matches neither"):
+            certify_k_contraction(sysm, 2, kind=MeasureKind("1", np.eye(5)), method=method)
+        with pytest.raises(ValueError, match="must be diagonal"):
+            certify_k_contraction(sysm, 2, kind=MeasureKind("inf", np.eye(4) + 0.1), method=method)
+        with pytest.raises(ValueError, match="must be positive"):
+            certify_k_contraction(sysm, 2, kind=MeasureKind("inf", -np.eye(4)), method=method)

@@ -86,6 +86,11 @@ PROBES = [
     # a missing matrix parameter was named by the factory's argument (b)
     ("certify", {"system": "lti_series", "params": {"A": [[-1.0]], "C": [[-2.0]]}, "k": 1},
      "missing a required argument: 'B'"),
+    # a key that only another mode of the same command reads was ignored
+    ("certify", {**SERIES, "kind": "linf"}, "config key 'kind' is not read in series mode"),
+    ("certify", {**SINGLE, "kinds": ["linf"]}, "config key 'kinds' is not read in single mode"),
+    ("simulate", {**GROWTH, "initial_conditions": [[0.1, 0.2, 0.3, 0.4]]},
+     "config key 'initial_conditions' is not read in growth mode"),
 ]
 
 
@@ -101,6 +106,12 @@ def test_cli_refuses_a_bad_config_key_by_name(tmp_path, monkeypatch, command, cf
     assert code == 2
     assert err.startswith("error: ") and names in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_accepts_a_key_that_only_the_other_command_reads(tmp_path):
+    for command, cfg, key in (("certify", SERIES, "horizon"), ("simulate", GROWTH, "k")):
+        code, err, _ = _run(tmp_path, command, {**cfg, key: 2})
+        assert code in (0, 1) and err == ""
 
 
 def test_cli_simulate_refuses_an_infinite_horizon_flag_before_integrating(tmp_path, capsys, monkeypatch):

@@ -204,15 +204,14 @@ def test_hierarchic_vector_and_operator_norms():
 
 
 def test_hierarchic_measure_bounds_take_block_measures_and_off_diagonal_norms():
-    # mixed kinds and outer norms; each bound bitwise from its definition:
-    # diagonal block measures, off-diagonal Lp -> Lq norms (entry mass where
-    # no closed form exists), lower = max of the diagonal, upper = outer measure
+    # mixed kinds; each bound bitwise from its definition: diagonal block
+    # measures, off-diagonal Lp -> Lq norms (entry mass where no closed form
+    # exists), lower = max of the diagonal, upper = Linf measure
     rng = np.random.default_rng(12)
-    for trial in range(40):
+    for _ in range(40):
         sizes = list(rng.integers(1, 4, size=int(rng.integers(2, 4))))
         kinds = [KINDS[i] for i in rng.integers(0, 3, size=len(sizes))]
-        outer = ("1", "2", "inf")[trial % 3]
-        spec = HierarchicNormSpec(sizes, kinds, outer)
+        spec = HierarchicNormSpec(sizes, kinds)
         m = rng.standard_normal((spec.size, spec.size))
         m[: sizes[0], sizes[0] :] = 0.0  # one zero block row
         offs = spec.offsets()
@@ -230,7 +229,7 @@ def test_hierarchic_measure_bounds_take_block_measures_and_off_diagonal_norms():
         lower, upper, c = hierarchic_measure_bounds(m, spec)
         assert np.array_equal(c, want)
         assert lower == np.max(np.diag(want))
-        assert upper == matrix_measure(want, MeasureKind(outer))
+        assert upper == matrix_measure(want, LINF)
 
 
 def _permuted_hierarchic_bounds(a, b, k, kinds):
