@@ -1,8 +1,8 @@
 """k-contraction certificates.
 
-Every certifier states split conditions, and one core, ``_certify``,
-evaluates them: for each split index i, the measures of compounds of the
-diagonal blocks must sum to at most -eta_i.
+Every certifier states its diagonal blocks, and one core, ``_certify``,
+evaluates their split conditions: for each split index i, the measures of
+compounds of the blocks must sum to at most -eta_i.
 
 * a single system is k-contracting when the measure of the k-th additive
   compound of its Jacobian is uniformly negative over the domain;
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -211,8 +211,8 @@ def _grid_samples(
     domain: Optional[Box], grid_points: int, time_grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """The domain's grid (P, n) and the sample times (T,).  An empty time
-    grid, and a sample set whose columns (``_columns``: T P times, n T P
-    states) would exceed MAX_DENSE_BYTES, are refused before they are built."""
+    grid, and rows (T P times, n T P states) that would exceed
+    MAX_DENSE_BYTES, are refused before they are built."""
     if domain is None or not domain.is_finite:
         raise ValueError("grid sampling needs a finite box domain")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
@@ -223,36 +223,56 @@ def _grid_samples(
     return points, times
 
 
-def _columns(times, points) -> tuple[np.ndarray, np.ndarray]:
-    """Every (t, x) pair of the times and the points (P, n), time-major, as
-    a (T P,) array of times and the states as columns (n, T P)."""
-    return np.repeat(times, len(points)), np.tile(points.T, len(times))
+class _Block(NamedTuple):
+    """One diagonal block of a certificate: its entry bounds (analytic mode),
+    its dimension, and ``jacobians(t, *cols)``, its Jacobians at sampled
+    columns in ``jacobian_stack`` form (grid mode)."""
+
+    bounds: Optional[EntryBounds]
+    dim: int
+    jacobians: Callable
 
 
-def _sampled_measures(jacobians, samples: tuple, dim: int, keys) -> dict:
-    """Per-sample compound measures of sampled Jacobians, for grid certificates.
+def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> dict:
+    """The sampled maximum of sum_b mu_c(J_b^[o_b]) for every (i, c) in
+    ``pairs``, which maps it to the orders o_b, one per block.
 
-    ``samples`` holds the sample times (S,) and the state arguments as
-    columns, (d, S) each, and ``jacobians(t, *x)`` takes them as
-    ``jacobian_stack`` does.  Returns, for every (order, kind) in ``keys``,
-    the array of mu_kind(J(sample)^[order]) over the samples, the kind read
-    at that order by ``_kind_at_order``.  Each sample's Jacobian is
-    evaluated once whatever the number of keys; Jacobians are stacked at
-    most BATCH_BYTES at a time, one ``jacobians`` call per stack, and each
-    key takes one batched closed-form call per stack.
+    Every box is checked by ``_grid_samples`` before any Jacobian is sampled.
+    The rows are the times x the first box's grid, time-major.  A second
+    box's grid is crossed with every row and read only by the last block,
+    as J22(t, x1, x2); every other block is sampled once per row.  The rows
+    are walked BATCH_BYTES of Jacobians at a time: each sample's Jacobian is
+    evaluated once and each stack's shape checked once, and each (order,
+    kind) of a block takes one ``compound_measures`` call per stack, the
+    kind read at that order by ``_kind_at_order``.
     """
-    size = samples[0].size
-    kinds = {key: _kind_at_order(key[1], dim, key[0]) for key in keys}
-    out = {key: np.empty(size) for key in keys}
-    step = max(1, indexing.BATCH_BYTES // (8 * dim * dim))
-    for lo in range(0, size, step):
-        stack = np.asarray(jacobians(*(c[..., lo : lo + step] for c in samples)), dtype=np.float64)
-        expected = (min(step, size - lo), dim, dim)
-        if stack.shape != expected:
-            raise ValueError(f"Jacobian stack has shape {stack.shape}, expected {expected}")
-        for (order, kind), values in out.items():
-            values[lo : lo + step] = compound_measures(stack, order, kinds[order, kind])
-    return out
+    grids = [_grid_samples(box, grid_points, time_grid) for box in domains]
+    (points, times), tail = grids[0], grids[1][0] if len(grids) == 2 else None
+    reps = 1 if tail is None else len(tail)
+    kinds = [
+        {(o[b], c): _kind_at_order(c, block.dim, o[b]) for (_, c), o in pairs.items()}
+        for b, block in enumerate(blocks)
+    ]
+    row_t, row_x = np.repeat(times, len(points)), np.tile(points.T, len(times))
+    width = sum(b.dim**2 for b in blocks[:-1]) + blocks[-1].dim ** 2 * reps  # floats per row
+    step = max(1, indexing.BATCH_BYTES // (8 * width))
+    worst = dict.fromkeys(pairs, -np.inf)
+    for lo in range(0, row_t.size, step):
+        t, x = row_t[lo : lo + step], row_x[:, lo : lo + step]
+        cols = [(t, x)] * len(blocks)
+        if tail is not None:
+            cols[-1] = (np.repeat(t, reps), np.repeat(x, reps, axis=1), np.tile(tail.T, t.size))
+        measures = []
+        for block, args, keys in zip(blocks, cols, kinds):
+            stack = np.asarray(block.jacobians(*args), dtype=np.float64)
+            expected = (args[0].size, block.dim, block.dim)
+            if stack.shape != expected:
+                raise ValueError(f"Jacobian stack has shape {stack.shape}, expected {expected}")
+            measures.append({key: compound_measures(stack, key[0], c) for key, c in keys.items()})
+        for (i, c), o in pairs.items():
+            terms = [m[order, c].reshape(t.size, -1) for m, order in zip(measures, o)]
+            worst[i, c] = max(worst[i, c], sum(terms[1:], terms[0]).max())
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -265,60 +285,67 @@ def _certify(
     k: int,
     method: str,
     grid_points: int,
-    indices: Sequence[int],
+    time_grid,
     kinds,
     blocks: tuple,
-    sample,
+    domains: tuple,
     coupling: Optional[np.ndarray] = None,
     notes: Sequence[str] = (),
 ) -> CertificateReport:
-    """Evaluate the split conditions of one certificate.
+    """Evaluate the split conditions of the diagonal ``blocks`` (``_Block``)
+    of one certificate.
 
-    Condition i bounds mu(J^[i]) for one block and mu(J1^[k-i]) + mu(J2^[i])
-    for two, and passes at a bound of -eta_i.  ``analytic`` mode bounds
-    each term from the ``blocks``' entry bounds; ``grid`` mode calls
-    ``sample(pairs)``, which returns the sampled maximum of every
-    (i, kind) pair.  ``kinds`` is None, one kind, or one kind per index; an
-    index without a fixed kind searches L1, L2, Linf, where L2 is tried only
-    when every term of order >= 1 is evaluated exactly (``_exact``).  With
-    two blocks every fixed kind must be plain, since the hierarchic norm
-    measures each block in a plain Lp norm.  ``coupling``, the m x n matrix
-    bounding a series coupling block |J21| entry by entry, makes a pass
-    report epsilon_star and the rate min_i eta_i / 2, and otherwise the rate
-    is min_i eta_i.  The notes are ``notes`` and then those of epsilon_star.
+    One block has the one condition i = k, bounding mu(J^[k]); two blocks
+    of dimensions n and m have i in ``block_range(k, n, m)``, condition i
+    bounding mu(J1^[k-i]) + mu(J2^[i]).  A condition passes at a bound of
+    -eta_i.  ``analytic`` mode bounds each term from the blocks' entry
+    bounds; ``grid`` mode takes the maximum over the samples of the
+    ``domains`` (one box, or one per block) and ``time_grid``
+    (``_grid_maxima``).  ``kinds`` is None, one kind, or one kind per index;
+    an index without a fixed kind searches L1, L2, Linf, where L2 is tried
+    only when every term of order >= 1 is evaluated exactly (``_exact``).
+    With two blocks every fixed kind must be plain, since the hierarchic
+    norm measures each block in a plain Lp norm.  ``coupling``, the m x n
+    matrix bounding a series coupling block |J21| entry by entry, makes a
+    pass report epsilon_star and the rate min_i eta_i / 2, and otherwise the
+    rate is min_i eta_i.  The notes are ``notes`` and then those of
+    epsilon_star.
     """
     if method not in ("analytic", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
     analytic = method == "analytic"
-    if analytic and any(b is None for b in blocks):
+    bounds = [b.bounds for b in blocks]
+    if analytic and any(b is None for b in bounds):
         raise ValueError("analytic-bounds certification requires entry bounds")
-
-    def terms(i):
-        return zip(blocks, (i,) if len(blocks) == 1 else (k - i, i))
-
-    fixed = [None] * len(indices) if kinds is None else _broadcast_kinds(kinds, len(indices))
+    if len(blocks) == 1:
+        orders = {k: (k,)}
+    else:
+        i1, i2 = block_range(k, blocks[0].dim, blocks[1].dim)
+        orders = {i: (k - i, i) for i in range(i1, i2 + 1)}
+    fixed = [None] * len(orders) if kinds is None else _broadcast_kinds(kinds, len(orders))
     if len(blocks) == 2 and any(kind is not None and kind.scaling is not None for kind in fixed):
         raise ValueError("split certificates take plain Lp measures; scaled kinds are refused")
     candidates = {
-        i: _candidate_kinds(kind, not analytic or all(_exact(b, order) for b, order in terms(i)))
-        for i, kind in zip(indices, fixed)
+        i: _candidate_kinds(kind, not analytic or all(map(_exact, bounds, orders[i])))
+        for i, kind in zip(orders, fixed)
     }
     if analytic:
 
         def bound(i, kind):
-            values = [worst_case_compound_measure(b, order, kind) for b, order in terms(i)]
+            values = [worst_case_compound_measure(b, o, kind) for b, o in zip(bounds, orders[i])]
             return sum(values[1:], values[0])
 
         label = "analytic-bounds"
     else:
-        worst = sample([(i, c) for i in indices for c in candidates[i]])
+        pairs = {(i, c): orders[i] for i in orders for c in candidates[i]}
+        worst = _grid_maxima(blocks, domains, grid_points, time_grid, pairs)
 
         def bound(i, kind):
             return worst[i, kind]
 
         label = f"grid-sampling({grid_points})"
 
-    conditions = [_best_condition(i, candidates[i], partial(bound, i)) for i in indices]
+    conditions = [_best_condition(i, candidates[i], partial(bound, i)) for i in orders]
     passed = all(c.passed for c in conditions)
     notes = list(notes)
     eps = rate = None
@@ -359,12 +386,8 @@ def certify_k_contraction(
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
 
-    def sample(pairs):
-        points, times = _grid_samples(sys.domain, grid_points, time_grid)
-        values = _sampled_measures(sys.jacobians, _columns(times, points), n, pairs)
-        return {key: v.max() for key, v in values.items()}
-
-    rep = _certify(sys.name, k, method, grid_points, [k], kind, (sys.entry_bounds,), sample)
+    block = _Block(sys.entry_bounds, n, sys.jacobians)
+    rep = _certify(sys.name, k, method, grid_points, time_grid, kind, (block,), (sys.domain,))
     if method == "grid":
         rep.notes.append("sampled (not a proof): bound is the maximum over sampled domain points")
     return rep
@@ -431,25 +454,13 @@ def certify_series(
     n, m = model.dim1, model.dim2
     if not 1 <= k <= n + m:
         raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    i1, i2 = block_range(k, n, m)
-
-    def sample(pairs):
-        if model.sub1.domain is None or model.sub2_domain is None:
-            raise ValueError("grid series certification requires box domains for both blocks")
-        pts1, times = _grid_samples(model.sub1.domain, grid_points, time_grid)
-        pts2, _ = _grid_samples(model.sub2_domain, grid_points, time_grid)
-        return _series_grid_maxima(model, k, times, pts1, pts2, pairs)
-
+    blocks = (
+        _Block(model.sub1.entry_bounds, n, model.sub1.jacobians),
+        _Block(model.sub2_bounds, m, partial(jacobian_stack, model.j22)),
+    )
+    domains = (model.sub1.domain, model.sub2_domain)
     rep = _certify(
-        model.name,
-        k,
-        method,
-        grid_points,
-        range(i1, i2 + 1),
-        per_i_kinds,
-        (model.sub1.entry_bounds, model.sub2_bounds),
-        sample,
-        coupling=model.j21_mag,
+        model.name, k, method, grid_points, time_grid, per_i_kinds, blocks, domains, model.j21_mag
     )
     if rep.verdict == "fail":
         worst = min(rep.conditions, key=lambda c: c.margin)
@@ -459,30 +470,6 @@ def certify_series(
     if rep.verdict == "inconclusive":
         rep.notes.append("sampled (not a proof): bounds are maxima over sampled domain points")
     return rep
-
-
-def _series_grid_maxima(model: SeriesModel, k: int, times, pts1, pts2, conditions) -> dict:
-    """max over (t, x1, x2) of mu_c(J11^[k-i]) + mu_c(J22^[i]) per (i, c).
-
-    J11 is sampled once per (t, x1) and J22 once per (t, x1, x2).  The
-    product grid is walked a block of (t, x1) rows at a time, so the stacked
-    J22 samples stay within BATCH_BYTES.
-    """
-    row_t, row_x1 = _columns(times, pts1)
-    keys1 = {(k - i, c) for i, c in conditions}
-    m1 = _sampled_measures(model.sub1.jacobians, (row_t, row_x1), model.dim1, keys1)
-    per_row = len(pts2)
-    step = max(1, indexing.BATCH_BYTES // (8 * model.dim2 * model.dim2 * per_row))
-    worst = dict.fromkeys(conditions, -np.inf)
-    j22 = partial(jacobian_stack, model.j22)
-    for lo in range(0, row_t.size, step):
-        t, x1 = row_t[lo : lo + step], row_x1[:, lo : lo + step]
-        block = (np.repeat(t, per_row), np.repeat(x1, per_row, axis=1), np.tile(pts2.T, t.size))
-        m2 = _sampled_measures(j22, block, model.dim2, conditions)
-        for i, c in conditions:
-            total = m1[k - i, c][lo : lo + step, None] + m2[i, c].reshape(-1, per_row)
-            worst[i, c] = max(worst[i, c], total.max())
-    return worst
 
 
 def series_conjugated_compound_measure(
@@ -520,26 +507,13 @@ def certify_skew_feedback(
     n, m = pair.dim1, pair.dim2
     if not 1 <= k <= n + m:
         raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
-    i1, i2 = block_range(k, n, m)
-
-    def sample(pairs):
-        points, times = _grid_samples(pair.domain, grid_points, time_grid)
-        samples = _columns(times, points)
-        j11, j22 = partial(jacobian_stack, pair.j11), partial(jacobian_stack, pair.j22)
-        m1 = _sampled_measures(j11, samples, n, [(k - i, c) for i, c in pairs])
-        m2 = _sampled_measures(j22, samples, m, pairs)
-        return {(i, c): (m1[k - i, c] + m2[i, c]).max() for i, c in pairs}
-
+    blocks = (
+        _Block(pair.bounds1, n, partial(jacobian_stack, pair.j11)),
+        _Block(pair.bounds2, m, partial(jacobian_stack, pair.j22)),
+    )
+    note = f"skew coupling J21 = -c J12^T holds by construction (c = {pair.c:g})"
     rep = _certify(
-        pair.name,
-        k,
-        method,
-        grid_points,
-        range(i1, i2 + 1),
-        L2,
-        (pair.bounds1, pair.bounds2),
-        sample,
-        notes=[f"skew coupling J21 = -c J12^T holds by construction (c = {pair.c:g})"],
+        pair.name, k, method, grid_points, time_grid, L2, blocks, (pair.domain,), notes=[note]
     )
     if rep.verdict == "inconclusive":
         rep.notes.append("sampled (not a proof)")
@@ -566,8 +540,9 @@ def certify_exp_input(
 
     The two conditions are mu(Jf^[k]) <= -eta and mu(Jf^[k-1]) + alpha <= -eta
     (indices i = k and i = k-1 of the series split, the driver being the
-    scalar block alpha).  ``kinds`` may be a pair (kind for the k-condition,
-    kind for the k-1 condition); the per-condition search applies otherwise.
+    1-dim block with the constant Jacobian alpha).  ``kinds`` may be a pair
+    (kind for the k-condition, kind for the k-1 condition); the
+    per-condition search applies otherwise.
     """
     n = sys.state_dim
     if not 1 <= k <= n:
@@ -575,20 +550,18 @@ def certify_exp_input(
     if not np.isfinite(g_jacobian_bound) or g_jacobian_bound < 0:
         raise ValueError("g_jacobian_bound must be a finite nonnegative number")
 
-    def sample(pairs):
-        points, times = _grid_samples(sys.domain, grid_points, time_grid)
-        values = _sampled_measures(sys.jacobians, _columns(times, points), n, pairs)
-        return {(i, c): v.max() + alpha if i < k else v.max() for (i, c), v in values.items()}
-
+    driver = _Block(
+        EntryBounds([[alpha]], [[alpha]]), 1, lambda t, x: np.full((t.size, 1, 1), alpha)
+    )
     rep = _certify(
         sys.name,
         k,
         method,
         grid_points,
-        (k - 1, k),
+        time_grid,
         None if kinds is None else _broadcast_kinds(kinds, 2)[::-1],
-        (EntryBounds([[alpha]], [[alpha]]), sys.entry_bounds),
-        sample,
+        (driver, _Block(sys.entry_bounds, n, sys.jacobians)),
+        (sys.domain,),
         coupling=np.full((n, 1), float(g_jacobian_bound)),
         notes=[
             f"i={k}: open-loop condition on the {k}-compound; "

@@ -318,7 +318,7 @@ def _read_config(cfg: dict, command: str, label: str = "") -> dict:
             "simulate": "growth" if "volume_generators" in cfg else "trajectories"}.get(command, command)
     conf = _read(cfg, "", label, mode)
     siblings = set(_CERTIFY if mode in _CERTIFY else _SIMULATE)  # the modes of cfg's command
-    stray = [key for key in cfg if mode not in _KEYS[key][3] and set(_KEYS[key][3]) <= siblings]
+    stray = [key for key in cfg if mode not in _KEYS[key][3] and set(_KEYS[key][3]) & siblings]
     if stray:
         raise ValueError(f"config key {label + stray[0]!r} is not read in {mode} mode")
     system = conf["system"]
@@ -386,9 +386,9 @@ def _cmd_certify(args) -> int:
         report = certify_exp_input(model, conf["g_bound"], conf["alpha"], k, kinds=conf["kinds"], **common)
     else:
         report = certify_k_contraction(model, k, kind=conf["kind"], **common)
-    print(report.to_text())
     if args.output:
         Path(args.output).write_text(matio.dump_json(report.to_dict()))
+    print(report.to_text())
     return {"pass": EXIT_PASS, "inconclusive": EXIT_INCONCLUSIVE}.get(report.verdict, EXIT_FAIL)
 
 

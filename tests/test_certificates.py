@@ -378,24 +378,27 @@ def test_skew_feedback_full_order_trace_condition():
     assert rep.verdict == "pass"
 
 
-def test_skew_feedback_grid_mode_nonlinear():
+def _nonlinear_skew_pair():
     r12 = lambda x: np.array([[0.5 * np.cos(x[2]), 0.1], [0.0, 0.3]])
 
     def j11(t, x):
         return np.diag([-2.0 - 0.1 * x[0] ** 2, -2.0])
 
-    pair = FeedbackModel(
+    return FeedbackModel(
         dim1=2,
         dim2=2,
         f=lambda t, x: np.zeros(4),
         j11=j11,
         j12=lambda t, x: r12(x),
-        j22=lambda t, x: -3.0 * np.eye(2),
+        j22=lambda t, x: np.diag([-3.0 + 0.2 * np.sin(x[3] + t), -3.0]),
         c=2.0,
         domain=Box([-1.0] * 4, [1.0] * 4),
         name="skew-nonlinear",
     )
-    rep = certify_skew_feedback(pair, 2, method="grid", grid_points=3)
+
+
+def test_skew_feedback_grid_mode_nonlinear():
+    rep = certify_skew_feedback(_nonlinear_skew_pair(), 2, method="grid", grid_points=3)
     assert rep.verdict == "inconclusive"
     assert all(cnd.passed for cnd in rep.conditions)
     assert any("sampled" in n for n in rep.notes)
@@ -507,6 +510,14 @@ def test_grid_certificates_sample_each_jacobian_once():
     certify_series(model, 2, method="grid", grid_points=3)
     assert calls["j11"] == per_block and calls["j22"] == per_block**2
 
+    pair = _nonlinear_skew_pair()
+    pair = replace(
+        pair, j11=_counting(pair.j11, calls, "skew j11"), j22=_counting(pair.j22, calls, "skew j22")
+    )
+    samples = len(pair.domain.grid(3))
+    certify_skew_feedback(pair, 2, method="grid", grid_points=3, time_grid=[0.0, 1.0])
+    assert calls["skew j11"] == calls["skew j22"] == 2 * samples
+
 
 def test_box_grid_is_the_meshgrid_lattice_then_its_midpoints():
     rng = np.random.default_rng(15)
@@ -542,12 +553,14 @@ def test_grid_sample_set_is_refused_before_it_is_allocated():
 def test_grid_batches_give_the_same_reports(monkeypatch):
     model = _nonlinear_series()
     sysm = thomas_controlled(D, C_GAIN)
+    pair = _nonlinear_skew_pair()
 
     def reports():
         return [
             certify_series(model, 2, method="grid", grid_points=3, time_grid=[0.0, 0.5]).to_dict(),
             certify_k_contraction(sysm, 2, method="grid", grid_points=5).to_dict(),
             certify_exp_input(sysm, 0.5, alpha=-1.0, k=2, method="grid", grid_points=4).to_dict(),
+            certify_skew_feedback(pair, 2, method="grid", grid_points=3, time_grid=[0.5]).to_dict(),
         ]
 
     whole = reports()
@@ -590,6 +603,17 @@ def test_an_empty_time_grid_is_refused_before_any_jacobian_is_sampled():
     for run in runs:
         with pytest.raises(ValueError, match="time_grid is empty"):
             run()
+    assert calls == {}
+
+
+def test_a_series_grid_without_a_second_block_domain_is_refused_before_sampling():
+    calls = {}
+    model = _nonlinear_series()
+    model.sub2_domain = None
+    model.sub1.jacobian = _counting(model.sub1.jacobian, calls, "j11")
+    model.j22 = _counting(model.j22, calls, "j22")
+    with pytest.raises(ValueError, match="finite box domain"):
+        certify_series(model, 2, per_i_kinds=L1, method="grid", grid_points=3)
     assert calls == {}
 
 

@@ -91,6 +91,11 @@ PROBES = [
     ("certify", {**SINGLE, "kinds": ["linf"]}, "config key 'kinds' is not read in single mode"),
     ("simulate", {**GROWTH, "initial_conditions": [[0.1, 0.2, 0.3, 0.4]]},
      "config key 'initial_conditions' is not read in growth mode"),
+    # a key that only the built systems read, in a mode that builds a cascade
+    ("certify", {**SERIES, "name": "cascade"}, "config key 'name' is not read in series mode"),
+    ("certify", {**SERIES, "domain": {"lo": [0.0] * 4, "hi": [1.0] * 4}},
+     "config key 'domain' is not read in series mode"),
+    ("simulate", {**GROWTH, "name": "cascade"}, "config key 'name' is not read in growth mode"),
 ]
 
 

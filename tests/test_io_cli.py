@@ -266,6 +266,27 @@ def test_cli_certify_thomas_pass(tmp_path, capsys):
     assert abs(report["conditions"][0]["margin"] - 0.1) < 1e-12
 
 
+class _ClosedStdout:
+    """A stdout whose reader has gone, as a pipe closed early."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_cli_certify_writes_its_report_before_a_closed_stdout_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "thomas_controlled", "k": 2}))
+    report_file = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["certify", "--input", str(cfg), "--output", str(report_file)]) == 2
+    assert "Broken pipe" in capsys.readouterr().err
+    golden = Path(__file__).parent / "golden" / "certify_analytic_thomas_controlled.report.json"
+    assert report_file.read_bytes() == golden.read_bytes()
+
+
 def test_cli_certify_series_counterexample_exit_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": "lti_series", "params": {"zeta1": -0.5}, "k": 2}))
