@@ -88,10 +88,6 @@ class CertificateReport:
     rate: Optional[float] = None
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def margins(self) -> list[float]:
-        return [c.margin for c in self.conditions]
-
     def to_dict(self) -> dict:
         return {
             "system": self.system,
@@ -176,7 +172,7 @@ def worst_case_compound_measure(bounds: EntryBounds, k: int, kind: MeasureKind) 
         return 0.0
     kind = _kind_at_order(kind, bounds.dim, k)
     if _exact(bounds, k):
-        return compound_measure(bounds.constant_matrix(), k, kind)
+        return compound_measure(bounds.lo, k, kind)
     lo, hi = bounds.compound_interval(k)
     if kind.scaling is None and np.array_equal(lo, hi) and np.isfinite(lo).all():
         return matrix_measure(lo, kind)
@@ -241,10 +237,10 @@ def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> d
     The rows are the times x the first box's grid, time-major.  A second
     box's grid is crossed with every row and read only by the last block,
     as J22(t, x1, x2); every other block is sampled once per row.  The rows
-    are walked BATCH_BYTES of Jacobians at a time: each sample's Jacobian is
-    evaluated once and each stack's shape checked once, and each (order,
-    kind) of a block takes one ``compound_measures`` call per stack, the
-    kind read at that order by ``_kind_at_order``.
+    are walked BATCH_BYTES of Jacobians and crossed columns at a time: each
+    sample's Jacobian is evaluated once and each stack's shape checked
+    once, and each (order, kind) of a block takes one ``compound_measures``
+    call per stack, the kind read at that order by ``_kind_at_order``.
     """
     grids = [_grid_samples(box, grid_points, time_grid) for box in domains]
     (points, times), tail = grids[0], grids[1][0] if len(grids) == 2 else None
@@ -254,7 +250,8 @@ def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> d
         for b, block in enumerate(blocks)
     ]
     row_t, row_x = np.repeat(times, len(points)), np.tile(points.T, len(times))
-    width = sum(b.dim**2 for b in blocks[:-1]) + blocks[-1].dim ** 2 * reps  # floats per row
+    cross = 0 if tail is None else 1 + points.shape[1] + tail.shape[1]  # J22's (t, x1, x2)
+    width = sum(b.dim**2 for b in blocks[:-1]) + (blocks[-1].dim ** 2 + cross) * reps  # floats
     step = max(1, indexing.BATCH_BYTES // (8 * width))
     worst = dict.fromkeys(pairs, -np.inf)
     for lo in range(0, row_t.size, step):

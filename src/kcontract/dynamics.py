@@ -201,12 +201,14 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     lockstep; ``substeps`` holds each step's m.  So ``sys.f`` takes states
     as columns, as for ``integrate_many``, once a step is split.
 
-    Step matrices are built as stacks, BATCH_BYTES of stage matrices at a
-    time, and kept as D = M - I.  The steps are then taken in order, and the
-    product P of the open output interval's steps is kept as E = P - I:
-    E <- D at its first step, E <- E + D + D E at each further one, and
-    Y <- Y + E Y moves Phi and Psi at the step that ends on an output time.
-    An interval may span batches, so the chunking does not change any bit.
+    Step matrices are built as stacks, BATCH_BYTES at a time, and kept as
+    D = M - I; a step counts 28 matrices of each flow, its 7 stage matrices
+    and 7 K stacks, and as many again if it is split.  The steps are then
+    taken in order, and the product P of the open output interval's steps
+    is kept as E = P - I: E <- D at its first step, E <- E + D + D E at
+    each further one, and Y <- Y + E Y moves Phi and Psi at the step that
+    ends on an output time.  An interval may span batches, so the chunking
+    does not change any bit.
     ``compound_gap`` is max_t |Phi(t)^(k) - Psi(t)|_F / |Psi(t)|_F over the
     samples where Psi has not underflowed: how far the two routes to the
     compound flow drift apart.
@@ -232,7 +234,7 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     flow = np.empty((times.size, n, n))
     compound_flow = np.empty((times.size, r, r))
     flow[0], compound_flow[0] = np.eye(n), np.eye(r)
-    chunk = max(1, indexing.BATCH_BYTES // (56 * (n * n + r * r)))  # 7 stage matrices a step
+    chunk = max(1, indexing.BATCH_BYTES // (8 * 28 * (n * n + r * r)))
     product = None  # P - I of Phi and of Psi over the open interval's steps so far
     j = 0  # the output time the open interval starts from
     for lo in range(0, h.size, chunk):

@@ -118,7 +118,9 @@ class CompoundIndex:
         return _frozen(np.stack([lower.rank(rest) for rest in _drop_one(self.seqs)]))
 
     @cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dest, src, sign): the off-diagonal entries of A^[k], flat entry
+        dest of the r x r compound being sign times flat entry src of A."""
         n, k, r = self.n, self.k, self.r
         seqs, comp = self.seqs, self.complement
         dest, src, sign = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
@@ -134,18 +136,6 @@ class CompoundIndex:
             sign.append(np.where((s + t) % 2 == 0, 1.0, -1.0).ravel())
         return tuple(_frozen(np.concatenate(parts)) for parts in (dest, src, sign))
 
-    @cached_property
-    def dest(self) -> np.ndarray:
-        return self._scatter[0]
-
-    @cached_property
-    def src(self) -> np.ndarray:
-        return self._scatter[1]
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        return self._scatter[2]
-
     def _diagonal_sums(self, flat: np.ndarray) -> np.ndarray:
         out = np.zeros(flat.shape[:-1] + (self.r,))
         for row in self.diag_src:
@@ -157,8 +147,9 @@ class CompoundIndex:
         every slice bitwise the compound of that matrix alone."""
         lead = a.shape[:-2]
         flat = a.reshape(lead + (self.n * self.n,))
+        dest, src, sign = self.scatter
         out = np.zeros(lead + (self.r * self.r,))
-        out[..., self.dest] = self.sign * flat[..., self.src]
+        out[..., dest] = sign * flat[..., src]
         out[..., self.diag_dest] = self._diagonal_sums(flat)
         return out.reshape(lead + (self.r, self.r))
 
@@ -166,11 +157,11 @@ class CompoundIndex:
         """Entrywise enclosure of A^[k] over lo <= A <= hi: a negative-sign
         entry ranges over [-hi, -lo] of its source."""
         lo, hi = lo.ravel(), hi.ravel()
-        plus = self.sign > 0
+        dest, src, sign = self.scatter
         out = []
         for low, high in ((lo, hi), (hi, lo)):  # the lower, then the upper bound
             flat = np.zeros(self.r * self.r)
-            flat[self.dest] = np.where(plus, low[self.src], -high[self.src])
+            flat[dest] = np.where(sign > 0, low[src], -high[src])
             flat[self.diag_dest] = self._diagonal_sums(low)
             out.append(flat.reshape(self.r, self.r))
         return out[0], out[1]
@@ -225,11 +216,6 @@ class BlockPermutation:
     @property
     def size(self) -> int:
         return self.positions.size
-
-    def matrix(self) -> np.ndarray:
-        p = np.zeros((self.size, self.size))
-        p[self.positions, np.arange(self.size)] = 1.0
-        return p
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
         """P^{-1} M P: rewrite a compound-space matrix in block-lex coordinates."""

@@ -27,7 +27,6 @@ from .compounds import (
     _interval_matrix,
     add_compound_interval,
     as_matrix,
-    lift_diagonal_scaling,
     require_square,
 )
 from .indexing import check_dense_guard
@@ -130,11 +129,6 @@ class EntryBounds:
     def is_constant(self) -> bool:
         return bool(np.isfinite(self.lo).all() and np.array_equal(self.lo, self.hi))
 
-    def constant_matrix(self) -> np.ndarray:
-        if not self.is_constant:
-            raise ValueError("bounds are not degenerate (lo != hi)")
-        return self.lo.copy()
-
     def compound_interval(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Interval enclosure of J^[k]; uses explicit compound bounds if given."""
         if self.compound is not None and k in self.compound:
@@ -146,26 +140,6 @@ class EntryBounds:
                 "entry bounds are unbounded; supply compound-level bounds for this order"
             )
         return add_compound_interval(self.lo, self.hi, k)
-
-    def scaled(self, diag) -> "EntryBounds":
-        """Bounds of T J T^{-1} for a positive diagonal scaling T = diag(s).
-
-        Compound-level bounds transform along, since a diagonal similarity
-        lifts to the positive diagonal of sequence-products on each
-        compound space.
-        """
-        s = np.asarray(diag, dtype=np.float64).ravel()
-        if s.size != self.dim or np.any(s <= 0):
-            raise ValueError("scaling must be a positive vector matching the dimension")
-        ratio = np.outer(s, 1.0 / s)
-        compound = None
-        if self.compound is not None:
-            compound = {}
-            for k, (clo, chi) in self.compound.items():
-                lift = lift_diagonal_scaling(s, k)
-                cratio = np.outer(lift, 1.0 / lift)
-                compound[k] = (clo * cratio, chi * cratio)
-        return EntryBounds(self.lo * ratio, self.hi * ratio, compound)
 
 
 @dataclass
@@ -304,10 +278,6 @@ class FeedbackModel:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"the skew gain c must be positive, got {self.c!r}")
-
-    @property
-    def state_dim(self) -> int:
-        return self.dim1 + self.dim2
 
     def j21(self, t, x) -> np.ndarray:
         """The coupling block -c J12(t, x)^T."""

@@ -42,6 +42,8 @@ from kcontract.systems import (
     thomas_controlled,
 )
 
+from .helpers import scaled_entry_bounds
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -237,11 +239,14 @@ def library_cases() -> dict[str, bytes]:
             lifted[f"k{k}_L{p}"] = worst_case_compound_measure(bounds, k, kind)
     s = np.array([0.5, 1.5, 2.0, 0.75, 1.25, 3.0])
     lifted["lift_k3"] = [float(v) for v in lift_diagonal_scaling(s, 3)]
-    with_compound = EntryBounds(
-        np.diag([-1.0, -2.0, -3.0]),
-        np.diag([-1.0, -2.0, -3.0]) + 0.25,
-        compound={2: (-np.full((3, 3), 0.5), np.full((3, 3), 0.75))},
-    ).scaled([1.0, 3.0, 0.4])
+    with_compound = scaled_entry_bounds(
+        EntryBounds(
+            np.diag([-1.0, -2.0, -3.0]),
+            np.diag([-1.0, -2.0, -3.0]) + 0.25,
+            compound={2: (-np.full((3, 3), 0.5), np.full((3, 3), 0.75))},
+        ),
+        [1.0, 3.0, 0.4],
+    )
     lifted["scaled_compound_lo"] = [float(v) for v in with_compound.compound[2][0].ravel()]
     lifted["scaled_compound_hi"] = [float(v) for v in with_compound.compound[2][1].ravel()]
     out["scaled_bounds.json"] = matio.dump_json(lifted).encode()

@@ -124,6 +124,24 @@ def brute_lift(s, k):
     return np.array([prod(s[v] for v in alpha) for alpha in seqs], dtype=float)
 
 
+def scaled_entry_bounds(bounds, s):
+    """Entry bounds of T J T^{-1} for the positive diagonal scaling T = diag(s):
+    entry (i, j) scales by s_i / s_j, and a compound-level bound of order k
+    by the same ratios of the lifted scaling ``brute_lift(s, k)``."""
+    from kcontract.systems import EntryBounds
+
+    s = np.asarray(s, dtype=np.float64)
+    compound = None
+    if bounds.compound is not None:
+        compound = {}
+        for k, (clo, chi) in bounds.compound.items():
+            lift = brute_lift(s, k)
+            ratio = np.outer(lift, 1.0 / lift)
+            compound[k] = (clo * ratio, chi * ratio)
+    ratio = np.outer(s, 1.0 / s)
+    return EntryBounds(bounds.lo * ratio, bounds.hi * ratio, compound)
+
+
 def brute_compound_measure(a, k, p):
     """L1 ('1') or Linf ('inf') measure of A^[k] by its closed form, one
     sequence at a time: diagonal entries of alpha plus the absolute column

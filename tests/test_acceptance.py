@@ -262,7 +262,7 @@ def test_criterion_09_coppel_bound_audit():
     series = kc.lti_series_zeta(-1.5)
     rep_s = kc.certify_series(series, 2, per_i_kinds=kc.L1)
     runs.append(
-        (series.full_system(), [1.0, 1.0, 1.0, 1.0], 2, min(rep_s.margins), "hier", series)
+        (series.full_system(), [1.0, 1.0, 1.0, 1.0], 2, min(c.margin for c in rep_s.conditions), "hier", series)
     )
     worst = 0.0
     for model, x0, k, eta, norm_tag, series_model in runs:
@@ -297,7 +297,7 @@ def test_criterion_10_epsilon_star_audit():
     worst_gap = -np.inf
     for model, rep in cases:
         assert rep.verdict == "pass"
-        target = -min(rep.margins) / 2.0
+        target = -min(c.margin for c in rep.conditions) / 2.0
         kinds = [kc.L1] * len(rep.conditions)
         for _ in range(1000):
             x = rng.uniform(-2.0, 2.0, size=model.state_dim)

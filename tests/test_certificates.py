@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kcontract import indexing
+from kcontract import certificates, indexing
 from kcontract.certificates import (
     PASS_THRESHOLD,
     certify_exp_input,
@@ -29,9 +29,10 @@ from kcontract.systems import (
     remark2,
     thomas_controlled,
     thomas_controller_gain,
+    jacobian_stack,
 )
 
-from .helpers import meshgrid_box_grid
+from .helpers import meshgrid_box_grid, scaled_entry_bounds
 
 D = 0.193186
 C_GAIN = thomas_controller_gain(D)  # 1.1 - 2d
@@ -229,7 +230,7 @@ def test_nonlinear_series_certificate_and_epsilon_star_audit():
     assert [c.bound for c in rep.conditions] == pytest.approx([-4.5, -4.0, -5.0])
     eps = rep.epsilon_star
     assert eps is not None and eps > 0
-    target = -min(rep.margins) / 2.0
+    target = -min(c.margin for c in rep.conditions) / 2.0
     rng = np.random.default_rng(0)
     kinds = [L1, L1, L1]
     for _ in range(300):
@@ -263,6 +264,23 @@ def test_epsilon_star_audit_holds_for_every_reported_kind():
     assert passes > 100 and mixed > 0
 
 
+def test_certifiers_refuse_an_order_out_of_range_a_negative_g_bound_and_an_unknown_method():
+    series, pair = lti_series_zeta(-1.5), _skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]])
+    sysm = lti(np.diag([-1.0, -2.0]))
+    for k in (0, 5):
+        with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 4, got {k}"):
+            certify_series(series, k)
+        with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 4, got {k}"):
+            certify_skew_feedback(pair, k)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 2, got {k}"):
+            certify_exp_input(sysm, 0.5, -1.0, k)
+    with pytest.raises(ValueError, match="g_jacobian_bound must be a finite nonnegative"):
+        certify_exp_input(sysm, -0.5, -1.0, 1)
+    with pytest.raises(ValueError, match="unknown certification method 'newton'"):
+        certify_k_contraction(sysm, 1, method="newton")
+
+
 def test_analytic_worst_case_dominates_samples():
     sysm = thomas_controlled(D, C_GAIN)
     bound = worst_case_compound_measure(sysm.entry_bounds, 2, L1)
@@ -277,7 +295,7 @@ def test_analytic_worst_case_dominates_samples():
 def test_scale_invariance_of_verdicts():
     sysm = thomas_controlled(D, C_GAIN)
     s = np.array([2.0, 0.5, 1.5])
-    scaled_bounds = sysm.entry_bounds.scaled(s)
+    scaled_bounds = scaled_entry_bounds(sysm.entry_bounds, s)
     scaled_sys = SystemModel(
         state_dim=3,
         f=sysm.f,
@@ -298,7 +316,7 @@ def test_scale_invariance_of_verdicts():
         state_dim=2,
         f=bad.f,
         jacobian=bad.jacobian,
-        entry_bounds=bad.entry_bounds.scaled([3.0, 0.25]),
+        entry_bounds=scaled_entry_bounds(bad.entry_bounds, [3.0, 0.25]),
         name="scaled-bad",
     )
     comp_bad = certify_k_contraction(
@@ -314,7 +332,7 @@ def test_scale_invariance_with_compound_level_bounds():
         state_dim=2,
         f=sysm.f,
         jacobian=sysm.jacobian,
-        entry_bounds=sysm.entry_bounds.scaled(s),
+        entry_bounds=scaled_entry_bounds(sysm.entry_bounds, s),
         name="remark2-scaled",
     )
     # trace cancellation survives: the 2-compound is 1x1, lift ratio is 1
@@ -454,7 +472,7 @@ def test_series_margins_match_block_measure_when_uncoupled():
     sums = [compound_measure(a, 2 - i, L1) + compound_measure(b, i, L1) for i in range(3)]
     assert [c.index for c in rep.conditions] == [0, 1, 2]
     assert [c.bound for c in rep.conditions] == sums
-    assert abs(max(sums) - max(-m for m in rep.margins)) < 1e-9
+    assert abs(max(sums) - max(c.bound for c in rep.conditions)) < 1e-9
 
 
 def test_series_grid_mode_samples_nonlinear_cascade():
@@ -568,6 +586,34 @@ def test_grid_batches_give_the_same_reports(monkeypatch):
     assert reports() == whole
 
 
+def test_grid_batches_hold_the_crossed_columns_within_the_budget(monkeypatch):
+    # a 3 + 1 series crosses every row with the second box's grid: J22 reads
+    # 1 + 3 + 1 floats of columns (t, x1, x2) a sample, against the one
+    # float of its Jacobian, so a batch counts them with the Jacobians
+    model = lti_series(np.diag([-1.0, -2.0, -3.0]), np.ones((1, 3)), [[-2.0]])
+    model.sub1.domain, model.sub2_domain = Box([-1.0] * 3, [1.0] * 3), Box([-1.0], [1.0])
+    whole = certify_series(model, 2, per_i_kinds=L1, method="grid", grid_points=4).to_dict()
+    held = []  # floats of each batch: the J11 stack, then J22's columns and stack
+    j11 = model.sub1.jacobians
+
+    def spy11(t, x):
+        stack = j11(t, x)
+        held.append(stack.size)
+        return stack
+
+    def spy22(jacobian, t, *columns):
+        stack = jacobian_stack(jacobian, t, *columns)
+        held[-1] += t.size + sum(c.size for c in columns) + stack.size
+        return stack
+
+    model.sub1.jacobians = spy11
+    monkeypatch.setattr(certificates, "jacobian_stack", spy22)
+    monkeypatch.setattr(indexing, "BATCH_BYTES", 4096)
+    rep = certify_series(model, 2, per_i_kinds=L1, method="grid", grid_points=4)
+    assert rep.to_dict() == whole
+    assert len(held) > 1 and 8 * max(held) <= 4096
+
+
 def test_grid_certificate_copies_a_reused_jacobian_buffer():
     base = thomas_controlled(D, C_GAIN)
     buffer = np.empty((3, 3))
@@ -651,7 +697,7 @@ def test_exact_and_interval_bounds_read_a_state_scaling_alike():
 def test_a_full_state_scaling_runs_at_order_one_in_both_modes():
     sysm = _boxed_lti(np.array([[-2.0, 1.0], [0.5, -3.0]]))
     kind = MeasureKind("1", np.array([[1.0, 0.5], [0.0, 2.0]]))
-    want = matrix_measure(sysm.entry_bounds.constant_matrix(), kind)
+    want = matrix_measure(sysm.entry_bounds.lo, kind)
     for method in ("analytic", "grid"):
         rep = certify_k_contraction(sysm, 1, kind=kind, method=method, grid_points=2)
         assert rep.conditions[0].bound == pytest.approx(want)

@@ -96,6 +96,12 @@ PROBES = [
     ("certify", {**SERIES, "domain": {"lo": [0.0] * 4, "hi": [1.0] * 4}},
      "config key 'domain' is not read in series mode"),
     ("simulate", {**GROWTH, "name": "cascade"}, "config key 'name' is not read in growth mode"),
+    # refusals past the key reader, which no other case reached
+    ("certify", {"system": "thomas", "k": 4}, "k must satisfy 1 <= k <= 3, got 4"),
+    ("certify", {"system": "thomas", "mode": "series"}, "system 'thomas' does not run in series mode"),
+    ("certify", {"system": "bounds"}, "system 'bounds' requires a 'bounds' object"),
+    ("certify", {**BOUNDS, "jacobian_from": {"system": "thomas"}},
+     "jacobian_from system dimension does not match bounds"),
 ]
 
 

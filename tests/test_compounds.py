@@ -402,9 +402,10 @@ def test_compound_index_layout():
             for row, comp in zip(index.seqs, index.complement):
                 assert sorted(set(row) | set(comp)) == list(range(n))
                 assert list(comp) == sorted(comp)
-            assert np.unique(index.dest).size == index.dest.size == index.r * k * (n - k)
-            assert not np.isin(index.dest, index.diag_dest).any()
-            assert not index.seqs.flags.writeable and not index.sign.flags.writeable
+            dest, _, sign = index.scatter
+            assert np.unique(dest).size == dest.size == index.r * k * (n - k)
+            assert not np.isin(dest, index.diag_dest).any()
+            assert not index.seqs.flags.writeable and not sign.flags.writeable
 
 
 def test_add_compound_table_matches_entry_rule_exactly():
@@ -437,7 +438,7 @@ def test_lift_table_matches_products_exactly():
 def test_compound_index_is_built_lazily():
     index = CompoundIndex(17, 8)
     assert index.r == 24310 and index.seqs.shape == (24310, 8)
-    assert "_scatter" not in vars(index)  # the closed forms never need it
+    assert "scatter" not in vars(index)  # the closed forms never need it
 
 
 def test_dense_allocation_guard_by_bytes():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -466,8 +467,8 @@ def test_variational_flow_reports_the_compound_gap():
 
 @pytest.mark.parametrize("chunk", [1, 3, 10])
 def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chunk):
-    # thomas at k = 2 holds 56 (3^2 + 3^2) bytes of stage matrices per step
-    # (seven stages); its intervals take one to three steps, and about half
+    # thomas at k = 2 counts 8 * 28 (3^2 + 3^2) bytes per step (seven stage
+    # matrices and seven K stacks, twice for a split step); its intervals take one to three steps, and about half
     # its steps are split for the flows, so batches of one step, of three
     # steps (ending inside an interval) and of ten steps (several whole
     # intervals and parts of two) cover every layout; on a grid of two
@@ -482,9 +483,27 @@ def test_variational_flow_is_bitwise_the_same_in_small_batches(monkeypatch, chun
         assert sum(closes[:chunk]) >= 2
     one_interval = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 3.0), n_out=2)
     whole = [variational_flow(sysm, r, 2) for r in (rec, one_interval)]
-    monkeypatch.setattr(indexing, "BATCH_BYTES", chunk * 56 * 18 + 100)
+    monkeypatch.setattr(indexing, "BATCH_BYTES", chunk * 8 * 28 * 18 + 100)
     for r, want in zip((rec, one_interval), whole):
         _assert_same_flows(variational_flow(sysm, r, 2), want)
+
+
+def test_variational_flow_batches_grow_no_faster_than_their_budget(monkeypatch):
+    # thomas over t = 30 takes 323 steps, most of them split for the flows;
+    # the peak grows with the batch budget by what a batch of steps holds,
+    # which stays within the budget
+    sysm = thomas_controlled()
+    rec = integrate(sysm, [-0.5, 0.5, 0.5], (0.0, 30.0), n_out=2)
+    peaks = []
+    for budget in (64 << 10, 128 << 10):
+        monkeypatch.setattr(indexing, "BATCH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            variational_flow(sysm, rec, 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.5 * (64 << 10)
 
 
 @pytest.mark.parametrize("name", list(_flow_cases()))

@@ -246,6 +246,16 @@ def test_cli_decompose_json_and_csv(tmp_path, capsys):
     assert np.array_equal(rec, expected)
 
 
+def test_cli_refuses_a_missing_config_and_a_zero_decompose_order_exit_2(tmp_path, capsys):
+    assert main(["certify", "--input", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config: ")
+    fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_matrix(fa, -np.eye(2))
+    _write_matrix(fb, -np.eye(3))
+    assert main(["decompose", "--input", str(fa), str(fb), "--k", "0"]) == 2
+    assert capsys.readouterr().err == "error: k must satisfy 1 <= k <= 5, got 0\n"
+
+
 def test_cli_certify_thomas_pass(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -501,6 +511,15 @@ def test_cli_simulate_integration_failure_exit_5(tmp_path):
         )
         assert code == 0
         assert (out / f"traj_{idx:02d}.csv").read_bytes() == (alone / "traj_01.csv").read_bytes()
+
+
+def test_cli_simulate_growth_step_size_underflow_exit_5(tmp_path, capsys):
+    # the stiff cascade's IntegrationError is mapped by main
+    cfg = {"system": "lti_series", "params": {"zeta1": 800.0}, "horizon": 1.0, "n_out": 11,
+           "volume_generators": [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+    code, _ = _simulate_config(tmp_path, "growth", cfg)
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: step-size underflow while integrating")
 
 
 def test_cli_simulate_nan_start_exit_5(tmp_path):
