@@ -237,10 +237,11 @@ def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> d
     The rows are the times x the first box's grid, time-major.  A second
     box's grid is crossed with every row and read only by the last block,
     as J22(t, x1, x2); every other block is sampled once per row.  The rows
-    are walked BATCH_BYTES of Jacobians and crossed columns at a time: each
-    sample's Jacobian is evaluated once and each stack's shape checked
-    once, and each (order, kind) of a block takes one ``compound_measures``
-    call per stack, the kind read at that order by ``_kind_at_order``.
+    are walked BATCH_BYTES of Jacobians, their measures and crossed columns
+    at a time: each sample's Jacobian is evaluated once, each stack's shape
+    checked once, and each (order, kind) of a block keeps one measure a
+    sample from one ``compound_measures`` call per stack, the kind read at
+    that order by ``_kind_at_order``.
     """
     grids = [_grid_samples(box, grid_points, time_grid) for box in domains]
     (points, times), tail = grids[0], grids[1][0] if len(grids) == 2 else None
@@ -251,7 +252,8 @@ def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> d
     ]
     row_t, row_x = np.repeat(times, len(points)), np.tile(points.T, len(times))
     cross = 0 if tail is None else 1 + points.shape[1] + tail.shape[1]  # J22's (t, x1, x2)
-    width = sum(b.dim**2 for b in blocks[:-1]) + (blocks[-1].dim ** 2 + cross) * reps  # floats
+    sample = [b.dim**2 + len(keys) for b, keys in zip(blocks, kinds)]  # a Jacobian, its measures
+    width = sum(sample[:-1]) + (sample[-1] + cross) * reps  # floats
     step = max(1, indexing.BATCH_BYTES // (8 * width))
     worst = dict.fromkeys(pairs, -np.inf)
     for lo in range(0, row_t.size, step):
@@ -314,6 +316,8 @@ def _certify(
     bounds = [b.bounds for b in blocks]
     if analytic and any(b is None for b in bounds):
         raise ValueError("analytic-bounds certification requires entry bounds")
+    if analytic and any(b.bounds.dim != b.dim for b in blocks):
+        raise ValueError("entry bounds must have the dimension of their block")
     if len(blocks) == 1:
         orders = {k: (k,)}
     else:

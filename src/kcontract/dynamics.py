@@ -424,11 +424,10 @@ def volume_growth_rate(
     x0 = _generator_matrix(generators)
     n, k = x0.shape
     index = compound_index(n, k)
-    check_dense_guard(n_out * x0.size, "output grid")  # the sampled columns
-    t_eval = np.linspace(0.0, float(horizon), n_out)
-    runs = integrate_many(sys, x0.T, (0.0, horizon), tol, t_eval=t_eval)
+    runs = integrate_many(sys, x0.T, (0.0, horizon), tol, n_out=n_out)
     if any(rec is None for rec in runs):
         raise IntegrationError(f"step-size underflow while integrating {sys.name}")
+    t_eval = runs[0].times
     columns = np.stack([rec.states for rec in runs], axis=-1)
     if not np.isfinite(columns).all():
         raise ValueError("matrix contains non-finite entries")

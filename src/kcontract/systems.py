@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,11 +113,13 @@ class EntryBounds:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if self.compound is not None:
-            fixed = {}
+            fixed, n = {}, lo.shape[0]
             for k, (clo, chi) in self.compound.items():
                 clo = _interval_matrix(clo, f"compound[{k}].lo")
                 chi = _interval_matrix(chi, f"compound[{k}].hi")
-                if clo.shape != chi.shape or np.any(clo > chi):
+                if not (1 <= int(k) <= n and clo.shape == chi.shape == (comb(n, int(k)),) * 2):
+                    raise ValueError(f"compound bounds for k={k} must be C({n}, k)-square, 1 <= k <= {n}")
+                if np.any(clo > chi):
                     raise ValueError(f"invalid compound bounds for k={k}")
                 fixed[int(k)] = (clo, chi)
             object.__setattr__(self, "compound", fixed)

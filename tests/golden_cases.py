@@ -7,6 +7,10 @@ compares byte for byte.  The references only change when an output change is
 intended; regenerate them then with
 
     PYTHONPATH=src python -m tests.golden_cases tests/golden
+
+CI also runs this module against the installed package, from outside the
+checkout, and diffs what it writes against ``tests/golden/``: a changed,
+missing or extra file fails there, so no case may read the checkout's ``src/``.
 """
 
 from __future__ import annotations

@@ -614,6 +614,61 @@ def test_grid_batches_hold_the_crossed_columns_within_the_budget(monkeypatch):
     assert len(held) > 1 and 8 * max(held) <= 4096
 
 
+def test_grid_batches_hold_the_per_sample_measures_within_the_budget(monkeypatch):
+    # each (order, kind) of a block keeps one measure a sample, and J22 is
+    # sampled once per crossed column, so a batch counts those measures with
+    # the Jacobians: the peak grows by what a batch holds, within the budget
+    def j22(t, x1, x2):
+        return np.full((t.size, 1, 1), -2.0)
+
+    j22._column_form = True
+    model = SeriesModel(
+        sub1=thomas_controlled(D, C_GAIN),
+        dim2=1,
+        f2=lambda t, x1, x2: -2.0 * x2,
+        j22=j22,
+        j21=lambda t, x1, x2: np.ones((1, 3)),
+        j21_mag=np.ones((1, 3)),
+        sub2_domain=Box([-1.0], [1.0]),
+    )
+    peaks = []
+    for budget in (256 << 10, 1 << 20):
+        monkeypatch.setattr(indexing, "BATCH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            certify_series(model, 2, method="grid", grid_points=20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.5 * ((1 << 20) - (256 << 10))
+
+
+def test_analytic_mode_refuses_entry_bounds_of_another_dimension():
+    # bounds of a smaller block passed as a proof for the block they do not
+    # describe: -2 for a 3-state system from 2 x 2 bounds, and [-1, -3] for a
+    # cascade whose 2-state J22 = 5 I carries 1 x 1 bounds
+    single = SystemModel(
+        3, lambda t, x: -x, lambda t, x: -np.eye(3), entry_bounds=EntryBounds(-np.eye(2), -np.eye(2))
+    )
+    with pytest.raises(ValueError, match="dimension of their block"):
+        certify_k_contraction(single, 2)
+    j22 = 5.0 * np.eye(2)
+    series = SeriesModel(
+        sub1=lti(np.diag([-1.0, -2.0])),
+        dim2=2,
+        f2=lambda t, x1, x2: j22 @ x2,
+        j22=lambda t, x1, x2: j22,
+        j21=lambda t, x1, x2: np.zeros((2, 2)),
+        j21_mag=np.zeros((2, 2)),
+        sub2_bounds=EntryBounds([[-3.0]], [[-3.0]]),
+    )
+    with pytest.raises(ValueError, match="dimension of their block"):
+        certify_series(series, 1)
+    pair = replace(_skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]]), bounds1=EntryBounds([[-2.0]], [[-2.0]]))
+    with pytest.raises(ValueError, match="dimension of their block"):
+        certify_skew_feedback(pair, 2)
+
+
 def test_grid_certificate_copies_a_reused_jacobian_buffer():
     base = thomas_controlled(D, C_GAIN)
     buffer = np.empty((3, 3))

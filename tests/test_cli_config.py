@@ -102,6 +102,14 @@ PROBES = [
     ("certify", {"system": "bounds"}, "system 'bounds' requires a 'bounds' object"),
     ("certify", {**BOUNDS, "jacobian_from": {"system": "thomas"}},
      "jacobian_from system dimension does not match bounds"),
+    # compound-level bounds of the wrong size passed (1 x 1 at k = 2 of a 3-state
+    # system, against a worst case of +8 from the entry bounds alone), and an
+    # order above the dimension was read and ignored
+    ("certify", {"system": "bounds", "k": 2, "bounds": {
+        "lo": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "hi": [[-1, 5, 5], [5, -1, 5], [5, 5, -1]],
+        "compound": {"2": {"lo": [[-3]], "hi": [[-3]]}}}}, "compound bounds for k=2 must be C(3, k)-square"),
+    ("certify", {**BOUNDS, "bounds": {**BOUNDS["bounds"], "compound": {"3": {"lo": [[-3]], "hi": [[-3]]}}}},
+     "compound bounds for k=3 must be C(2, k)-square, 1 <= k <= 2"),
 ]
 
 

@@ -93,3 +93,15 @@ def test_series_model_holds_one_coupling_bound():
         systems.SeriesModel(**parts, j21_mag=[[1.0, np.inf]])
     with pytest.raises(TypeError):
         systems.SeriesModel(**parts, j21_sup=1.5)
+
+
+def test_compound_bounds_take_an_order_of_the_system_at_its_compound_size():
+    # compound-level bounds replace the entry bounds' enclosure of J^[k], so
+    # an order outside 1..n or a bound that is not C(n, k)-square is refused
+    lo, hi = -np.eye(3), 5.0 * np.ones((3, 3)) - 6.0 * np.eye(3)
+    one = ([[-3.0]], [[-3.0]])
+    for compound in ({0: one}, {4: one}, {"2": one}, {2: (-np.eye(3), -np.eye(2))}):
+        with pytest.raises(ValueError, match=r"compound bounds for k=\d must be C\(3, k\)-square"):
+            systems.EntryBounds(lo, hi, compound)
+    bounds = systems.EntryBounds(lo, hi, {"2": (-np.eye(3), -np.eye(3)), 3: one})
+    assert list(bounds.compound) == [2, 3]
