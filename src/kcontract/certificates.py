@@ -294,6 +294,7 @@ def _certify(
     """Evaluate the split conditions of the diagonal ``blocks`` (``_Block``)
     of one certificate.
 
+    An order k outside 1..(the sum of the block dimensions) is refused.
     One block has the one condition i = k, bounding mu(J^[k]); two blocks
     of dimensions n and m have i in ``block_range(k, n, m)``, condition i
     bounding mu(J1^[k-i]) + mu(J2^[i]).  A condition passes at a bound of
@@ -310,14 +311,15 @@ def _certify(
     rate is min_i eta_i.  The notes are ``notes`` and then those of
     epsilon_star.
     """
+    dim = sum(b.dim for b in blocks)
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must satisfy 1 <= k <= {dim}, got {k}")
     if method not in ("analytic", "grid"):
         raise ValueError(f"unknown certification method {method!r}")
     analytic = method == "analytic"
     bounds = [b.bounds for b in blocks]
     if analytic and any(b is None for b in bounds):
         raise ValueError("analytic-bounds certification requires entry bounds")
-    if analytic and any(b.bounds.dim != b.dim for b in blocks):
-        raise ValueError("entry bounds must have the dimension of their block")
     if len(blocks) == 1:
         orders = {k: (k,)}
     else:
@@ -383,11 +385,7 @@ def certify_k_contraction(
     alike: an n x n scaling at k >= 2 is a positive diagonal state scaling,
     lifted to the compound space, and a C(n, k)-square one is used as given.
     """
-    n = sys.state_dim
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-
-    block = _Block(sys.entry_bounds, n, sys.jacobians)
+    block = _Block(sys.entry_bounds, sys.state_dim, sys.jacobians)
     rep = _certify(sys.name, k, method, grid_points, time_grid, kind, (block,), (sys.domain,))
     if method == "grid":
         rep.notes.append("sampled (not a proof): bound is the maximum over sampled domain points")
@@ -452,12 +450,9 @@ def certify_series(
     pass the report carries epsilon_star realizing the scaled norm of the
     construction and the certified rate min_i eta_i / 2.
     """
-    n, m = model.dim1, model.dim2
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
     blocks = (
-        _Block(model.sub1.entry_bounds, n, model.sub1.jacobians),
-        _Block(model.sub2_bounds, m, partial(jacobian_stack, model.j22)),
+        _Block(model.sub1.entry_bounds, model.dim1, model.sub1.jacobians),
+        _Block(model.sub2_bounds, model.dim2, partial(jacobian_stack, model.j22)),
     )
     domains = (model.sub1.domain, model.sub2_domain)
     rep = _certify(
@@ -505,12 +500,9 @@ def certify_skew_feedback(
     J21 = -c J12^T, which ``FeedbackModel`` holds by construction; measures
     are fixed to L2, under which the skew coupling cancels in the symmetric
     part."""
-    n, m = pair.dim1, pair.dim2
-    if not 1 <= k <= n + m:
-        raise ValueError(f"k must satisfy 1 <= k <= {n + m}, got {k}")
     blocks = (
-        _Block(pair.bounds1, n, partial(jacobian_stack, pair.j11)),
-        _Block(pair.bounds2, m, partial(jacobian_stack, pair.j22)),
+        _Block(pair.bounds1, pair.dim1, partial(jacobian_stack, pair.j11)),
+        _Block(pair.bounds2, pair.dim2, partial(jacobian_stack, pair.j22)),
     )
     note = f"skew coupling J21 = -c J12^T holds by construction (c = {pair.c:g})"
     rep = _certify(

@@ -361,8 +361,6 @@ def _system_from_config(conf: dict):
     eb = EntryBounds(spec["lo"], spec["hi"], compound)
     if domain is not None:
         domain = systems.Box(domain["lo"], domain["hi"])
-        if domain.dim != eb.dim:
-            raise ValueError("domain dimension does not match bounds")
     # user bounds may borrow the vector field / Jacobian of a built-in
     if conf["jacobian_from"] is not None:
         donor = _system_from_config(conf["jacobian_from"])

@@ -145,6 +145,14 @@ class EntryBounds:
         return add_compound_interval(self.lo, self.hi, k)
 
 
+def _require_dims(model, **dims) -> None:
+    """Refuse each named box or entry bounds of ``model`` not of its ``dim``."""
+    for name, dim in dims.items():
+        value = getattr(model, name)
+        if value is not None and value.dim != dim:
+            raise ValueError(f"{name} has dimension {value.dim}, expected {dim}")
+
+
 @dataclass
 class SystemModel:
     """A (possibly time-varying) ODE system with Jacobian and domain data.
@@ -152,7 +160,8 @@ class SystemModel:
     ``f`` follows the states-as-columns contract of this module; a field that
     only takes 1-D states still works with ``integrate``, which integrates one
     start at a time.  ``jacobian`` takes one state; ``jacobians`` evaluates
-    it at many.
+    it at many.  Dimensions are checked when the model is built, and by
+    ``dataclasses.replace``, but not when a field is assigned later.
     """
 
     state_dim: int
@@ -161,6 +170,9 @@ class SystemModel:
     domain: Optional[Box] = None
     entry_bounds: Optional[EntryBounds] = None
     name: str = "system"
+
+    def __post_init__(self):
+        _require_dims(self, domain=self.state_dim, entry_bounds=self.state_dim)
 
     def jacobians(self, t, xs) -> np.ndarray:
         """The (S, n, n) stack of Jacobians at the columns of ``xs`` (n, S),
@@ -201,6 +213,7 @@ class SeriesModel:
     The stacked Jacobian is block lower-triangular with blocks J11(t, x1),
     J21(t, x), J22(t, x).  ``j21_mag``, the one coupling bound, is a finite
     dim2 x dim1 matrix bounding |J21| entrywise over the domain and all t.
+    Shapes are checked when the model is built, not on a later assignment.
     """
 
     sub1: SystemModel
@@ -219,6 +232,7 @@ class SeriesModel:
         if mag.shape != (self.dim2, self.dim1):
             raise ValueError(f"j21_mag must be {self.dim2}x{self.dim1}, got {mag.shape}")
         self.j21_mag = mag
+        _require_dims(self, sub2_bounds=self.dim2, sub2_domain=self.dim2)
 
     @property
     def dim1(self) -> int:
@@ -263,12 +277,11 @@ class FeedbackModel:
 
     The coupling block is derived from ``j12`` and ``c``, so the skew
     identity holds by construction.  Evaluators take (t, x) with x the
-    stacked state.
+    stacked state.  Dimensions are checked when the model is built.
     """
 
     dim1: int
     dim2: int
-    f: Callable[[float, np.ndarray], np.ndarray]
     j11: Callable[[float, np.ndarray], np.ndarray]
     j12: Callable[[float, np.ndarray], np.ndarray]
     j22: Callable[[float, np.ndarray], np.ndarray]
@@ -281,6 +294,7 @@ class FeedbackModel:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"the skew gain c must be positive, got {self.c!r}")
+        _require_dims(self, domain=self.dim1 + self.dim2, bounds1=self.dim1, bounds2=self.dim2)
 
     def j21(self, t, x) -> np.ndarray:
         """The coupling block -c J12(t, x)^T."""
@@ -310,13 +324,6 @@ STANDARD_INITIAL_CONDITIONS = np.array(
         [0.5, -0.5, -2.0],
     ]
 )
-
-
-def standard_initial_conditions_file():
-    """Path of the shipped fixture CSV with the nine initial conditions."""
-    from pathlib import Path
-
-    return Path(__file__).parent / "data" / "standard_initial_conditions.csv"
 
 
 def thomas_controller_gain(d: float) -> float:

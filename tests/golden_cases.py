@@ -188,7 +188,6 @@ def _skew_pair() -> FeedbackModel:
     return FeedbackModel(
         dim1=2,
         dim2=2,
-        f=lambda t, x: np.zeros(4),
         j11=lambda t, x: np.array([[-2.0 - 0.1 * x[0] ** 2, 0.2 * x[1]], [-0.2 * x[1], -2.0]]),
         j12=lambda t, x: r12(x),
         j22=lambda t, x: np.array([[-3.0, 0.3 * x[0]], [0.0, -2.5 + 0.1 * np.cos(x[3])]]),

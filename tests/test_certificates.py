@@ -345,16 +345,9 @@ def _skew_pair(c: float, r12):
     j11 = -2.0 * np.eye(2)
     j22 = -3.0 * np.eye(2)
     r12 = np.asarray(r12, dtype=float)
-
-    def f(t, x):
-        top = j11 @ x[:2] + r12 @ x[2:]
-        bottom = -c * r12.T @ x[:2] + j22 @ x[2:]
-        return np.concatenate([top, bottom])
-
     return FeedbackModel(
         dim1=2,
         dim2=2,
-        f=f,
         j11=lambda t, x: j11,
         j12=lambda t, x: r12,
         j22=lambda t, x: j22,
@@ -382,7 +375,7 @@ def test_skew_feedback_coupling_violation_rejected():
     assert np.array_equal(pair.j21(0.0, x), -4.0 * r12.T)
     assert "skew coupling" in certify_skew_feedback(pair, 2).notes[0]
     with pytest.raises(TypeError, match="j21"):
-        FeedbackModel(2, 2, pair.f, pair.j11, pair.j12, pair.j22, 4.0, j21=pair.j21)
+        FeedbackModel(2, 2, pair.j11, pair.j12, pair.j22, 4.0, j21=pair.j21)
     for gain in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="skew gain"):
             _skew_pair(gain, r12)
@@ -405,7 +398,6 @@ def _nonlinear_skew_pair():
     return FeedbackModel(
         dim1=2,
         dim2=2,
-        f=lambda t, x: np.zeros(4),
         j11=j11,
         j12=lambda t, x: r12(x),
         j22=lambda t, x: np.diag([-3.0 + 0.2 * np.sin(x[3] + t), -3.0]),
@@ -644,29 +636,40 @@ def test_grid_batches_hold_the_per_sample_measures_within_the_budget(monkeypatch
 
 
 def test_analytic_mode_refuses_entry_bounds_of_another_dimension():
-    # bounds of a smaller block passed as a proof for the block they do not
-    # describe: -2 for a 3-state system from 2 x 2 bounds, and [-1, -3] for a
-    # cascade whose 2-state J22 = 5 I carries 1 x 1 bounds
-    single = SystemModel(
-        3, lambda t, x: -x, lambda t, x: -np.eye(3), entry_bounds=EntryBounds(-np.eye(2), -np.eye(2))
-    )
-    with pytest.raises(ValueError, match="dimension of their block"):
-        certify_k_contraction(single, 2)
-    j22 = 5.0 * np.eye(2)
-    series = SeriesModel(
-        sub1=lti(np.diag([-1.0, -2.0])),
-        dim2=2,
-        f2=lambda t, x1, x2: j22 @ x2,
-        j22=lambda t, x1, x2: j22,
-        j21=lambda t, x1, x2: np.zeros((2, 2)),
-        j21_mag=np.zeros((2, 2)),
-        sub2_bounds=EntryBounds([[-3.0]], [[-3.0]]),
-    )
-    with pytest.raises(ValueError, match="dimension of their block"):
-        certify_series(series, 1)
-    pair = replace(_skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]]), bounds1=EntryBounds([[-2.0]], [[-2.0]]))
-    with pytest.raises(ValueError, match="dimension of their block"):
-        certify_skew_feedback(pair, 2)
+    # a box or entry bounds that do not describe their state or block are
+    # refused when the model is built, so no certifier bounds or samples with
+    # them: 2 x 2 bounds or a 2-dim box for a 3-state system (one built
+    # directly, one thomas_controlled), 1 x 1 bounds or a 1-dim box for a
+    # cascade's 2-state J22, and each box or bounds of a 2 + 2 feedback
+    # pair; every Jacobian here raises if it is ever evaluated
+    def never(*args):
+        raise AssertionError("a Jacobian was evaluated")
+
+    square, small = Box([-1.0, -1.0], [1.0, 1.0]), EntryBounds([[-3.0]], [[-3.0]])
+    series = replace(lti_series_zeta(-1.5), j22=never)
+    pair = replace(_skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]]), j11=never, j22=never)
+    planar = EntryBounds(-np.eye(2), -np.eye(2))
+    builds = [
+        ("entry_bounds", lambda: SystemModel(3, lambda t, x: -x, never, entry_bounds=planar)),
+        ("domain", lambda: SystemModel(3, lambda t, x: -x, never, domain=square)),
+        ("domain", lambda: replace(thomas_controlled(D, C_GAIN), jacobian=never, domain=square)),
+        ("sub2_bounds", lambda: replace(series, sub2_bounds=small)),
+        ("sub2_domain", lambda: replace(series, sub2_domain=Box([-1.0], [1.0]))),
+        ("domain", lambda: replace(pair, domain=Box([-1.0] * 3, [1.0] * 3))),
+        ("bounds1", lambda: replace(pair, bounds1=small)),
+        ("bounds2", lambda: replace(pair, bounds2=EntryBounds(-np.eye(3), -np.eye(3)))),
+    ]
+    for name, build in builds:
+        with pytest.raises(ValueError, match=f"^{name} has dimension"):
+            build()
+
+
+def test_a_single_system_certificate_refuses_an_order_out_of_range():
+    sysm = _boxed_lti(np.diag([-1.0, -2.0]))
+    for k in (0, 3):
+        for method in ("analytic", "grid"):
+            with pytest.raises(ValueError, match=f"k must satisfy 1 <= k <= 2, got {k}"):
+                certify_k_contraction(sysm, k, method=method)
 
 
 def test_grid_certificate_copies_a_reused_jacobian_buffer():

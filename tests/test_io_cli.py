@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_cli_simulate_refuses_a_domain_of_another_dimension(tmp_path, capsys):
         "domain": {"lo": [-1.0] * 3, "hi": [1.0] * 3}, "initial_conditions": [[0.1, 0.2]],
     }))
     assert main(["simulate", "--input", str(cfg), "--output", str(tmp_path / "out")]) == 2
-    assert "domain dimension does not match bounds" in capsys.readouterr().err
+    assert "domain has dimension 3, expected 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("start, inside", [([0.5, -0.5, 0.5], True), ([9.0, 9.0, 9.0], False)])
@@ -674,9 +675,8 @@ def test_cli_certify_user_bounds_config(tmp_path, capsys):
 
 def test_standard_initial_conditions_fixture_matches_constant():
     from kcontract import STANDARD_INITIAL_CONDITIONS
-    from kcontract.systems import standard_initial_conditions_file
 
-    on_disk = matio.load_matrix(standard_initial_conditions_file())
+    on_disk = matio.load_matrix(files("kcontract") / "data" / "standard_initial_conditions.csv")
     assert np.array_equal(on_disk, STANDARD_INITIAL_CONDITIONS)
 
 
