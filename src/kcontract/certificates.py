@@ -308,8 +308,9 @@ def _certify(
     norm measures each block in a plain Lp norm.  ``coupling``, the m x n
     matrix bounding a series coupling block |J21| entry by entry, makes a
     pass report epsilon_star and the rate min_i eta_i / 2, and otherwise the
-    rate is min_i eta_i.  The notes are ``notes`` and then those of
-    epsilon_star.
+    rate is min_i eta_i.  The notes are ``notes``, then on such a pass
+    those of epsilon_star and the outer norm, then in grid mode the sampled
+    note.
     """
     dim = sum(b.dim for b in blocks)
     if not 1 <= k <= dim:
@@ -357,7 +358,10 @@ def _certify(
     if passed and coupling is not None:
         eps, eps_notes = _series_epsilon_star(coupling, k, conditions)
         notes.extend(eps_notes)
+        notes.append("outer norm of the hierarchic construction defaults to Linf")
         rate /= 2.0
+    if not analytic:
+        notes.append("sampled (not a proof): bound is the maximum over sampled domain points")
     verdict = ("pass" if analytic else "inconclusive") if passed else "fail"
     return CertificateReport(
         verdict, k, conditions, label, name, epsilon_star=eps, rate=rate, notes=notes
@@ -386,10 +390,7 @@ def certify_k_contraction(
     lifted to the compound space, and a C(n, k)-square one is used as given.
     """
     block = _Block(sys.entry_bounds, sys.state_dim, sys.jacobians)
-    rep = _certify(sys.name, k, method, grid_points, time_grid, kind, (block,), (sys.domain,))
-    if method == "grid":
-        rep.notes.append("sampled (not a proof): bound is the maximum over sampled domain points")
-    return rep
+    return _certify(sys.name, k, method, grid_points, time_grid, kind, (block,), (sys.domain,))
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +456,9 @@ def certify_series(
         _Block(model.sub2_bounds, model.dim2, partial(jacobian_stack, model.j22)),
     )
     domains = (model.sub1.domain, model.sub2_domain)
-    rep = _certify(
+    return _certify(
         model.name, k, method, grid_points, time_grid, per_i_kinds, blocks, domains, model.j21_mag
     )
-    if rep.verdict == "fail":
-        worst = min(rep.conditions, key=lambda c: c.margin)
-        rep.notes.append(f"condition violated at i={worst.index} (bound {worst.bound:.6g})")
-        return rep
-    rep.notes.append("outer norm of the hierarchic construction defaults to Linf")
-    if rep.verdict == "inconclusive":
-        rep.notes.append("sampled (not a proof): bounds are maxima over sampled domain points")
-    return rep
 
 
 def series_conjugated_compound_measure(
@@ -505,12 +498,9 @@ def certify_skew_feedback(
         _Block(pair.bounds2, pair.dim2, partial(jacobian_stack, pair.j22)),
     )
     note = f"skew coupling J21 = -c J12^T holds by construction (c = {pair.c:g})"
-    rep = _certify(
+    return _certify(
         pair.name, k, method, grid_points, time_grid, L2, blocks, (pair.domain,), notes=[note]
     )
-    if rep.verdict == "inconclusive":
-        rep.notes.append("sampled (not a proof)")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +557,4 @@ def certify_exp_input(
             "k = 2: every bounded trajectory of the closed loop converges to "
             "the set of equilibria of the augmented time-invariant system"
         )
-    if rep.verdict == "inconclusive":
-        rep.notes.append("sampled (not a proof)")
     return rep

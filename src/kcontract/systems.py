@@ -211,9 +211,10 @@ class SeriesModel:
     """Cascade where sub-system 1 drives sub-system 2.
 
     The stacked Jacobian is block lower-triangular with blocks J11(t, x1),
-    J21(t, x), J22(t, x).  ``j21_mag``, the one coupling bound, is a finite
-    dim2 x dim1 matrix bounding |J21| entrywise over the domain and all t.
-    Shapes are checked when the model is built, not on a later assignment.
+    J21(t, x), J22(t, x).  ``j21_mag``, the one coupling bound, is a finite,
+    nonnegative dim2 x dim1 matrix bounding |J21| entrywise over the domain
+    and all t.  Shapes are checked when the model is built, not on a later
+    assignment.
     """
 
     sub1: SystemModel
@@ -225,12 +226,14 @@ class SeriesModel:
     sub2_bounds: Optional[EntryBounds] = None
     sub2_domain: Optional[Box] = None
     name: str = "series"
-    _full: Optional[SystemModel] = field(default=None, repr=False)
+    _full: Optional[SystemModel] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mag = as_matrix(self.j21_mag, "j21_mag")
         if mag.shape != (self.dim2, self.dim1):
             raise ValueError(f"j21_mag must be {self.dim2}x{self.dim1}, got {mag.shape}")
+        if (mag < 0).any():
+            raise ValueError("j21_mag bounds |J21| and must be nonnegative")
         self.j21_mag = mag
         _require_dims(self, sub2_bounds=self.dim2, sub2_domain=self.dim2)
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -211,6 +212,11 @@ def test_full_system_of_a_hand_built_series_stacks_its_blocks():
         )
         assert np.array_equal(full.f(t, x), f)
         assert np.array_equal(full.jacobian(t, x), jac)
+    # a replaced cascade stacks its own blocks, not the original's
+    swapped = replace(lti_series_zeta(-1.5), j22=lambda t, x1, x2: -5.0 * np.eye(2))
+    x = np.array([0.3, -0.2, 0.5, 0.1])
+    assert np.array_equal(swapped.full_system().jacobian(0.0, x), swapped.jacobian_full(0.0, x))
+    assert np.array_equal(np.diag(swapped.full_system().jacobian(0.0, x)), [1.0, -2.0, -5.0, -5.0])
 
 
 def test_saturating_cascade_coupling_stays_inside_its_magnitude_bounds():
@@ -770,3 +776,47 @@ def test_a_scaling_of_neither_size_is_refused_in_both_modes():
             certify_k_contraction(sysm, 2, kind=MeasureKind("inf", np.eye(4) + 0.1), method=method)
         with pytest.raises(ValueError, match="must be positive"):
             certify_k_contraction(sysm, 2, kind=MeasureKind("inf", -np.eye(4)), method=method)
+
+
+_SAMPLED = "sampled (not a proof): bound is the maximum over sampled domain points"
+_OUTER = "outer norm of the hierarchic construction defaults to Linf"
+
+
+def _boxed_series(zeta):
+    model = lti_series_zeta(zeta)
+    sub1 = replace(model.sub1, domain=Box([-1.0] * 2, [1.0] * 2))
+    return replace(model, sub1=sub1, sub2_domain=Box([-1.0] * 2, [1.0] * 2))
+
+
+def _boxed_skew(j11):
+    pair = replace(_skew_pair(4.0, [[0.7, -1.1], [0.4, 0.2]]), domain=Box([-1.0] * 4, [1.0] * 4))
+    return replace(pair, j11=lambda t, x: j11, bounds1=EntryBounds(j11, j11))
+
+
+def _note_cases():
+    # name: (certifier call, passes, has a coupling block); each certifier
+    # once passing and once failing
+    lti2 = _boxed_lti(-np.diag([3.0, 4.0]))
+    return {
+        "single-pass": (partial(certify_k_contraction, _boxed_lti(-np.eye(2)), 1), True, False),
+        "single-fail": (partial(certify_k_contraction, _boxed_lti(np.eye(2)), 1), False, False),
+        "series-pass": (partial(certify_series, _boxed_series(-1.5), 2), True, True),
+        "series-fail": (partial(certify_series, _boxed_series(-0.5), 2), False, True),
+        "skew-pass": (partial(certify_skew_feedback, _boxed_skew(-np.eye(2)), 1), True, False),
+        "skew-fail": (partial(certify_skew_feedback, _boxed_skew(np.eye(2)), 1), False, False),
+        "exp_input-pass": (partial(certify_exp_input, lti2, 0.5, -1.0, 2), True, True),
+        "exp_input-fail": (partial(certify_exp_input, lti2, 0.5, 5.0, 2), False, True),
+    }
+
+
+@pytest.mark.parametrize("method", ["analytic", "grid"])
+@pytest.mark.parametrize("case", sorted(_note_cases()))
+def test_the_core_writes_the_sampled_and_outer_norm_notes_by_one_rule(case, method):
+    # every grid report says once that it is sampled, whatever its verdict;
+    # every pass with a coupling block names the outer norm of epsilon_star once
+    certify, passes, coupled = _note_cases()[case]
+    rep = certify(method=method, grid_points=2)
+    assert (rep.verdict != "fail") == passes
+    assert rep.notes.count(_SAMPLED) == (method == "grid")
+    assert rep.notes.count(_OUTER) == (passes and coupled)
+    assert not [n for n in rep.notes if "sampled" in n and n != _SAMPLED]

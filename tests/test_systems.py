@@ -91,6 +91,8 @@ def test_series_model_holds_one_coupling_bound():
         systems.SeriesModel(**parts, j21_mag=np.ones((2, 1)))
     with pytest.raises(ValueError, match="non-finite"):
         systems.SeriesModel(**parts, j21_mag=[[1.0, np.inf]])
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        systems.SeriesModel(**parts, j21_mag=[[1.0, -0.5]])
     with pytest.raises(TypeError):
         systems.SeriesModel(**parts, j21_sup=1.5)
 
