@@ -196,13 +196,13 @@ _DP_E = _DP_B5 - _DP_B4
 #: Row s of the tableau restricted to the s earlier stages and the nodes as
 #: floats: the stepper reads them once per stage.  The nodes as a column give
 #: all stage times of many rows in one product.  The stages with a nonzero
-#: 5th-order weight, and those weights as a column, give the 5th-order
-#: increment as one product and one sum over the stage axis.
+#: 5th-order weight, and those weights (repeated over n entries per solve),
+#: give the 5th-order increment as one product and one sum over the stage
+#: axis.
 _DP_ROWS = tuple(_DP_A[s, :s] for s in range(7))
 _DP_NODES = tuple(_DP_C.tolist())
 _DP_C_COL = _DP_C[:, None]
 _B5_STAGES = np.flatnonzero(_DP_B5)
-_B5_COL = _DP_B5[_B5_STAGES, None]
 _B5_WEIGHTS = tuple(_DP_B5[_B5_STAGES].tolist())
 
 #: The most error entries (live rows times n) whose attempt ``rk45_solve``
@@ -225,10 +225,10 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     ``x0`` is one start, shape (n,), or a stack of starts, shape (B, n).  Each
     row keeps its own time, step size, accept/reject decision and output
     index.  ``f`` is called once per stage for all A live rows with the
-    states as columns: ``f(t, x)`` with ``x`` the transposed view of a
-    C-contiguous (A, n) stack, so of shape (n, A) with rows strided, and
-    ``t`` of shape (A,), returning (n, A).  While one row is live it gets the
-    1-D (n,) state and a float ``t``.  So a row's result is bitwise the same
+    states as columns: ``f(t, x)`` with ``x`` a C-contiguous (n, A) copy of
+    the live rows' (A, n) stack and ``t`` of shape (A,), returning (n, A).
+    While one row is live it gets the 1-D (n,) state and a float ``t``.  So
+    a row's result is bitwise the same
     as its own B = 1 run whenever ``f`` computes each column as it computes a
     1-D state, as the built-in fields do: each is one whole-array expression
     that takes either form (the linear field is one gemv per column).
@@ -245,6 +245,14 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     the weighted stages and one sum over the stage axis, added in stage
     order for one row and for a stack alike; and |x| for the error scale is
     the accepted step's |xnew|, not computed again.
+
+    On a stack the field gets a contiguous copy of the stage states, each
+    row's h is repeated over its n entries once per attempt, so that the
+    stage points, the 5th-order solution and the error estimate are scaled
+    by an array of their own shape, and the 5th-order weights are repeated
+    over n entries once per solve.  On arrays this small numpy's strided and
+    broadcast inner loops cost more than those copies; the operands and
+    their order are unchanged, so every bit is too.
 
     While the live rows hold at most ``_FLOAT_TAIL`` = 9 error entries (rows
     times n) and n < 8, the attempt's tail, the 5th-order solution and the
@@ -296,7 +304,7 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     # a row whose states overflow or turn NaN ends with status 1, which
     # reports it; numpy's warnings about it would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T).T
+        k[:, 0] = f(t[0], x[0]) if n_rows == 1 else f(np.array(t), x.T.copy()).T
         scale = tol + tol * np.abs(x)
         d0 = np.sqrt(np.add.reduce((x / scale) ** 2, axis=1) / n).tolist()
         d1 = np.sqrt(np.add.reduce((k[:, 0] / scale) ** 2, axis=1) / n).tolist()
@@ -306,6 +314,7 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
         # while at most this many rows are live, an attempt ends on Python floats
         float_rows = _FLOAT_TAIL // n if n < 8 else 0
         b0, b2, b3, b4, b5 = _B5_WEIGHTS
+        b5_rows = np.array(_B5_WEIGHTS).repeat(n).reshape(5, n)
         while True:
             # retire finished and underflowed rows; size the next step of the rest
             h, hit, drop = [], [], []
@@ -329,19 +338,19 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
                 live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
             one = n_live == 1
             if one:
-                h_col = h[0]
-                ts = [t[0] + c * h_col for c in _DP_NODES]
+                h_x = h[0]
+                ts = [t[0] + c * h_x for c in _DP_NODES]
             else:
                 h_now = np.array(h)
-                h_col = h_now[:, None]
+                h_x = h_now.repeat(n).reshape(n_live, n)  # each row's h, per entry
                 ts = np.array(t) + _DP_C_COL * h_now  # (7, A): row s is stage s's times
             points = [x]
             for s in range(1, 7):
                 # x + h * (row . lead), the product scaled and shifted in place
                 xs = _DP_ROWS[s].dot(lead[s]) if one else _DP_ROWS[s] @ lead[s]
-                xs *= h_col
+                xs *= h_x
                 xs += x
-                stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T).T
+                stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T.copy()).T
                 if record is not None:
                     points.append(xs)
             # stage 6 evaluation point is the 5th-order solution itself:
@@ -366,12 +375,12 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
                     rows.append(row)
                 xnew = ax_new = None
             else:
-                xnew = np.add.reduce(_B5_COL * k.take(_B5_STAGES, -2), axis=-2)
-                xnew *= h_col
+                xnew = np.add.reduce(b5_rows * k.take(_B5_STAGES, -2), axis=-2)
+                xnew *= h_x
                 xnew += x
                 ax_new = np.abs(xnew)
                 q = _DP_E @ k
-                q *= h_col
+                q *= h_x
                 q /= tol + tol * np.maximum(ax, ax_new)
                 q *= q
                 # each row's RMS norm finished on Python floats: / and sqrt are

@@ -119,10 +119,12 @@ def integrate_many(
     lockstep over ``t_span`` and sample at ``t_eval``, with ``tol`` > 0 as
     both the relative and the absolute tolerance.
 
-    ``sys.f`` must take states as columns.  Returns one record per start,
-    or None for a start whose step size underflowed; the other starts are
-    not affected by it.  Escaping a declared invariant box triggers a
-    warning, not a failure.
+    ``sys.f`` must take states as columns: it gets the A live starts as a
+    C-contiguous (n, A) array and their times as an (A,) array, or one
+    start as an (n,) state and a float time (see ``rk45_solve``).  Returns
+    one record per start, or None for a start whose step size underflowed;
+    the other starts are not affected by it.  Escaping a declared invariant
+    box triggers a warning, not a failure.
     """
     return _integrate(sys, x0s, t_span, tol, n_out, t_eval)
 

@@ -191,8 +191,8 @@ def _written_out_thomas_field(name, d, c, alpha, b):
 
 def _state_layouts(rng, n):
     """One state as (n,) and as a list, then for A = 1, 2, 9 a C-contiguous
-    (n, A) stack and the transposed view of a C-contiguous (A, n) stack, the
-    form the lockstep stepper passes."""
+    (n, A) stack, the form the lockstep stepper passes, and the transposed
+    view of a C-contiguous (A, n) stack."""
     def draw(*columns):
         # Thomas rows anywhere around the invariant box, an exponential row in (0, 1)
         return np.concatenate([rng.uniform(-6.0, 6.0, (3, *columns)),

@@ -1,7 +1,5 @@
 """CLI outputs and certificate dumps stay byte-identical to tests/golden/."""
 
-import os
-import platform
 import re
 import subprocess
 import sys
@@ -9,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tests.blas_kernel import KERNEL_DEPENDENT_GOLDENS, openblas_core
+from tests.blas_kernel import KERNEL_DEPENDENT_GOLDENS
 from tests.golden_cases import GOLDEN_DIR, all_cases
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,22 +36,11 @@ def test_readme_names_the_kernel_dependent_goldens():
     assert sorted(names) == sorted(KERNEL_DEPENDENT_GOLDENS)
 
 
-@pytest.mark.skipif(
-    platform.machine().lower() not in ("x86_64", "amd64") or openblas_core() is None,
-    reason="needs numpy's bundled OpenBLAS on x86-64",
-)
-def test_only_the_named_goldens_depend_on_the_blas_kernel(tmp_path):
-    # regenerate every golden on OpenBLAS's Haswell kernel, in a child process
-    # since the kernel is chosen when numpy loads
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
-    code = "from tests.blas_kernel import openblas_core; print(openblas_core())"
-    core = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    if core.stdout.strip() != "Haswell":
-        pytest.skip(f"OpenBLAS runs {core.stdout.strip()!r}, not Haswell, when asked for it")
+def test_only_the_named_goldens_depend_on_the_blas_kernel(haswell_env, tmp_path):
+    # regenerate every golden on OpenBLAS's Haswell kernel
     subprocess.run(
         [sys.executable, "-m", "tests.golden_cases", str(tmp_path)],
-        env=env,
+        env=haswell_env,
         cwd=ROOT,
         check=True,
         capture_output=True,

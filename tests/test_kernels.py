@@ -1,7 +1,13 @@
 """The numpy kernels: fixed-step RK4 order, adaptive-step failure, the
 lockstep Dormand-Prince stepper's per-row parity across its numpy and
-Python-float tails, its step record and its accuracy against an
-independent solver."""
+Python-float tails and on a second BLAS kernel, the contiguous columns it
+hands a field, its step record and its accuracy against an independent
+solver."""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from kcontract.systems import (
     thomas_controller_gain,
     thomas_perturbed,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_rk4_fixed_order():
@@ -59,16 +67,67 @@ def _lockstep_cases():
 @pytest.mark.parametrize("horizon, n_out", [(0.5, 2), (6.0, 7), (12.0, 241), (20.0, 201)])
 def test_lockstep_rows_equal_their_single_start_runs(name, horizon, n_out):
     # the starts need different step counts, so rows leave the batch at
-    # different times; each row must still be bitwise its own B = 1 run
+    # different times; each row must still be bitwise its own B = 1 run.
+    # Every 2-D state the field gets is a C-contiguous (n, A) array with an
+    # (A,) time.
     sysm, starts = _lockstep_cases()[name]
+    seen = []
+
+    def recording(t, x):
+        if x.ndim == 2:
+            seen.append((x.shape, x.flags.c_contiguous, np.shape(t)))
+        return sysm.f(t, x)
+
     t_eval = np.linspace(0.0, horizon, n_out)
-    status, states = _kernels.rk45_solve(sysm.f, starts, t_eval, 1e-10)
+    status, states = _kernels.rk45_solve(recording, starts, t_eval, 1e-10)
+    assert max(shape[1] for shape, _, _ in seen) == starts.shape[0]
+    for shape, contiguous, t_shape in seen:
+        assert shape[0] == starts.shape[1] and contiguous and t_shape == shape[1:]
     assert states.shape == (starts.shape[0], n_out, starts.shape[1])
     assert status.tolist() == [0] * starts.shape[0]
     for start, row in zip(starts, states):
         single_status, single = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10)
         assert single_status == 0
         assert np.array_equal(row, single)
+
+
+def _stack_mismatches():
+    """The number of rows in a fig2-shaped, a fig3-shaped and an ``lti``
+    stack, and the (case, row) pairs among them that differ from their own
+    B = 1 runs."""
+    starts = np.random.default_rng(3).uniform(-2.0, 2.0, (9, 3))
+    rng = np.random.default_rng(6)
+    a, lti_starts = rng.normal(size=(5, 5)) - 2.0 * np.eye(5), rng.normal(size=(4, 5))
+    stacks = {
+        "fig2": (thomas(THOMAS_D), starts),
+        "fig3": (thomas_perturbed(), np.hstack([starts, np.ones((9, 1))])),
+        "lti": (lti(a), lti_starts * [[1e-3], [1.0], [1e2], [1e4]]),
+    }
+    t_eval = np.linspace(0.0, 8.0, 81)
+    rows, mismatches = 0, []
+    for name, (sysm, stack) in stacks.items():
+        status, states = _kernels.rk45_solve(sysm.f, stack, t_eval, 1e-10)
+        for j, start in enumerate(stack):
+            single_status, single = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10)
+            rows += 1
+            if status[j] != single_status or not np.array_equal(states[j], single):
+                mismatches.append((name, j))
+    return rows, mismatches
+
+
+def test_the_lockstep_contract_holds_on_a_second_blas_kernel(haswell_env):
+    # the stage products are BLAS gemvs, whose bits follow the kernel; on
+    # each kernel a stack's row must still be its own B = 1 run
+    code = "from tests.test_kernels import _stack_mismatches; print(_stack_mismatches())"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env=haswell_env,
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    assert ast.literal_eval(child.stdout.strip()) == (22, [])
 
 
 def test_lockstep_keeps_the_symmetric_start_on_the_diagonal():

@@ -78,6 +78,22 @@ def test_dump_json_fixed_cases():
         assert matio.dump_json(obj) == _stdlib(obj)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-320, 0.1, 1e16, 1e300, np.float64(-1.5),
+     10**30, -(10**19), 2**63, True, False, None, "", "\"q\" back\\slash\ttab\nnew\x00\x1f\x7f",
+     "ü π ≈ 3.14 日本 \U0001f600", "\ud800 lone surrogate"],
+)
+def test_scalars_outside_flat_lists_match_stdlib(value):
+    # a scalar in a dict, in a list beside a container, alone, and as a key
+    # is written on its own, not by one C-encoder call per flat list
+    obj = {"v": value, "list": [value, {}, [value]], "nested": {"w": [[value], value]}}
+    assert matio.dump_json(obj) == _stdlib(obj)
+    assert matio.dump_json(value) == _stdlib(value)
+    key_obj = {value: 1, "k": {value: [value, {}]}}
+    assert matio.dump_json(key_obj) == _stdlib(key_obj)
+
+
 @pytest.mark.parametrize("obj", [{(1, 2): 3}, {"a": {frozenset(): 1}}, [np.int64(3)], {"a": object()}])
 def test_dump_json_rejects_what_stdlib_rejects(obj):
     with pytest.raises(TypeError) as stdlib_error:
@@ -446,7 +462,7 @@ def _reference_trajectory_csv(rec) -> str:
 
 
 @pytest.mark.parametrize("b", [1, 2, 9])
-@pytest.mark.parametrize("n_out", [2, 81, 1001])
+@pytest.mark.parametrize("n_out", [2, 11, 81, 1001])
 def test_trajectory_texts_match_the_per_row_reference(trajectory_route, b, n_out):
     records = _trajectories(b, n_out, seed=100 * b + n_out)
     texts = matio.trajectories_to_csv(records)
