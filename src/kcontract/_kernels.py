@@ -16,8 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import indexing
-from .indexing import MAX_COMPOUND_DIM, MAX_DENSE_BYTES, check_dense_guard, compound_index
+from .indexing import MAX_COMPOUND_DIM, MAX_DENSE_BYTES, batches, check_dense_guard, compound_index
 
 # ---------------------------------------------------------------------------
 # Minor determinants
@@ -133,15 +132,14 @@ def minor_dets(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     minors = m[..., k - 1 :, :] if levels else m.copy()
     for head, tail, col, drop in levels:
         out = np.empty(lead + (head.size, col[0].size))
-        step = max(1, indexing.BATCH_BYTES // (8 * width * col[0].size))
-        for at in range(0, head.size, step):
+        for part in batches(head.size, width * col[0].size):
             # one (..., c, C) term at a time, summed left to right into out
-            m_head = m.take(head[at : at + step], axis=-2)
-            m_tail = minors.take(tail[at : at + step], axis=-2)
+            m_head = m.take(head[part], axis=-2)
+            m_tail = minors.take(tail[part], axis=-2)
             acc = np.multiply(
                 m_head.take(col[0], axis=-1),
                 m_tail.take(drop[0], axis=-1),
-                out=out[..., at : at + step, :],
+                out=out[..., part, :],
             )
             for j in range(1, len(col)):
                 term = m_head.take(col[j], axis=-1)
@@ -164,11 +162,10 @@ def _lu_minors(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) ->
     k = rows.shape[1]
     check_dense_guard(width * rows.shape[0] * cols.shape[0], "minor table")
     out = np.empty(m.shape[:-2] + (rows.shape[0], cols.shape[0]))
-    step = max(1, indexing.BATCH_BYTES // (8 * width * cols.shape[0] * k * k))
-    for at in range(0, rows.shape[0], step):
-        sub = rows[at : at + step]
+    for part in batches(rows.shape[0], width * cols.shape[0] * k * k):
+        sub = rows[part]
         # gather -> (..., c, C, k, k)
-        out[..., at : at + step, :] = np.linalg.det(
+        out[..., part, :] = np.linalg.det(
             m[..., sub[:, None, :, None], cols[None, :, None, :]]
         )
     return out

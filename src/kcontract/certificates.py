@@ -32,9 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import indexing
 from .compounds import add_compound, lift_diagonal_scaling
-from .indexing import BlockPermutation, block_range, build_permutation, check_dense_guard
+from .indexing import BlockPermutation, batches, block_range, build_permutation, check_dense_guard
 from .measures import (
     L1,
     L2,
@@ -206,11 +205,12 @@ def _best_condition(index, candidates, evaluate) -> ConditionRecord:
 def _grid_samples(
     domain: Optional[Box], grid_points: int, time_grid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The domain's grid (P, n) and the sample times (T,).  An empty time
-    grid, and rows (T P times, n T P states) that would exceed
-    MAX_DENSE_BYTES, are refused before they are built."""
-    if domain is None or not domain.is_finite:
-        raise ValueError("grid sampling needs a finite box domain")
+    """The domain's grid (P, n) and the sample times (T,).  A missing box
+    (``Box.grid`` refuses an infinite one), an empty time grid, and rows
+    (T P times, n T P states) that would exceed MAX_DENSE_BYTES, are
+    refused before they are built."""
+    if domain is None:
+        raise ValueError("grid sampling requires a finite box domain; none is declared")
     times = np.atleast_1d(np.asarray(time_grid if time_grid is not None else [0.0], float))
     if times.size == 0:
         raise ValueError("time_grid is empty; grid sampling needs at least one sample time")
@@ -254,10 +254,9 @@ def _grid_maxima(blocks, domains, grid_points: int, time_grid, pairs: dict) -> d
     cross = 0 if tail is None else 1 + points.shape[1] + tail.shape[1]  # J22's (t, x1, x2)
     sample = [b.dim**2 + len(keys) for b, keys in zip(blocks, kinds)]  # a Jacobian, its measures
     width = sum(sample[:-1]) + (sample[-1] + cross) * reps  # floats
-    step = max(1, indexing.BATCH_BYTES // (8 * width))
     worst = dict.fromkeys(pairs, -np.inf)
-    for lo in range(0, row_t.size, step):
-        t, x = row_t[lo : lo + step], row_x[:, lo : lo + step]
+    for part in batches(row_t.size, width):
+        t, x = row_t[part], row_x[:, part]
         cols = [(t, x)] * len(blocks)
         if tail is not None:
             cols[-1] = (np.repeat(t, reps), np.repeat(x, reps, axis=1), np.tile(tail.T, t.size))

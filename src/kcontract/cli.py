@@ -448,10 +448,6 @@ def _cmd_simulate(args) -> int:
 
     summary_detect = detect_equilibrium_convergence(records, field, tol=conf["detect_tol"])
 
-    in_box = True
-    if model.domain is not None:
-        box = systems.Box(model.domain.lo[:written], model.domain.hi[:written])
-        in_box = all(box.contains(rec.states, slack=1e-7) for rec in records)
     summary = {
         "preset": preset,
         "system": model.name,
@@ -467,7 +463,7 @@ def _cmd_simulate(args) -> int:
             for pt, cnt in summary_detect.clusters
         ],
         "detect_tol": conf["detect_tol"],
-        "in_invariant_box": in_box,
+        "in_invariant_box": all(rec.in_domain for rec in runs if rec is not None),
         "files": files,
     }
     _write_summary(outdir, summary)

@@ -25,10 +25,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import indexing
 from ._kernels import _DP_A, _DP_B5, _DP_C, _DP_E, minor_dets, rk45_solve
 from .compounds import mult_compound
-from .indexing import check_dense_guard, compound_index
+from .indexing import batches, check_dense_guard, compound_index
 from .systems import SystemModel
 
 
@@ -63,6 +62,8 @@ class TrajectoryRecord:
     substeps: Optional[np.ndarray] = None  # flow steps within each accepted state step
     # the run that produced the states, set by ``integrate``
     steps: Optional[StepRecord] = field(default=None, repr=False)
+    # the invariant-box verdict of the path, set by the integrator
+    in_domain: Optional[bool] = field(default=None, init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -123,8 +124,11 @@ def integrate_many(
     C-contiguous (n, A) array and their times as an (A,) array, or one
     start as an (n,) state and a float time (see ``rk45_solve``).  Returns
     one record per start, or None for a start whose step size underflowed;
-    the other starts are not affected by it.  Escaping a declared invariant
-    box triggers a warning, not a failure.
+    the other starts are not affected by it.  Each record's ``in_domain``
+    is the one invariant-box verdict: True when ``sys.domain`` is None or
+    holds every sampled state, the start too, widened by the relative slack
+    1e-7 max(1, max |state|).  A path that leaves the box from a start
+    inside it triggers a warning, not a failure.
     """
     return _integrate(sys, x0s, t_span, tol, n_out, t_eval)
 
@@ -160,11 +164,12 @@ def _integrate(sys, x0s, t_span, tol, n_out, t_eval, record=None):
         if failed:
             records.append(None)
             continue
-        if sys.domain is not None and sys.domain.contains(x0, slack=1e-9):
-            slack = 1e-7 * max(1.0, float(np.abs(path).max()))
-            if not sys.domain.contains(path, slack=slack):
-                warnings.warn(f"trajectory of {sys.name} left its declared invariant box")
-        records.append(TrajectoryRecord(t_eval, path, system=sys.name))
+        rec = TrajectoryRecord(t_eval, path, system=sys.name)
+        slack = 1e-7 * max(1.0, float(np.abs(path).max()))
+        rec.in_domain = sys.domain is None or sys.domain.contains(path, slack=slack)
+        if not rec.in_domain and sys.domain.contains(x0, slack=1e-9):
+            warnings.warn(f"trajectory of {sys.name} left its declared invariant box")
+        records.append(rec)
     return records
 
 
@@ -236,13 +241,12 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
     flow = np.empty((times.size, n, n))
     compound_flow = np.empty((times.size, r, r))
     flow[0], compound_flow[0] = np.eye(n), np.eye(r)
-    chunk = max(1, indexing.BATCH_BYTES // (8 * 28 * (n * n + r * r)))
     product = None  # P - I of Phi and of Psi over the open interval's steps so far
     j = 0  # the output time the open interval starts from
-    for lo in range(0, h.size, chunk):
-        hi = min(lo + chunk, h.size)
+    for batch in batches(h.size, 28 * (n * n + r * r)):
+        lo, hi = batch.start, batch.stop
         stages = stage_t[7 * lo : 7 * hi], stage_x[:, 7 * lo : 7 * hi]
-        increments, err = _flow_steps(sys, index, *stages, h[lo:hi])
+        increments, err = _flow_steps(sys, index, *stages, h[batch])
         split = np.flatnonzero(err > 1.0)
         if split.size:
             at = lo + split
@@ -250,7 +254,7 @@ def variational_flow(sys: SystemModel, trajectory: TrajectoryRecord, k: int) -> 
             parts = _split_steps(sys, index, t0[at], h[at], stage_x[:, 7 * at], substeps[at])
             for inc, part in zip(increments, parts):
                 inc[split] = part
-        for ds, hit in zip(zip(*increments), closes[lo:hi]):
+        for ds, hit in zip(zip(*increments), closes[batch]):
             product = ds if product is None else [e + d + d @ e for e, d in zip(product, ds)]
             if hit:
                 for out, e in zip((flow, compound_flow), product):
@@ -387,7 +391,6 @@ class VolumeFit:
     points ``times``, ``volumes`` it kept."""
 
     rate: float
-    intercept: float
     residual: float  # max |log v - fit| over the points used
     times: np.ndarray = field(repr=False)
     volumes: np.ndarray = field(repr=False)
@@ -407,7 +410,7 @@ def fit_exponential_rate(times, volumes) -> VolumeFit:
     a = np.vstack([times, np.ones_like(times)]).T
     coef, *_ = np.linalg.lstsq(a, logv, rcond=None)
     resid = float(np.max(np.abs(logv - a @ coef)))
-    return VolumeFit(float(coef[0]), float(coef[1]), resid, times, volumes)
+    return VolumeFit(float(coef[0]), resid, times, volumes)
 
 
 def volume_growth_rate(

@@ -33,6 +33,14 @@ MAX_DENSE_BYTES = 1 << 29
 BATCH_BYTES = 1 << 24
 
 
+def batches(count: int, floats_per_item: int) -> list[slice]:
+    """The slices of range(count), in order, that each hold at most
+    BATCH_BYTES of float64 at ``floats_per_item`` floats an item, and at
+    least one item: the one chunk rule of every batched loop."""
+    step = max(1, BATCH_BYTES // (8 * floats_per_item))
+    return [slice(at, min(at + step, count)) for at in range(0, count, step)]
+
+
 class DimensionGuardError(ValueError):
     """Raised when a compound dimension exceeds MAX_COMPOUND_DIM or a dense
     compound-space array would exceed MAX_DENSE_BYTES."""

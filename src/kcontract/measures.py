@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import indexing
 from .compounds import _interval_matrix, as_matrix, require_square
-from .indexing import compound_index
+from .indexing import batches, check_dense_guard, compound_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +124,11 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
     if k == 0:
         return np.zeros(a.shape[0])
     if kind.scaling is not None:
-        indexing.check_dense_guard(index.r**2)
+        check_dense_guard(index.r**2)
         out = np.empty(a.shape[0])
-        step = max(1, indexing.BATCH_BYTES // (8 * index.r**2))
-        for lo in range(0, a.shape[0], step):
-            compounds = index.additive(a[lo : lo + step])
-            out[lo : lo + step] = [matrix_measure(c, kind) for c in compounds]
+        for part in batches(a.shape[0], index.r**2):
+            compounds = index.additive(a[part])
+            out[part] = [matrix_measure(c, kind) for c in compounds]
         return out
     if kind.p == "2":
         eig = np.linalg.eigvalsh((a + np.swapaxes(a, 1, 2)) / 2.0)
@@ -142,14 +140,13 @@ def compound_measures(mats, k: int, kind: MeasureKind) -> np.ndarray:
         rows, cols = inside[:, :, None], outside[:, None, :]
     diag = np.diagonal(a, axis1=1, axis2=2)
     out = np.empty(a.shape[0])
-    step = max(1, indexing.BATCH_BYTES // (8 * index.r * max(1, k * (n - k))))
-    for lo in range(0, a.shape[0], step):
-        absa = np.abs(a[lo : lo + step])
+    for part in batches(a.shape[0], index.r * max(1, k * (n - k))):
+        absa = np.abs(a[part])
         # Gathers made C-contiguous, so that each sum runs over one
         # sequence's entries in the same pairwise order as a 1-D .sum()
-        diag_sum = np.ascontiguousarray(diag[lo : lo + step][:, inside]).sum(axis=2)
+        diag_sum = np.ascontiguousarray(diag[part][:, inside]).sum(axis=2)
         block = np.ascontiguousarray(absa[:, rows, cols]).reshape(absa.shape[0], index.r, -1)
-        out[lo : lo + step] = (diag_sum + block.sum(axis=2)).max(axis=1)
+        out[part] = (diag_sum + block.sum(axis=2)).max(axis=1)
     return out
 
 

@@ -518,12 +518,7 @@ def lti_series(a, b, c, name: Optional[str] = None) -> SeriesModel:
         sub2_bounds=EntryBounds(c, c),
         name=name or "lti_series",
     )
-    full = np.zeros((n + m, n + m))
-    full[:n, :n] = a
-    full[n:, :n] = b
-    full[n:, n:] = c
-    sysm = lti(full, name=model.name)
-    model._full = sysm
+    model._full = lti(model.jacobian_full(0.0, np.zeros(n + m)), name=model.name)
     return model
 
 

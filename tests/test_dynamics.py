@@ -334,6 +334,28 @@ def test_escaping_declared_box_warns():
         integrate(growing, [0.5], (0.0, 2.0), n_out=21)
 
 
+def test_each_record_carries_the_one_box_verdict():
+    growing = SystemModel(
+        state_dim=1,
+        f=lambda t, x: x,
+        jacobian=lambda t, x: np.ones(np.shape(x)[1:] + (1, 1)),
+        domain=Box([-1.0], [1.0]),
+        name="escaper",
+    )
+    # inside and leaving (warned), outside from the start (not warned), inside throughout
+    starts = np.array([[0.5], [2.0], [1e-3]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = integrate_many(growing, starts, (0.0, 2.0), n_out=21)
+    assert [rec.in_domain for rec in runs] == [False, False, True]
+    assert len([w for w in caught if "invariant box" in str(w.message)]) == 1
+    free = SystemModel(state_dim=1, f=growing.f, jacobian=growing.jacobian)
+    assert integrate(free, [2.0], (0.0, 1.0), n_out=5).in_domain is True
+    # a result of the integrator, not a constructor option
+    with pytest.raises(TypeError):
+        TrajectoryRecord(np.arange(2.0), np.zeros((2, 1)), in_domain=True)
+
+
 def test_box_contains_a_stack_of_states_like_its_rows():
     box = Box([-1.0, 0.0], [1.0, 2.0])
     rng = np.random.default_rng(5)

@@ -1,15 +1,19 @@
+import ast
 import itertools
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcontract import indexing
 from kcontract.compounds import lift_diagonal_scaling
 from kcontract.indexing import (
     DimensionGuardError,
+    batches,
     block_range,
     build_permutation,
     compound_index,
@@ -204,3 +208,32 @@ def test_dimension_guard():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("count, floats", [(0, 3), (1, 1 << 30), (10, 1), (10, 3), (7, 4)])
+def test_batches_cover_the_range_within_the_budget(monkeypatch, count, floats):
+    monkeypatch.setattr(indexing, "BATCH_BYTES", 96)  # 12 floats
+    parts = batches(count, floats)
+    assert [i for part in parts for i in range(count)[part]] == list(range(count))
+    step = max(1, 12 // floats)
+    assert [part.stop - part.start for part in parts[:-1]] == [step] * (len(parts) - 1)
+    assert all(0 < part.stop - part.start <= step for part in parts)
+
+
+def test_only_indexing_reads_the_batch_budget():
+    # every batched loop takes its chunks from indexing.batches: no other
+    # module reads or imports BATCH_BYTES (docstrings may name it)
+    readers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "kcontract").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "BATCH_BYTES":
+                readers.add(path.name)
+    assert readers == {"indexing.py"}

@@ -154,6 +154,27 @@ def test_cli_simulate_reports_leaving_the_declared_box(tmp_path):
         assert summary["in_invariant_box"] is inside
 
 
+def test_cli_simulate_box_verdict_is_the_integrators(tmp_path):
+    # a circle of radius 5 through a box 3e-7 too short in x2: beyond an
+    # absolute slack of 1e-7, within the relative slack 1e-7 max(1, max|x|)
+    # = 5e-7, so the summary agrees with the absent warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "bounds", "bounds": {"lo": [[0.0, 1.0], [-1.0, 0.0]], "hi": [[0.0, 1.0], [-1.0, 0.0]]},
+        "jacobian_from": {"system": "lti", "params": {"A": [[0.0, 1.0], [-1.0, 0.0]]}},
+        "domain": {"lo": [-5.0, -5.0 + 3e-7], "hi": [5.0, 5.0 - 3e-7]},
+        "initial_conditions": [[5.0, 0.0]], "horizon": 2 * math.pi, "n_out": 1001,
+    }))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--input", str(cfg), "--output", str(out)]) == 0
+    x2 = np.loadtxt(out / "traj_01.csv", delimiter=",", skiprows=1)[:, 2]
+    assert 2e-7 < np.abs(x2).max() - (5.0 - 3e-7) < 5e-7
+    assert not [w for w in caught if "invariant box" in str(w.message)]
+    assert json.loads((out / "summary.json").read_text())["in_invariant_box"] is True
+
+
 def test_cli_simulate_refuses_a_domain_of_another_dimension(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
