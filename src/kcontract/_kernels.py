@@ -224,11 +224,12 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     index.  ``f`` is called once per stage for all A live rows with the
     states as columns: ``f(t, x)`` with ``x`` a C-contiguous (n, A) copy of
     the live rows' (A, n) stack and ``t`` of shape (A,), returning (n, A).
-    While one row is live it gets the 1-D (n,) state and a float ``t``.  So
-    a row's result is bitwise the same
-    as its own B = 1 run whenever ``f`` computes each column as it computes a
-    1-D state, as the built-in fields do: each is one whole-array expression
-    that takes either form (the linear field is one gemv per column).
+    While one row is live it gets the 1-D state, a C-contiguous float64 (n,)
+    ndarray, and a Python float ``t``.  So a row's result is bitwise the
+    same as its own B = 1 run whenever ``f`` computes each column as it
+    computes a 1-D state, as the built-in fields do: each is one whole-array
+    expression that takes either form (the linear field is one gemv per
+    column).
 
     ``tol`` > 0 is both the relative and the absolute tolerance: a step's
     error in each entry is measured against tol + tol * max(|x|, |xnew|),
@@ -247,9 +248,14 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
     row's h is repeated over its n entries once per attempt, so that the
     stage points, the 5th-order solution and the error estimate are scaled
     by an array of their own shape, and the 5th-order weights are repeated
-    over n entries once per solve.  On arrays this small numpy's strided and
-    broadcast inner loops cost more than those copies; the operands and
-    their order are unchanged, so every bit is too.
+    over n entries once per solve.  While one row is live its h fills one
+    (n,) array in place once per attempt, which scales the stage points and
+    the numpy tail in the same way, and its stage times are taken one at a
+    time from the Python floats t and h.  On arrays this small numpy's
+    strided and broadcast inner loops, and its conversion of a Python float
+    operand, cost more than those copies; the operands and their order are
+    unchanged, so every bit is too.  The Python-float tail and the step
+    control keep h as a Python float.
 
     While the live rows hold at most ``_FLOAT_TAIL`` = 9 error entries (rows
     times n) and n < 8, the attempt's tail, the 5th-order solution and the
@@ -312,6 +318,7 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
         float_rows = _FLOAT_TAIL // n if n < 8 else 0
         b0, b2, b3, b4, b5 = _B5_WEIGHTS
         b5_rows = np.array(_B5_WEIGHTS).repeat(n).reshape(5, n)
+        h_row = np.empty(n)  # the one live row's h, per entry
         while True:
             # retire finished and underflowed rows; size the next step of the rest
             h, hit, drop = [], [], []
@@ -335,8 +342,8 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
                 live, t, h_rec, idx = ([v[j] for j in keep] for v in (live, t, h_rec, idx))
             one = n_live == 1
             if one:
-                h_x = h[0]
-                ts = [t[0] + c * h_x for c in _DP_NODES]
+                h_row.fill(h[0])
+                h_x, t0, h0 = h_row, t[0], h[0]
             else:
                 h_now = np.array(h)
                 h_x = h_now.repeat(n).reshape(n_live, n)  # each row's h, per entry
@@ -347,7 +354,7 @@ def rk45_solve(f, x0, t_eval, tol, *, record=None):
                 xs = _DP_ROWS[s].dot(lead[s]) if one else _DP_ROWS[s] @ lead[s]
                 xs *= h_x
                 xs += x
-                stage[s][...] = f(ts[s], xs) if one else f(ts[s], xs.T.copy()).T
+                stage[s][...] = f(t0 + _DP_NODES[s] * h0, xs) if one else f(ts[s], xs.T.copy()).T
                 if record is not None:
                     points.append(xs)
             # stage 6 evaluation point is the 5th-order solution itself:

@@ -90,10 +90,8 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: Matrices and 1-D float64 arrays with fewer values take the C formatter.
-#: Dense ones break even near 500 values.  Ones that are 87 % or all zeros
-#: break even near 1 500 (0.4-0.5x at 512, 1.4-1.6x at 2 500, 3-6x at 10 000),
-#: because a sparse pass has a fixed cost and zeros are cheap in C.
+#: Matrices and 1-D float64 arrays with fewer values take the C formatter;
+#: see ``_vectorised`` for those with more.
 _VECTOR_MIN = 512
 #: Values per dense pass of the vectorised writer, and nonzero values per
 #: sparse pass, which bounds its scratch memory.
@@ -121,10 +119,29 @@ _TRAILING_ZEROS4 = sum(np.arange(10_000) % 10**k == 0 for k in range(1, 5))
 _KEEP = np.tri(_TEXT + 1, _TEXT, -1, dtype=np.uint8) * np.uint8(255)
 
 
+def _vectorised(x: np.ndarray) -> bool:
+    """Whether numpy formats the float64 values ``x`` faster than the C
+    formatter: when its nonzero values plus 2/5 of its zeros reach
+    ``_VECTOR_MIN``.
+
+    A sparse pass formats only the nonzero values, and its zeros cost less
+    than in C; a dense pass (zeros rare) formats every value.  So numpy
+    takes 512 values without zeros, about 730 that are half zeros, 1 071 at
+    87 % and 1 280 zeros, the crossovers measured for CSV and JSON (medians
+    of 7 timings each way, 2-CPU Xeon).  From 1 280 values on no count is
+    needed.
+    """
+    if x.size < _VECTOR_MIN:
+        return False
+    if 2 * x.size >= 5 * _VECTOR_MIN:
+        return True
+    return 2 * x.size + 3 * np.count_nonzero(x) >= 5 * _VECTOR_MIN  # NaN counts as nonzero
+
+
 def _csv_rows(rows: np.ndarray) -> str:
     """Each row of a 2-D float64 array as a line of ``%.17g`` values, each
     line ending in a newline."""
-    if rows.size < _VECTOR_MIN:
+    if not _vectorised(rows):
         line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         return "".join([line % tuple(row) for row in rows.tolist()])
     return "".join(_text(rows.ravel(), False, b",", rows.shape[1]))
@@ -458,13 +475,13 @@ def _json(obj, indent: str) -> str:
 
     With ``indent`` set the json module runs its pure-Python encoder.  Here
     only non-empty dicts and lists are walked in Python, and the json module
-    writes every scalar, empty container and key.  A 1-D float64 array of at
-    least ``_VECTOR_MIN`` values is formatted by numpy, and any flat list of
+    writes every scalar, empty container and key.  A 1-D float64 array that
+    ``_vectorised`` admits is formatted by numpy, and any flat list of
     plain scalars is one call of the C encoder, each with the indented item
     separator.  Each container's text is built with one copy of its body.
     """
     if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.ndim == 1 and obj.size >= _VECTOR_MIN:
+        if obj.dtype == np.float64 and obj.ndim == 1 and _vectorised(obj):
             inner = indent + "  "
             body = _repr_list(obj, ",\n" + inner)
             return f"[\n{inner}{body}\n{indent}]"

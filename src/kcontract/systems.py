@@ -249,6 +249,8 @@ class SeriesModel:
         return x[: self.dim1], x[self.dim1 :]
 
     def f_full(self, t: float, x: np.ndarray) -> np.ndarray:
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=np.float64)
         x1, x2 = self.split(x)
         return np.concatenate([self.sub1.f(t, x1), self.f2(t, x1, x2)])
 
@@ -356,8 +358,8 @@ _CYCLE = np.array([1, 2, 0], dtype=np.intp)
 
 
 def _thomas_field(d: float, c: float):
-    """The controlled Thomas field at x[:3] as one whole-array function of
-    x, shape (m,) or (m, B) with m >= 3: (sin x2 - (d + c) x1,
+    """The controlled Thomas field f(t, x) at x[:3] as one whole-array
+    function of x, shape (m,) or (m, B) with m >= 3: (sin x2 - (d + c) x1,
     sin x3 - (d + c) x2, sin x1 - d x3), one sine call on the cyclically
     shifted rows and one in-place subtraction of the damping column.
 
@@ -367,12 +369,22 @@ def _thomas_field(d: float, c: float):
     damp = np.array([d + c, d + c, d], dtype=np.float64)
     damp_col = damp[:, None]
 
-    def field(x):
+    def f(t, x):
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=np.float64)
         out = np.sin(x.take(_CYCLE, 0))
         out -= (damp if x.ndim == 1 else damp_col) * x[:3]
         return out
 
-    return field
+    return f
+
+
+def _perturbation(b) -> np.ndarray:
+    """The perturbation direction b as a float64 3-vector."""
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.size != 3:
+        raise ValueError("perturbation direction b must have 3 components")
+    return b
 
 
 def _thomas_jacobian(x, d: float, c: float) -> np.ndarray:
@@ -391,10 +403,6 @@ def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None)
     """Thomas system under the partial-state feedback -diag(c, c, 0) x."""
     if c is None:
         c = thomas_controller_gain(d)
-    field = _thomas_field(d, c)
-
-    def f(t, x):
-        return field(np.asarray(x))
 
     @_column_form
     def jac(t, x):
@@ -402,7 +410,7 @@ def thomas_controlled(d: float = THOMAS_D, c: Optional[float] = None, name=None)
 
     return SystemModel(
         state_dim=3,
-        f=f,
+        f=_thomas_field(d, c),
         jacobian=jac,
         domain=invariant_box(d),
         entry_bounds=_thomas_entry_bounds(d, c),
@@ -420,10 +428,7 @@ def thomas_perturbed(
     augmentation with an extra exponential state y, y(0) = 1."""
     if c is None:
         c = thomas_controller_gain(d)
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != 3:
-        raise ValueError("perturbation direction b must have 3 components")
-
+    b = _perturbation(b)
     field = _thomas_field(d, c)
     # (b, alpha) y is the input column and the row of y' in one product;
     # adding the field to it is bitwise field + b y, as IEEE addition commutes
@@ -431,9 +436,10 @@ def thomas_perturbed(
     gain_col = gain[:, None]
 
     def f(t, z):
-        z = np.asarray(z)
+        if not isinstance(z, np.ndarray):
+            z = np.asarray(z, dtype=np.float64)
         out = (gain if z.ndim == 1 else gain_col) * z[3]
-        out[:3] += field(z)
+        out[:3] += field(t, z)
         return out
 
     @_column_form
@@ -464,12 +470,20 @@ def thomas_perturbed(
 
 def thomas_perturbed_field(d=THOMAS_D, c=None, alpha=THOMAS_ALPHA, b=THOMAS_B):
     """Time-varying 3-state view of the perturbed closed loop, t -> f(t, x):
-    the first three components of ``thomas_perturbed``'s field at the
-    exponential state y = exp(alpha t), a 1-D state or states as columns."""
-    full = thomas_perturbed(d, c, alpha, b).f
+    the controlled Thomas field plus b y at the exponential state
+    y = exp(alpha t), a 1-D state or states as columns.  Each entry is
+    bitwise the first three of ``thomas_perturbed``'s at that y, as IEEE
+    addition commutes."""
+    if c is None:
+        c = thomas_controller_gain(d)
+    b = _perturbation(b)
+    b_col = b[:, None]
+    field = _thomas_field(d, c)
 
     def f(t, x):
-        return full(t, np.concatenate([x, np.exp(alpha * t)[None]]))[:3]
+        out = field(t, x)
+        out += (b if out.ndim == 1 else b_col) * np.exp(alpha * t)
+        return out
 
     return f
 
@@ -483,6 +497,8 @@ def lti(a, name: Optional[str] = None) -> SystemModel:
         # one matrix-vector product per column, as a.dot(x) is on a 1-D
         # state; a @ x on an (n, B) stack would be one matrix product,
         # which rounds its columns differently
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             return a.dot(x)
         return np.matmul(a, x.T[..., None])[..., 0].T

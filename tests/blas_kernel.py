@@ -17,8 +17,9 @@ import os
 import numpy as np
 
 # The goldens in tests/golden/ that differ by rounding when regenerated under
-# OPENBLAS_CORETYPE=Haswell, Sandybridge or Prescott instead of SkylakeX, the
-# kernel they were made on; README names the same files.
+# OPENBLAS_CORETYPE=SkylakeX, Sandybridge or Prescott instead of Haswell, the
+# kernel the suite pins (tests/__init__.py) and they were made on; README
+# names the same files.
 KERNEL_DEPENDENT_GOLDENS = (
     "certify_grid_exp_input_search.report.json",
     "certify_grid_thomas_controlled_l2.report.json",

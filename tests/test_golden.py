@@ -1,5 +1,6 @@
 """CLI outputs and certificate dumps stay byte-identical to tests/golden/."""
 
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tests.blas_kernel import KERNEL_DEPENDENT_GOLDENS
+import tests
+from tests.blas_kernel import KERNEL_DEPENDENT_GOLDENS, openblas_core
 from tests.golden_cases import GOLDEN_DIR, all_cases
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,16 +33,16 @@ def test_readme_names_the_kernel_dependent_goldens():
     readme = " ".join((ROOT / "README.md").read_text().split())
     count = len(list(GOLDEN_DIR.iterdir()))
     assert f"{len(KERNEL_DEPENDENT_GOLDENS)} of the {count} goldens" in readme
-    section = readme.split("Under `OPENBLAS_CORETYPE=Haswell`")[1].split("The other")[0]
+    section = readme.split("Under `OPENBLAS_CORETYPE=SkylakeX`")[1].split("The other")[0]
     names = re.findall(r"`([\w.]+\.(?:json|txt|csv))`", section)
     assert sorted(names) == sorted(KERNEL_DEPENDENT_GOLDENS)
 
 
-def test_only_the_named_goldens_depend_on_the_blas_kernel(haswell_env, tmp_path):
-    # regenerate every golden on OpenBLAS's Haswell kernel
+def test_only_the_named_goldens_depend_on_the_blas_kernel(second_kernel_env, tmp_path):
+    # regenerate every golden on a second OpenBLAS kernel
     subprocess.run(
         [sys.executable, "-m", "tests.golden_cases", str(tmp_path)],
-        env=haswell_env,
+        env=second_kernel_env,
         cwd=ROOT,
         check=True,
         capture_output=True,
@@ -49,3 +51,14 @@ def test_only_the_named_goldens_depend_on_the_blas_kernel(haswell_env, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     differ = {n for n in names if (GOLDEN_DIR / n).read_bytes() != (tmp_path / n).read_bytes()}
     assert differ <= set(KERNEL_DEPENDENT_GOLDENS)
+
+
+def test_the_suite_runs_the_pinned_blas_kernel():
+    # tests/__init__.py pins the kernel; that holds only if numpy loads after
+    # it, so no pytest plugin may import numpy first
+    assert not tests.NUMPY_LOADED_FIRST
+    if not tests.ON_X86_64 or openblas_core() is None:
+        pytest.skip("needs numpy's bundled OpenBLAS on x86-64")
+    if os.environ["OPENBLAS_CORETYPE"] != tests.PINNED_KERNEL:
+        pytest.skip("OPENBLAS_CORETYPE was set before the suite started")
+    assert openblas_core() == tests.PINNED_KERNEL

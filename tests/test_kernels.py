@@ -69,24 +69,30 @@ def test_lockstep_rows_equal_their_single_start_runs(name, horizon, n_out):
     # the starts need different step counts, so rows leave the batch at
     # different times; each row must still be bitwise its own B = 1 run.
     # Every 2-D state the field gets is a C-contiguous (n, A) array with an
-    # (A,) time.
+    # (A,) time, and while one row is live (in a stack or a B = 1 run) every
+    # state is a C-contiguous float64 (n,) ndarray with a Python float time.
     sysm, starts = _lockstep_cases()[name]
+    n = starts.shape[1]
     seen = []
 
     def recording(t, x):
+        assert type(x) is np.ndarray and x.dtype == np.float64 and x.flags.c_contiguous
         if x.ndim == 2:
-            seen.append((x.shape, x.flags.c_contiguous, np.shape(t)))
+            assert x.shape[0] == n and np.shape(t) == x.shape[1:]
+        else:
+            assert x.shape == (n,) and type(t) is float
+        seen.append(x.shape[1:])
         return sysm.f(t, x)
 
     t_eval = np.linspace(0.0, horizon, n_out)
     status, states = _kernels.rk45_solve(recording, starts, t_eval, 1e-10)
-    assert max(shape[1] for shape, _, _ in seen) == starts.shape[0]
-    for shape, contiguous, t_shape in seen:
-        assert shape[0] == starts.shape[1] and contiguous and t_shape == shape[1:]
-    assert states.shape == (starts.shape[0], n_out, starts.shape[1])
+    assert max(seen) == (starts.shape[0],)
+    assert states.shape == (starts.shape[0], n_out, n)
     assert status.tolist() == [0] * starts.shape[0]
     for start, row in zip(starts, states):
-        single_status, single = _kernels.rk45_solve(sysm.f, start, t_eval, 1e-10)
+        seen.clear()
+        single_status, single = _kernels.rk45_solve(recording, start, t_eval, 1e-10)
+        assert seen and set(seen) == {()}
         assert single_status == 0
         assert np.array_equal(row, single)
 
@@ -115,13 +121,13 @@ def _stack_mismatches():
     return rows, mismatches
 
 
-def test_the_lockstep_contract_holds_on_a_second_blas_kernel(haswell_env):
+def test_the_lockstep_contract_holds_on_a_second_blas_kernel(second_kernel_env):
     # the stage products are BLAS gemvs, whose bits follow the kernel; on
     # each kernel a stack's row must still be its own B = 1 run
     code = "from tests.test_kernels import _stack_mismatches; print(_stack_mismatches())"
     child = subprocess.run(
         [sys.executable, "-c", code],
-        env=haswell_env,
+        env=second_kernel_env,
         cwd=ROOT,
         check=True,
         capture_output=True,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from kcontract import matio
+from kcontract.compounds import add_compound
 from kcontract.dynamics import TrajectoryRecord
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.8e308, -1.8e308,
@@ -539,6 +540,34 @@ def test_a_million_random_bit_patterns_match_the_json_encoder():
     want = "[\n  " + json.dumps(items, separators=(",\n  ", ": "))[1:-1] + "\n]\n"
     _assert_same_text(matio.dump_json(items), want)
     _assert_same_text(matio.dump_json(bits.view(np.float64)), want)
+
+
+@pytest.mark.parametrize("size, numpy_route", [(512, False), (1024, False), (1500, True)])
+@pytest.mark.parametrize("zero_share", [1.0, 0.87])
+def test_zero_heavy_arrays_take_the_faster_route_with_the_same_bytes(monkeypatch, size, numpy_route,
+                                                                     zero_share):
+    """An array's route counts its nonzero values and 2/5 of its zeros: below
+    1 280 values an 87 %- or all-zero array stays on the C route, where a
+    sparse pass would be slower.  Either route writes the same bytes."""
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(size)
+    x[rng.permutation(size)[:round(zero_share * size)]] = 0.0
+    m = x.reshape(-1, 4)
+    want = _reference_csv(m), _stdlib({"entries": x.tolist()})
+    text, passes = matio._text, []
+    monkeypatch.setattr(matio, "_text", lambda *args: passes.append(1) or text(*args))
+    assert (matio.matrix_to_csv(m), matio.dump_json({"entries": x})) == want
+    assert len(passes) == 2 * numpy_route
+    for vector_min in (0, 10**12):  # each route forced
+        monkeypatch.setattr(matio, "_VECTOR_MIN", vector_min)
+        assert (matio.matrix_to_csv(m), matio.dump_json({"entries": x})) == want
+
+
+def test_compound_space_arrays_keep_the_numpy_route():
+    # an additive compound of a dense 10 x 10 at k = 4 is 12 % nonzero
+    add = add_compound(np.random.default_rng(4).standard_normal((10, 10)), 4).data
+    assert add.size == 44_100 and matio._vectorised(add)
+    assert matio._vectorised(np.zeros(1280)) and not matio._vectorised(np.zeros(1279))
 
 
 @pytest.mark.parametrize("other", [1, True, np.float64(0.5)])

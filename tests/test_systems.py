@@ -81,6 +81,28 @@ def test_builtin_jacobians_and_bounds_hold_at_domain_samples(name):
         _assert_premises(model, seed=1)
 
 
+def _fields(model):
+    """Every field a built-in model offers, with its state dimension."""
+    if isinstance(model, systems.SeriesModel):
+        return [(model.full_system().f, model.state_dim), (model.f_full, model.state_dim),
+                (model.sub1.f, model.dim1)]
+    return [(model.f, model.state_dim)]
+
+
+@pytest.mark.parametrize("name", sorted(cli._SYSTEMS))
+def test_builtin_fields_take_a_list_state(name):
+    # a 1-D array-like state is the ndarray state, to the bit
+    fields = _fields(_model(name))
+    if name == "thomas_perturbed":
+        fields.append((systems.thomas_perturbed_field(), 3))
+    for f, dim in fields:
+        for x in _samples(None, dim, seed=3)[:5]:
+            want = f(0.7, x)
+            assert type(want) is np.ndarray
+            assert np.array_equal(f(0.7, x.tolist()), want)
+            assert np.array_equal(f(0.7, tuple(x.tolist())), want)
+
+
 def test_series_model_holds_one_coupling_bound():
     a, b, c = np.diag([-1.0, -2.0]), np.array([[0.5, -1.5]]), np.array([[-3.0]])
     model = systems.lti_series(a, b, c)
